@@ -17,6 +17,7 @@ from .errors import (
     InvalidCount,
     InvalidMargin,
     NoContainingVirtualSimplex,
+    NonFiniteQuery,
     NoVisibleFacet,
     OutsideBall,
     ParseError,
@@ -79,6 +80,7 @@ __all__ = [
     "LabelEncoding",
     "LabeledDataset",
     "NoContainingVirtualSimplex",
+    "NonFiniteQuery",
     "NoVisibleFacet",
     "OutsideBall",
     "ParseError",

@@ -10,7 +10,9 @@ maps any query x inside the ball to a sparse vector of convex weights:
   onto the sphere.  Among the boundary facets visible from x, the one
   whose virtual simplex (w, facet vertices) contains x supplies the
   coordinates; the weight on w is reported separately as sphere_mass and
-  owns no support index.
+  owns no support index.  When the centroid lies outside the support
+  hull, queries behind the hull have no such facet and raise
+  NoContainingVirtualSimplex.
 
 Entries smaller than 1e-9 in magnitude are zeroed and the rest
 renormalized, so exact vertex queries come back as clean indicators.
@@ -22,23 +24,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidMargin,
     NoContainingVirtualSimplex,
-    NoVisibleFacet,
+    NonFiniteQuery,
     OutsideBall,
     ZeroNorm,
 )
 from .geometry import (
     TAU,
-    Barycentric,
     PointCloud,
     build_delaunay,
     clamp_coords,
     locate,
+    locate_batch,
+    visible_facet_indices,
 )
-
-# Relaxed feasibility slack for the virtual-simplex fallback pass.
-TAU_FALLBACK = 1e-6
 
 
 @dataclass
@@ -90,8 +91,8 @@ def fit_space(train_points, support_indices, radius_margin=1.0):
 
     The centroid and radius come from the full training set; the support
     rows, translated to centroid-at-origin, get triangulated.  Warns when
-    the origin falls outside the support hull, which makes every radial
-    projection leave the hull on the opposite side.
+    the origin falls outside the support hull: queries behind that hull,
+    as seen from the origin, then have no containing virtual simplex.
     """
     if radius_margin <= 0.0:
         raise InvalidMargin("radius margin must be positive, got %g" % radius_margin)
@@ -114,7 +115,7 @@ def fit_space(train_points, support_indices, radius_margin=1.0):
     if locate(tri, np.zeros(pts.shape[1])) is None:
         warnings.warn(
             "training centroid lies outside the support hull; "
-            "sphere projections will be one-sided",
+            "queries behind the hull will raise NoContainingVirtualSimplex",
             stacklevel=2,
         )
     return EmbeddingSpace(
@@ -135,146 +136,110 @@ def project_to_sphere(space, x):
     return space.radius * x / norm
 
 
-def _facet_distance(x, facet_points, normal, offset):
-    """Euclidean distance from x to a hull facet.
-
-    Exact when the hyperplane projection lands inside the facet, otherwise
-    the nearest facet vertex stands in.  Used only by the final fallback.
-    """
-    signed = float(normal @ x + offset)
-    proj = x - signed * normal
-    verts = facet_points
-    diffs = (verts[1:] - verts[0]).T
-    coeff, *_ = np.linalg.lstsq(diffs, proj - verts[0], rcond=None)
-    bary = np.concatenate([[1.0 - coeff.sum()], coeff])
-    if (bary >= -TAU).all():
-        return abs(signed)
-    return float(np.linalg.norm(verts - x, axis=1).min())
-
-
-def _virtual_coords(space, facet, w, x):
-    """Raw barycentric coordinates of x in the simplex (w, facet vertices)."""
-    pts = space.support.points
-    verts = np.vstack([w[None, :], pts[list(facet.facet_ids)]])
-    n = verts.shape[1]
-    tmat = np.vstack([verts.T, np.ones(n + 1)])
-    h = np.append(x, 1.0)
-    return np.linalg.solve(tmat, h)
-
-
 def _xi_outside(space, x):
     """Sphere-augmented embedding for a translated point outside the hull.
 
-    Tries the visible facets first; on numerical failure retries every
-    boundary facet with relaxed slack, then falls back to the facet
-    nearest to x with clamping.  Ties go to the most interior coordinate
-    vector, then to the lowest facet index.
+    The virtual simplices (w, facet vertices) of all visible facets are
+    solved in one stacked system.  The most interior coordinate vector
+    wins, ties going to the lowest facet index; raises when none of them
+    contains x within TAU.
     """
     w = project_to_sphere(space, x)
-    try:
-        candidates = [f for f in space.tri.boundary if f.side(x) > 0.0]
-        if not candidates:
-            raise NoVisibleFacet("no visible facet")
-    except NoVisibleFacet:
-        candidates = []
-
-    best = None
-    best_min = -np.inf
-    for facet in candidates:
-        coords = _virtual_coords(space, facet, w, x)
-        low = coords.min()
-        if low >= -TAU and low > best_min:
-            best, best_min = (facet, coords), low
-    if best is None:
-        for facet in space.tri.boundary:
-            coords = _virtual_coords(space, facet, w, x)
-            low = coords.min()
-            if low >= -TAU_FALLBACK and low > best_min:
-                best, best_min = (facet, coords), low
-    if best is None:
-        pts = space.support.points
-        dists = [
-            _facet_distance(x, pts[list(f.facet_ids)], f.normal, f.offset)
-            for f in space.tri.boundary
-        ]
-        facet = space.tri.boundary[int(np.argmin(dists))]
-        coords = _virtual_coords(space, facet, w, x)
-        coords = np.clip(coords, 0.0, None)
-        if coords.sum() <= 0.0:
-            raise NoContainingVirtualSimplex(
-                "no virtual simplex accepts the exterior point %s" % (x.tolist(),)
-            )
-        coords = coords / coords.sum()
-        best = (facet, coords)
-
-    facet, coords = best
-    coords = clamp_coords(coords)
-    ids = np.asarray(facet.facet_ids, dtype=np.int64)
+    visible = visible_facet_indices(space.tri, x)
+    ids = space.tri.boundary_arrays()[0][visible]
+    n = x.size
+    tmat = np.ones((visible.size, n + 1, n + 1))
+    tmat[:, :n, 0] = w
+    tmat[:, :n, 1:] = np.transpose(space.support.points[ids], (0, 2, 1))
+    rhs = np.broadcast_to(np.append(x, 1.0), (visible.size, n + 1))
+    coords = np.linalg.solve(tmat, rhs[..., None])[..., 0]
+    low = coords.min(axis=1, initial=np.inf)
+    if not (low >= -TAU).any():
+        raise NoContainingVirtualSimplex(
+            "no virtual simplex accepts the exterior point %s" % (x.tolist(),)
+        )
+    best = int(np.argmax(low))
+    coords = clamp_coords(coords[best])
     keep = coords[1:] > 0.0
     return SparseXi(
-        indices=ids[keep],
+        indices=ids[best][keep],
         values=coords[1:][keep],
         sphere_mass=float(coords[0]),
         sphere_point=w,
-        facet_used=facet.facet_ids,
+        facet_used=space.tri.boundary[visible[best]].facet_ids,
     )
 
 
-def _xi_inside(simplex, bary):
+def _xi_inside(simplex, coords):
     ids = np.asarray(simplex.vertex_ids, dtype=np.int64)
-    keep = bary.coords > 0.0
-    return SparseXi(indices=ids[keep], values=bary.coords[keep])
+    keep = coords > 0.0
+    return SparseXi(indices=ids[keep], values=coords[keep])
 
 
 def xi(space, x_raw):
-    """Sparse embedding of one raw-coordinate query.
-
-    Raises OutsideBall when the translated query leaves the bounding ball.
-    """
-    x = np.asarray(x_raw, dtype=np.float64) - space.centroid
-    if float(np.linalg.norm(x)) > space.radius + TAU:
-        raise OutsideBall(
-            "query norm %g exceeds ball radius %g"
-            % (float(np.linalg.norm(x)), space.radius)
+    """Sparse embedding of one raw-coordinate query: row 0 of xi_batch."""
+    x = np.asarray(x_raw, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionMismatch(
+            "expected one query of dimension %d, got shape %s" % (space.dim, x.shape)
         )
-    hit = locate(space.tri, x)
-    if hit is not None:
-        return _xi_inside(hit[0], hit[1])
-    return _xi_outside(space, x)
+    return xi_batch(space, x[None])[0]
+
+
+def translate_queries(space, xs_raw):
+    """Validated (Q, n) queries moved to centroid-at-origin, and the mask
+    of the rows inside the closed bounding ball.
+
+    Raises DimensionMismatch and NonFiniteQuery; rows outside the ball are
+    left to the caller.  A non-finite coordinate makes the squared norm
+    NaN or infinite, so only rows outside the ball need the finiteness
+    check.
+    """
+    xs = np.asarray(xs_raw, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != space.dim:
+        raise DimensionMismatch(
+            "expected queries of dimension %d, got shape %s" % (space.dim, xs.shape)
+        )
+    translated = xs - space.centroid
+    inside = np.einsum("ij,ij->i", translated, translated) <= (space.radius + TAU) ** 2
+    if not inside.all():
+        finite = np.isfinite(xs).all(axis=1)
+        if not finite.all():
+            raise NonFiniteQuery("query %d has a non-finite coordinate" % np.argmin(finite))
+    return translated, inside
+
+
+def embed_translated(space, translated, chunk=512):
+    """Embeddings of translated queries already known to lie in the ball.
+
+    Interior queries are located against all simplices at once; exterior
+    rows take the virtual-simplex route.
+    """
+    out = []
+    for start in range(0, translated.shape[0], chunk):
+        block = translated[start : start + chunk]
+        index, bary = locate_batch(space.tri, block)
+        for q, idx in enumerate(index):
+            if idx >= 0:
+                coords = clamp_coords(bary[q, idx])
+                out.append(_xi_inside(space.tri.maximal[idx], coords))
+            else:
+                out.append(_xi_outside(space, block[q]))
+    return out
 
 
 def xi_batch(space, xs_raw, chunk=512):
     """Embeddings for a batch of raw queries, one SparseXi per row.
 
-    Interior queries are located against all simplices at once; exterior
-    rows fall through to the virtual-simplex path.
+    The single embedding path: queries of the wrong shape raise
+    DimensionMismatch, non-finite ones NonFiniteQuery, and queries outside
+    the ball OutsideBall.
     """
-    xs = np.asarray(xs_raw, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != space.dim:
-        raise ValueError("expected queries of shape (Q, %d), got %s" % (space.dim, xs.shape))
-    translated = xs - space.centroid
-    norms = np.linalg.norm(translated, axis=1)
-    outside_ball = np.nonzero(norms > space.radius + TAU)[0]
-    if outside_ball.size:
+    translated, inside = translate_queries(space, xs_raw)
+    if not inside.all():
+        row = np.argmin(inside)
         raise OutsideBall(
             "query %d has norm %g exceeding ball radius %g"
-            % (outside_ball[0], norms[outside_ball[0]], space.radius)
+            % (row, np.linalg.norm(translated[row]), space.radius)
         )
-
-    out = [None] * translated.shape[0]
-    simplices = space.tri.maximal
-    for start in range(0, translated.shape[0], chunk):
-        block = translated[start : start + chunk]
-        bary = space.tri.barycentric_batch(block)
-        feasible = (bary >= -TAU).all(axis=2)
-        has_hit = feasible.any(axis=1)
-        first = np.argmax(feasible, axis=1)
-        for i in range(block.shape[0]):
-            if has_hit[i]:
-                idx = int(first[i])
-                simplex = simplices[idx]
-                coords = clamp_coords(bary[i, idx])
-                out[start + i] = _xi_inside(simplex, Barycentric(simplex, coords))
-            else:
-                out[start + i] = _xi_outside(space, block[i])
-    return out
+    return embed_translated(space, translated, chunk)

@@ -18,10 +18,7 @@ class SingularSimplex(SmnnError):
 
 
 class NoVisibleFacet(SmnnError):
-    """No boundary facet separates an exterior query from the hull.
-
-    Never expected for valid input; signals a geometry or tolerance bug.
-    """
+    """No boundary facet separates the query from the hull interior."""
 
 
 class OutsideBall(SmnnError):
@@ -59,3 +56,7 @@ class ParseError(SmnnError):
 
 class DimensionMismatch(SmnnError):
     """Feature dimension of the data does not match what was expected."""
+
+
+class NonFiniteQuery(SmnnError):
+    """A query has a NaN or infinite coordinate."""

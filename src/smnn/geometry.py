@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay as _QhullDelaunay
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateSupport,
@@ -128,6 +126,7 @@ class Triangulation:
     boundary: list
     _simplex_array: np.ndarray = field(repr=False, default=None)
     _tmat_inv: np.ndarray = field(repr=False, default=None)
+    _facet_arrays: tuple = field(repr=False, default=None)
 
     def __post_init__(self):
         if self._simplex_array is None:
@@ -157,10 +156,16 @@ class Triangulation:
             self._tmat_inv = inv
         return self._tmat_inv
 
-    def barycentric_all(self, x):
-        """Raw barycentric coordinates of x in every maximal simplex, (S, n+1)."""
-        h = np.append(np.asarray(x, dtype=np.float64), 1.0)
-        return self._inverse_systems() @ h
+    def boundary_arrays(self):
+        """Stacked facet vertex ids (F, n), unit normals (F, n), offsets (F,), cached."""
+        if self._facet_arrays is None:
+            n = self.cloud.dim
+            self._facet_arrays = (
+                np.array([f.facet_ids for f in self.boundary], dtype=np.int64).reshape(-1, n),
+                np.array([f.normal for f in self.boundary], dtype=np.float64).reshape(-1, n),
+                np.array([f.offset for f in self.boundary], dtype=np.float64),
+            )
+        return self._facet_arrays
 
     def barycentric_batch(self, xs):
         """Raw coordinates for a batch of queries, shape (Q, S, n+1)."""
@@ -234,6 +239,9 @@ def build_delaunay(cloud):
     index-scaled perturbation described in the module docstring, so the
     result depends only on the input ordering.
     """
+    # Imported here so that loading a model and inference need only NumPy.
+    from scipy.spatial import Delaunay, cKDTree
+
     points = _as_points(cloud)
     m, n = points.shape
     if m < n + 1:
@@ -254,7 +262,7 @@ def build_delaunay(cloud):
             "points span an affine subspace of dimension %d < %d" % (rank, n)
         )
 
-    qhull = _QhullDelaunay(points + _degeneracy_shift(points))
+    qhull = Delaunay(points + _degeneracy_shift(points))
     if qhull.coplanar.size:
         raise ValueError(
             "triangulation dropped input points %s" % qhull.coplanar[:, 0].tolist()
@@ -328,29 +336,47 @@ def clamp_coords(coords, tol=TAU):
     return out / total
 
 
+def locate_batch(tri, xs):
+    """Containing simplex of each query row, and the raw coordinates.
+
+    The only point-location kernel.  Containment allows a slack of TAU on
+    every coordinate; when a query lies on a shared face the simplex with
+    the lowest index wins.  Returns (index, bary): index[q] is the
+    containing simplex of row q, or -1 outside the hull, and
+    bary[q, index[q]] holds its unclamped coordinates.
+    """
+    bary = tri.barycentric_batch(xs)
+    feasible = (bary >= -TAU).all(axis=2)
+    first = np.argmax(feasible, axis=1).tolist()
+    return [s if feasible[q, s] else -1 for q, s in enumerate(first)], bary
+
+
 def locate(tri, x):
     """Find the containing maximal simplex of x, or None when x is outside.
 
-    Containment allows a slack of TAU on every coordinate; when x lies on
-    a shared face the simplex with the lowest index wins.  The returned
-    coordinates are clamped and renormalized.
+    One row of locate_batch; the returned coordinates are clamped and
+    renormalized.
     """
-    bary = tri.barycentric_all(x)
-    feasible = (bary >= -TAU).all(axis=1)
-    if not feasible.any():
+    (index,), bary = locate_batch(tri, np.asarray(x, dtype=np.float64)[None])
+    if index < 0:
         return None
-    idx = int(np.argmax(feasible))
-    simplex = tri.maximal[idx]
-    return simplex, Barycentric(simplex, clamp_coords(bary[idx]))
+    simplex = tri.maximal[index]
+    return simplex, Barycentric(simplex, clamp_coords(bary[0, index]))
+
+
+def visible_facet_indices(tri, x):
+    """Ascending positions in tri.boundary of the facets with N.x + c > 0."""
+    _, normals, offsets = tri.boundary_arrays()
+    return np.nonzero(normals @ x + offsets > 0.0)[0]
 
 
 def visible_boundary_facets(tri, x):
     """Hull facets separating the exterior point x from the hull interior."""
     x = np.asarray(x, dtype=np.float64)
-    visible = [f for f in tri.boundary if f.side(x) > 0.0]
-    if not visible:
+    visible = visible_facet_indices(tri, x)
+    if not visible.size:
         raise NoVisibleFacet("no boundary facet is visible from %s" % (x.tolist(),))
-    return visible
+    return [tri.boundary[i] for i in visible]
 
 
 def circumsphere(vertices):

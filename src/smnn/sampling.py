@@ -7,6 +7,7 @@ prefix is therefore independent of epsilon, which makes it easy to pick
 an epsilon that yields an exact support size.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,22 @@ def _tie_argmax(values, rng):
     return int(rng.choice(ties))
 
 
+def _farthest_points(pts, seed):
+    """Yield (index, cover radius) of the greedy traversal, point by point.
+
+    Callers that stop early see exactly the prefix of the full order.
+    """
+    rng = np.random.default_rng(seed)
+    centroid = pts.mean(axis=0)
+    start = _tie_argmax(-np.linalg.norm(pts - centroid, axis=1), rng)
+    dists = np.linalg.norm(pts - pts[start], axis=1)
+    yield start, float(dists.max())
+    for _ in range(pts.shape[0] - 1):
+        nxt = _tie_argmax(dists, rng)
+        np.minimum(dists, np.linalg.norm(pts - pts[nxt], axis=1), out=dists)
+        yield nxt, float(dists.max())
+
+
 def farthest_point_order(train_points, seed=0):
     """Full greedy traversal of the training set.
 
@@ -74,22 +91,7 @@ def farthest_point_order(train_points, seed=0):
     radii[j] is the cover radius once the first j+1 points are selected.
     Any epsilon-representative prefix is a prefix of this order.
     """
-    pts = _points_of(train_points)
-    m = pts.shape[0]
-    rng = np.random.default_rng(seed)
-
-    centroid = pts.mean(axis=0)
-    start_dists = np.linalg.norm(pts - centroid, axis=1)
-    start = _tie_argmax(-start_dists, rng)
-
-    order = [start]
-    dists = np.linalg.norm(pts - pts[start], axis=1)
-    radii = [float(dists.max())]
-    for _ in range(m - 1):
-        nxt = _tie_argmax(dists, rng)
-        order.append(nxt)
-        np.minimum(dists, np.linalg.norm(pts - pts[nxt], axis=1), out=dists)
-        radii.append(float(dists.max()))
+    order, radii = zip(*_farthest_points(_points_of(train_points), seed))
     return np.array(order, dtype=np.int64), np.array(radii)
 
 
@@ -100,10 +102,12 @@ def epsilon_representative(train_points, epsilon, seed=0):
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive, got %g" % epsilon)
-    order, radii = farthest_point_order(train_points, seed=seed)
-    covered = np.nonzero(radii < epsilon)[0]
-    cut = int(covered[0]) + 1 if covered.size else order.size
-    return order[:cut].tolist()
+    selected = []
+    for index, radius in _farthest_points(_points_of(train_points), seed):
+        selected.append(index)
+        if radius < epsilon:
+            break
+    return selected
 
 
 def epsilon_for_size(train_points, size, seed=0):
@@ -117,7 +121,7 @@ def epsilon_for_size(train_points, size, seed=0):
     m = pts.shape[0]
     if not 1 <= size <= m:
         raise ValueError("size must be in [1, %d], got %d" % (m, size))
-    order, radii = farthest_point_order(train_points, seed=seed)
+    radii = [r for _, r in itertools.islice(_farthest_points(pts, seed), size)]
     if size == m and m >= 2:
         # radii[m-1] is zero once everything is selected; any epsilon up to
         # the previous cover radius forces the full traversal.

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import fit_space, xi_batch
+from .embedding import embed_translated, fit_space, translate_queries, xi_batch
 from .model import (
     LOSS_FLOOR,
     LabelEncoding,
@@ -100,32 +100,30 @@ def precompute_embeddings(space, train_points, y_encoded):
     return CachedEmbedding(xis=xi_batch(space, pts), y=y)
 
 
-def _sparse_probs(weights, cols, vals):
-    z = weights[:, cols] @ vals
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+def _residual(weights, cols, vals, y_index):
+    """Probabilities s of one sample and the logit gradient s - e_y."""
+    s = softmax(weights[:, cols] @ vals)
+    g = s.copy()
+    g[y_index] -= 1.0
+    return s, g
 
 
 def gradient(weights, xi, y_index):
     """Cross-entropy gradient for one sample, restricted to touched columns."""
     cols = np.asarray(xi.indices, dtype=np.int64)
     vals = np.asarray(xi.values, dtype=np.float64)
-    g = _sparse_probs(weights, cols, vals).copy()
     if not 0 <= y_index < weights.shape[0]:
         raise ValueError("label index %d out of range" % y_index)
-    g[y_index] -= 1.0
+    _, g = _residual(weights, cols, vals, y_index)
     return SparseGradient(indices=cols, block=np.outer(g, vals))
 
 
 def _step(weights, cols, vals, y_index, eta):
     """One in-place SGD update; returns the pre-update loss and hit flag."""
-    s = _sparse_probs(weights, cols, vals)
+    s, g = _residual(weights, cols, vals, y_index)
     step_loss = -np.log(max(s[y_index], LOSS_FLOOR))
-    hit = int(np.argmax(s)) == y_index
-    g = s.copy()
-    g[y_index] -= 1.0
-    weights[:, cols] -= eta * np.outer(g, vals)
+    hit = s.argmax() == y_index
+    weights[:, cols] -= eta * (g[:, None] * vals)
     return float(step_loss), hit
 
 
@@ -198,10 +196,18 @@ def train_cached(space, cached, support_labels, encoding, config):
 
 @dataclass
 class EvalReport:
+    """Scores of a labelled set.
+
+    n_out_of_hull  : rows embedded through a virtual simplex.
+    n_outside_ball : rows outside the bounding ball; they count as misses
+                     in accuracy and mean_loss but not in the confusion.
+    """
+
     accuracy: float
     mean_loss: float
     confusion: np.ndarray
     n_out_of_hull: int
+    n_outside_ball: int
 
     def to_dict(self, encoding=None):
         out = {
@@ -209,6 +215,7 @@ class EvalReport:
             "mean_loss": self.mean_loss,
             "confusion": self.confusion.tolist(),
             "n_out_of_hull": self.n_out_of_hull,
+            "n_outside_ball": self.n_outside_ball,
         }
         if encoding is not None:
             out["labels"] = list(encoding.labels)
@@ -220,47 +227,41 @@ def evaluate(model, points, labels):
 
     Points whose translation leaves the bounding ball cannot be embedded;
     they are scored as misclassified with chance-level loss log(k) and
-    counted in n_out_of_hull together with the sphere-route points.
+    counted in n_outside_ball only.  Queries of the wrong shape or with a
+    non-finite coordinate raise, as in xi_batch; so does a row behind a
+    support hull that misses the centroid (NoContainingVirtualSimplex),
+    which aborts the whole call.
     """
     pts = np.asarray(
         points.points if hasattr(points, "points") else points, dtype=np.float64
     )
+    translated, in_ball = translate_queries(model.space, pts)
+    inside = np.nonzero(in_ball)[0]
     labels = [str(v) for v in labels]
-    if pts.ndim != 2 or pts.shape[1] != model.space.dim:
-        raise ValueError("expected points of dimension %d" % model.space.dim)
     if len(labels) != pts.shape[0]:
         raise ValueError("labels and points disagree")
     y = np.array([model.encoding.index(v) for v in labels], dtype=np.int64)
     k = model.encoding.k
 
-    translated = pts - model.space.centroid
-    norms = np.linalg.norm(translated, axis=1)
-    in_ball = norms <= model.space.radius + 1e-9
-
     confusion = np.zeros((k, k), dtype=np.int64)
     total_loss = 0.0
     hits = 0
-    n_out = int(np.count_nonzero(~in_ball))
-
-    inside_idx = np.nonzero(in_ball)[0]
-    xis = xi_batch(model.space, pts[inside_idx]) if inside_idx.size else []
-    for row, x in zip(inside_idx, xis):
+    n_virtual = 0
+    for row, x in zip(inside, embed_translated(model.space, translated[inside])):
         probs = softmax(logits(model, x))
         pred = int(np.argmax(probs))
         confusion[y[row], pred] += 1
         hits += pred == y[row]
         total_loss += -np.log(max(probs[y[row]], LOSS_FLOOR))
-        if x.facet_used is not None:
-            n_out += 1
-    for row in np.nonzero(~in_ball)[0]:
-        pred = (y[row] + 1) % k
-        confusion[y[row], pred] += 1
-        total_loss += np.log(k)
-
+        n_virtual += x.facet_used is not None
     n_rows = pts.shape[0]
+    n_outside = n_rows - inside.size
+    total_loss += n_outside * np.log(k)
+
     return EvalReport(
         accuracy=hits / n_rows,
         mean_loss=float(total_loss / n_rows),
         confusion=confusion,
-        n_out_of_hull=n_out,
+        n_out_of_hull=n_virtual,
+        n_outside_ball=n_outside,
     )

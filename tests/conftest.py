@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import smnn
+
+# Property tests draw the same examples on every run; hypothesis's own
+# --hypothesis-profile option selects another registered profile.
+settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
+settings.load_profile("derandomized")
 
 # The four raw square points used across modules, in fixed row order, with
 # binary labels; queries (0.75, 0.6) and (0.75, 1.25) have hand-derived

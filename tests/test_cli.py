@@ -156,7 +156,10 @@ class TestTrainEvalPredictExplain:
         )
         assert code == 0
         doc = json.loads(stdout)
-        assert set(doc) >= {"accuracy", "mean_loss", "confusion", "n_out_of_hull", "labels"}
+        assert set(doc) >= {
+            "accuracy", "mean_loss", "confusion", "n_out_of_hull", "n_outside_ball", "labels",
+        }
+        assert doc["n_outside_ball"] == 0
         assert np.array(doc["confusion"]).sum() == 60
         assert json.loads(report_path.read_text()) == doc
 
@@ -284,6 +287,28 @@ class TestErrorPaths:
         assert code == 2
         assert "ParseError" in stderr
 
+    def test_eval_row_behind_a_hull_that_misses_the_centroid(self, tmp_path, capsys):
+        # One-hot model over blob a of a two-blob cloud, whose centroid lies
+        # outside that hull; the second row lies behind it.
+        rng = np.random.default_rng(2)
+        pts = np.vstack([rng.random((10, 2)) + 10.0, rng.random((10, 2)) - 10.0])
+        with pytest.warns(UserWarning):
+            space = smnn.fit_space(pts, list(range(10)), radius_margin=1.0)
+        y = np.zeros(10, dtype=np.int64)
+        model = smnn.SmnnModel(
+            space=space, encoding=smnn.LabelEncoding.from_labels(["a", "b"]),
+            weights=smnn.init_weights("one_hot", 0, 2, 10, y), support_labels=y,
+        )
+        smnn.save_model(model, tmp_path / "m.json")
+        x, y = space.centroid + np.array([10.0, -10.0])
+        data = tmp_path / "d.csv"
+        data.write_text("f1,f2,label\n%.17g,%.17g,a\n%.17g,%.17g,b\n" % (*pts[0], x, y))
+        code, _, stderr = _run(
+            capsys, "eval", "--model", str(tmp_path / "m.json"), "--data", str(data),
+        )
+        assert code == 2
+        assert "NoContainingVirtualSimplex" in stderr
+
     def test_point_outside_ball(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
@@ -296,6 +321,23 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "OutsideBall" in stderr
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_malformed_points(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
+             "--out", str(data), "--train-fraction", "1")
+        model = tmp_path / "m.json"
+        _run(capsys, "train", "--data", str(data), "--epochs", "5",
+             "--out", str(model))
+        for point, error in (("nan,0", "NonFiniteQuery"), ("0.1", "DimensionMismatch"),
+                             ("0.1,0.2,0.3", "DimensionMismatch")):
+            code, stdout, stderr = _run(
+                capsys, command, "--model", str(model), "--point=" + point,
+            )
+            assert code == 2
+            assert stdout == ""
+            assert error in stderr
 
     def test_dimension_mismatch_on_eval(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import smnn
+from smnn.geometry import TAU, clamp_coords
 
 from conftest import SQUARE_MARGIN, SQUARE_POINTS, jittered_grid, random_cloud
 
@@ -192,26 +195,181 @@ class TestXi:
             assert abs(sx.sphere_mass - sy.sphere_mass) <= 1e-4
 
     def test_batch_matches_single(self):
+        # xi is one row of xi_batch, bit for bit, on both routes.
         rng = np.random.default_rng(8)
-        pts = random_cloud(rng, 20, 3)
-        space = smnn.fit_space(pts, list(range(20)), radius_margin=1.0)
-        queries = []
-        for _ in range(60):
-            direction = rng.standard_normal(3)
-            direction /= np.linalg.norm(direction)
-            queries.append(direction * space.radius * rng.random() + space.centroid)
-        queries = np.array(queries)
-        batch = smnn.xi_batch(space, queries)
-        for row, sparse in enumerate(batch):
-            single = smnn.xi(space, queries[row])
-            assert sparse.indices.tolist() == single.indices.tolist()
-            assert np.abs(sparse.values - single.values).max() < 1e-12
-            assert abs(sparse.sphere_mass - single.sphere_mass) < 1e-12
+        for n in (2, 3):
+            pts = random_cloud(rng, 40, n)
+            space = smnn.fit_space(pts, list(range(40)), radius_margin=0.1)
+            queries = _ball_queries(rng, space, 200)
+            batch = smnn.xi_batch(space, queries)
+            assert {x.facet_used is None for x in batch} == {True, False}
+            for q, row in zip(queries, batch):
+                single = smnn.xi(space, q)
+                assert single.indices.tolist() == row.indices.tolist()
+                assert np.array_equal(single.values, row.values)
+                assert single.sphere_mass == row.sphere_mass
+                assert single.facet_used == row.facet_used
 
     def test_batch_outside_ball_raises(self, square_space):
         bad = np.array([[0.75, 0.6], [0.75, 9.0]])
         with pytest.raises(smnn.OutsideBall):
             smnn.xi_batch(square_space, bad)
+
+    def test_behind_a_hull_that_misses_the_centroid_raises(self):
+        # The two-blob cloud of the fit_space warning test, supported by
+        # blob a alone: from the centroid these queries lie behind that
+        # hull, where no visible virtual simplex contains them.
+        rng = np.random.default_rng(2)
+        blob_a = random_cloud(rng, 10, 2) + 10.0
+        blob_b = random_cloud(rng, 10, 2) - 10.0
+        pts = np.vstack([blob_a, blob_b])
+        with pytest.warns(UserWarning, match="NoContainingVirtualSimplex"):
+            space = smnn.fit_space(pts, list(range(10)), radius_margin=1.0)
+        for t in ([10.0, -10.0], [-10.0, 10.0], [5.0, -5.0]):
+            with pytest.raises(smnn.NoContainingVirtualSimplex):
+                smnn.xi(space, space.centroid + np.array(t))
+            with pytest.raises(smnn.NoContainingVirtualSimplex):
+                smnn.xi_batch(space, [space.centroid + np.array(t)])
+
+
+class TestQueryValidation:
+    """Every malformed query raises a typed error from the one embedding path."""
+
+    @pytest.fixture(params=[2, 3])
+    def model(self, request):
+        n = request.param
+        rng = np.random.default_rng(11)
+        pts = random_cloud(rng, 12, n)
+        labels = ["a", "b"] * 6
+        model, _ = smnn.train(pts, labels, list(range(12)), smnn.TrainConfig(epochs=2))
+        return model
+
+    @staticmethod
+    def _bad_queries(n):
+        return {
+            "nan": (np.array([np.nan] + [0.5] * (n - 1)), smnn.NonFiniteQuery),
+            "inf": (np.array([0.5] * (n - 1) + [np.inf]), smnn.NonFiniteQuery),
+            "short": (np.full(n - 1, 0.5), smnn.DimensionMismatch),
+            "long": (np.full(n + 1, 0.5), smnn.DimensionMismatch),
+            "matrix": (np.full((1, n), 0.5), smnn.DimensionMismatch),
+        }
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "short", "long", "matrix"])
+    def test_single_query_entry_points(self, model, kind):
+        q, error = self._bad_queries(model.space.dim)[kind]
+        for fn in (smnn.forward, smnn.predict, smnn.explain):
+            with pytest.raises(error):
+                fn(model, q)
+        with pytest.raises(error):
+            smnn.xi(model.space, q)
+
+    @pytest.mark.parametrize("kind", ["nan", "short", "long"])
+    def test_batch_entry_points(self, model, kind):
+        q, error = self._bad_queries(model.space.dim)[kind]
+        good = model.space.centroid
+        if kind == "nan":
+            rows = np.array([good, q])
+        else:
+            rows = q[None]
+        with pytest.raises(error):
+            smnn.xi_batch(model.space, rows)
+        with pytest.raises(error):
+            smnn.evaluate(model, rows, ["a"] * len(rows))
+
+
+def _ball_queries(rng, space, count):
+    """Raw queries spread over the bounding ball, inside and outside the hull."""
+    n = space.dim
+    directions = rng.standard_normal((count, n))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    radii = space.radius * rng.random(count) ** (1.0 / n)
+    return space.centroid + directions * radii[:, None]
+
+
+def _oracle_xi(space, x_raw):
+    """Brute-force reference embedding: one solve per simplex, then one per
+    visible facet, with the tie rules spelled out in the module docstrings.
+
+    Returns (indices, values, sphere_mass, facet_used, containing simplex).
+    """
+    x = np.asarray(x_raw, dtype=np.float64) - space.centroid
+    pts = space.support.points
+    n = space.dim
+    h = np.append(x, 1.0)
+    for simplex in space.tri.maximal:
+        ids = list(simplex.vertex_ids)
+        coords = np.linalg.solve(np.vstack([pts[ids].T, np.ones(n + 1)]), h)
+        if coords.min() >= -TAU:
+            coords = clamp_coords(coords)
+            keep = coords > 0.0
+            return np.array(ids)[keep], coords[keep], 0.0, None, simplex
+    w = space.radius * x / np.linalg.norm(x)
+    best, best_low = None, -np.inf
+    for facet in space.tri.boundary:
+        if float(facet.normal @ x + facet.offset) <= 0.0:
+            continue
+        verts = np.vstack([w, pts[list(facet.facet_ids)]])
+        coords = np.linalg.solve(np.vstack([verts.T, np.ones(n + 1)]), h)
+        if coords.min() >= -TAU and coords.min() > best_low:
+            best, best_low = (facet, coords), coords.min()
+    facet, coords = best
+    coords = clamp_coords(coords)
+    keep = coords[1:] > 0.0
+    return np.array(facet.facet_ids)[keep], coords[1:][keep], coords[0], facet.facet_ids, None
+
+
+def _special_queries(rng, space, count, kind):
+    """Translated-space queries where the tie and slack rules decide.
+
+    face   : on a face of a maximal simplex (interior faces are shared).
+    ray    : on the ray through a support point, past it; beyond a hull
+             vertex every virtual simplex of a visible facet at that vertex
+             contains the query on an edge, so the tie rule picks one.
+    skin   : just outside a hull facet, by 1e-12 to 1e-6 along its normal,
+             on both sides of the TAU slack.
+    """
+    pts, tri = space.support.points, space.tri
+    out = []
+    for _ in range(count):
+        if kind == "face":
+            ids = list(tri.maximal[rng.integers(len(tri.maximal))].vertex_ids)
+            ids.pop(rng.integers(len(ids)))
+            w = rng.random(len(ids)) + 0.1
+            out.append(w / w.sum() @ pts[ids])
+        elif kind == "ray":
+            v = pts[rng.integers(len(pts))]
+            out.append(v * rng.uniform(1.0, space.radius / np.linalg.norm(v)))
+        else:
+            facet = tri.boundary[rng.integers(len(tri.boundary))]
+            w = rng.random(len(facet.facet_ids)) + 0.1
+            gap = 10.0 ** rng.uniform(-12, -6)
+            out.append(w / w.sum() @ pts[list(facet.facet_ids)] + gap * facet.normal)
+    return np.array(out) + space.centroid
+
+
+class TestAgainstBruteForce:
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 3),
+        m=st.integers(8, 30),
+        kind=st.sampled_from(["ball", "face", "ray", "skin"]),
+        count=st.integers(1, 12),
+    )
+    def test_matches_brute_force_oracle(self, seed, n, m, kind, count):
+        rng = np.random.default_rng(seed)
+        space = smnn.fit_space(random_cloud(rng, m, n), list(range(m)), radius_margin=0.5)
+        if kind == "ball":
+            queries = _ball_queries(rng, space, count)
+        else:
+            queries = _special_queries(rng, space, count, kind)
+        for q, got in zip(queries, smnn.xi_batch(space, queries)):
+            indices, values, sphere_mass, facet_used, simplex = _oracle_xi(space, q)
+            hit = smnn.locate(space.tri, q - space.centroid)
+            assert (hit[0] if hit else None) == simplex
+            assert got.indices.tolist() == indices.tolist()
+            assert got.facet_used == facet_used
+            assert np.abs(got.values - values).max() <= 1e-12
+            assert abs(got.sphere_mass - sphere_mass) <= 1e-12
 
 
 def _facet_normal_2d(points, ids):

@@ -137,7 +137,7 @@ class TestBuildDelaunay:
                 w = 0.05 + rng.random(3)
                 w /= w.sum()
                 x = w @ verts
-                bary = tri.barycentric_all(x)
+                bary = tri.barycentric_batch(x[None])[0]
                 strict = (bary > 1e-7).all(axis=1)
                 assert int(strict.sum()) == 1
 

@@ -1,6 +1,9 @@
 """Model serialization: schema, round trips and bit-exact inference."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +93,28 @@ class TestRoundTrip:
         path.write_text(json.dumps(doc))
         _, provenance = smnn.load_model(path)
         assert provenance == {}
+
+
+class TestInferenceImports:
+    def test_load_and_forward_need_no_scipy(self, tmp_path):
+        model, _ = _train_square()
+        path = tmp_path / "model.json"
+        smnn.save_model(model, path)
+        code = (
+            "import sys, smnn\n"
+            "model, _ = smnn.load_model(sys.argv[1])\n"
+            "smnn.forward(model, [0.75, 0.6])\n"
+            "smnn.forward(model, [0.75, 1.25])\n"
+            "smnn.explain(model, [0.75, 0.6])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smnn.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSchemaChecks:

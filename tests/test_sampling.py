@@ -167,3 +167,46 @@ class TestEpsilonForSize:
         assert smnn.epsilon_representative(dupes, smnn.epsilon_for_size(dupes, 1)) == [
             smnn.farthest_point_order(dupes)[0][0]
         ]
+
+
+class TestEarlyStop:
+    """The selection rules stop the traversal once their answer is fixed."""
+
+    CLOUDS = {
+        "random": random_cloud(np.random.default_rng(10), 40, 2),
+        # An integer grid: exact distance ties at every step, broken by the rng.
+        "grid": np.array([[i, j] for i in range(6) for j in range(6)], dtype=float),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_matches_full_order(self, name):
+        pts = self.CLOUDS[name]
+        m = pts.shape[0]
+        for seed in range(6):
+            order, radii = smnn.farthest_point_order(pts, seed=seed)
+            for eps in np.unique(radii[radii > 0.0])[::3].tolist() + [1e-12, 1e9]:
+                covered = np.nonzero(radii < eps)[0]
+                cut = int(covered[0]) + 1 if covered.size else m
+                assert smnn.epsilon_representative(pts, eps, seed=seed) == order[:cut].tolist()
+            for size in range(1, m + 1):
+                upper = radii[size - 2] if size >= 2 else np.inf
+                if size < m and not radii[size - 1] < upper:
+                    with pytest.raises(ValueError):
+                        smnn.epsilon_for_size(pts, size, seed=seed)
+                    continue
+                eps = smnn.epsilon_for_size(pts, size, seed=seed)
+                assert radii[size - 1] < eps <= upper
+                assert len(smnn.epsilon_representative(pts, eps, seed=seed)) == size
+
+    def test_traverses_only_the_prefix(self, monkeypatch):
+        pts = self.CLOUDS["random"]
+        calls = []
+        real = smnn.sampling._tie_argmax
+        monkeypatch.setattr(
+            smnn.sampling, "_tie_argmax", lambda v, rng: calls.append(1) or real(v, rng)
+        )
+        chosen = smnn.epsilon_representative(pts, 0.3)
+        assert len(calls) == len(chosen) < pts.shape[0]
+        calls.clear()
+        smnn.epsilon_for_size(pts, 7)
+        assert len(calls) == 7

@@ -231,12 +231,26 @@ class TestPrecompute:
             precompute_embeddings(square_space, SQUARE_POINTS, np.array([0, 1]))
 
 
+def _two_blob_model():
+    """One-hot model over blob a of a two-blob cloud: the training centroid
+    lies between the blobs, outside the support hull."""
+    rng = np.random.default_rng(2)
+    pts = np.vstack([random_cloud(rng, 10, 2) + 10.0, random_cloud(rng, 10, 2) - 10.0])
+    with pytest.warns(UserWarning, match="NoContainingVirtualSimplex"):
+        space = smnn.fit_space(pts, list(range(10)), radius_margin=1.0)
+    encoding = smnn.LabelEncoding.from_labels(["a", "b"])
+    y = np.zeros(10, dtype=np.int64)
+    weights = smnn.init_weights("one_hot", 0, 2, 10, y)
+    return smnn.SmnnModel(space=space, encoding=encoding, weights=weights, support_labels=y)
+
+
 class TestEvaluate:
     def test_perfect_square(self, square_model):
         report = smnn.evaluate(square_model, SQUARE_POINTS, SQUARE_LABELS)
         assert report.accuracy == 1.0
         assert np.array_equal(report.confusion, [[2, 0], [0, 2]])
         assert report.n_out_of_hull == 0
+        assert report.n_outside_ball == 0
 
     def test_sphere_route_counted(self, square_model):
         report = smnn.evaluate(square_model, np.array([[0.75, 1.25]]), ["0"])
@@ -245,9 +259,21 @@ class TestEvaluate:
 
     def test_outside_ball_scored_as_miss(self, square_model):
         report = smnn.evaluate(square_model, np.array([[0.75, 9.0], [0.75, 0.6]]), ["0", "0"])
-        assert report.n_out_of_hull == 1
+        assert report.n_outside_ball == 1
+        assert report.n_out_of_hull == 0
+        assert np.array_equal(report.confusion, [[1, 0], [0, 0]])
         assert report.accuracy == 0.5
         assert abs(report.mean_loss - (np.log(2.0) + np.log(2.0)) / 2.0) < 1e-12
+
+    def test_row_behind_a_hull_that_misses_the_centroid_raises(self):
+        # Two blobs supported by blob a alone: a row behind that hull, as
+        # seen from the centroid, has no embedding and aborts the call.
+        model = _two_blob_model()
+        pts = model.space.support.points[:2] + model.space.centroid
+        assert smnn.evaluate(model, pts, ["a", "a"]).accuracy == 1.0
+        rows = np.vstack([pts, model.space.centroid + np.array([10.0, -10.0])])
+        with pytest.raises(smnn.NoContainingVirtualSimplex):
+            smnn.evaluate(model, rows, ["a", "a", "b"])
 
     def test_confusion_totals(self):
         rng = np.random.default_rng(21)
@@ -265,6 +291,7 @@ class TestEvaluate:
         payload = report.to_dict(square_model.encoding)
         assert payload["labels"] == ["0", "1"]
         assert payload["confusion"] == [[2, 0], [0, 2]]
+        assert payload["n_out_of_hull"] == 0 and payload["n_outside_ball"] == 0
         assert isinstance(payload["accuracy"], float)
 
     def test_unknown_label_rejected(self, square_model):
