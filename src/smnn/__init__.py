@@ -16,9 +16,9 @@ from .errors import (
     DimensionTooSmall,
     InvalidCount,
     InvalidMargin,
+    ModelFileError,
     NoContainingVirtualSimplex,
     NonFiniteQuery,
-    NoVisibleFacet,
     OutsideBall,
     ParseError,
     SingularSimplex,
@@ -28,17 +28,12 @@ from .errors import (
 )
 from .explain import Explanation, explain, render_explanation_svg
 from .geometry import (
-    Barycentric,
     BoundaryFacet,
     PointCloud,
     Simplex,
     Triangulation,
-    barycentric_solve,
     build_delaunay,
-    circumsphere,
-    circumsphere_contains,
     locate,
-    visible_boundary_facets,
 )
 from .model import LabelEncoding, SmnnModel, forward, init_weights, logits, loss, predict, softmax
 from .persist import load_model, model_from_dict, model_to_dict, save_model
@@ -66,7 +61,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Barycentric",
     "BoundaryFacet",
     "CachedEmbedding",
     "DegenerateSupport",
@@ -79,9 +73,9 @@ __all__ = [
     "InvalidMargin",
     "LabelEncoding",
     "LabeledDataset",
+    "ModelFileError",
     "NoContainingVirtualSimplex",
     "NonFiniteQuery",
-    "NoVisibleFacet",
     "OutsideBall",
     "ParseError",
     "PointCloud",
@@ -97,10 +91,7 @@ __all__ = [
     "TrainReport",
     "Triangulation",
     "ZeroNorm",
-    "barycentric_solve",
     "build_delaunay",
-    "circumsphere",
-    "circumsphere_contains",
     "epsilon_for_size",
     "epsilon_from_kappa",
     "epsilon_representative",
@@ -132,7 +123,6 @@ __all__ = [
     "split",
     "train",
     "train_cached",
-    "visible_boundary_facets",
     "xi",
     "xi_batch",
 ]

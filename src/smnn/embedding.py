@@ -76,10 +76,6 @@ class SparseXi:
     sphere_point: np.ndarray = None
     facet_used: tuple = None
 
-    @property
-    def entries(self):
-        return list(zip(self.indices.tolist(), self.values.tolist()))
-
     def to_dense(self, m):
         dense = np.zeros(m)
         dense[self.indices] = self.values
@@ -146,7 +142,7 @@ def _xi_outside(space, x):
     """
     w = project_to_sphere(space, x)
     visible = visible_facet_indices(space.tri, x)
-    ids = space.tri.boundary_arrays()[0][visible]
+    ids = space.tri.facets[visible]
     n = x.size
     tmat = np.ones((visible.size, n + 1, n + 1))
     tmat[:, :n, 0] = w
@@ -166,12 +162,11 @@ def _xi_outside(space, x):
         values=coords[1:][keep],
         sphere_mass=float(coords[0]),
         sphere_point=w,
-        facet_used=space.tri.boundary[visible[best]].facet_ids,
+        facet_used=tuple(ids[best].tolist()),
     )
 
 
-def _xi_inside(simplex, coords):
-    ids = np.asarray(simplex.vertex_ids, dtype=np.int64)
+def _xi_inside(ids, coords):
     keep = coords > 0.0
     return SparseXi(indices=ids[keep], values=coords[keep])
 
@@ -222,7 +217,7 @@ def embed_translated(space, translated, chunk=512):
         for q, idx in enumerate(index):
             if idx >= 0:
                 coords = clamp_coords(bary[q, idx])
-                out.append(_xi_inside(space.tri.maximal[idx], coords))
+                out.append(_xi_inside(space.tri.simplices[idx], coords))
             else:
                 out.append(_xi_outside(space, block[q]))
     return out

@@ -17,10 +17,6 @@ class SingularSimplex(SmnnError):
     """A simplex whose vertex system is numerically singular."""
 
 
-class NoVisibleFacet(SmnnError):
-    """No boundary facet separates the query from the hull interior."""
-
-
 class OutsideBall(SmnnError):
     """Query point lies outside the bounding ball of the embedding space."""
 
@@ -38,7 +34,8 @@ class InvalidMargin(SmnnError):
 
 
 class InvalidCount(SmnnError):
-    """Requested sample count is not usable by a generator."""
+    """A sample or row count is unusable: too few samples requested from a
+    generator, or a labelled set with no rows to score."""
 
 
 class TooManyClusters(SmnnError):
@@ -60,3 +57,7 @@ class DimensionMismatch(SmnnError):
 
 class NonFiniteQuery(SmnnError):
     """A query has a NaN or infinite coordinate."""
+
+
+class ModelFileError(SmnnError, ValueError):
+    """A model document is malformed or inconsistent, so nothing was loaded."""

@@ -1,34 +1,34 @@
-"""Delaunay triangulations, barycentric coordinates and boundary facets.
+"""Delaunay triangulations, point location and hull facets.
 
 Conventions used throughout the package:
 
 * A point cloud is an (m, n) float64 array of m distinct points in R^n.
 * Simplex vertex ids refer to rows of the owning cloud and are stored as
-  sorted tuples; maximal simplices are listed in lexicographic order.
+  sorted rows; maximal simplices are listed in lexicographic order.
 * A boundary facet stores a unit normal N and offset c with N.x + c = 0
   on the facet hyperplane, oriented so that the opposite vertex of the
   adjacent simplex satisfies N.x + c < 0 (the normal points outward).
   A query x sees the facet exactly when N.x + c > 0.
 
+A Triangulation is only ever made by build_triangulation, from a cloud
+and its maximal simplices: the hull facets, their opposite vertices,
+normals and offsets, and the inverted vertex systems all follow from
+those two, so build_delaunay (after Qhull) and a model file load (from
+the stored simplices) produce the same complex from the same bits.
+
 Degenerate inputs (co-spherical point subsets) are resolved by building
 the triangulation on a deterministically perturbed copy of the cloud:
 point i is shifted by zeta * i * (1, ..., 1) with zeta = 1e-10 times the
 cloud diameter (bounding-box diagonal).  Every quantity exposed to
-callers (barycentric coordinates, normals, offsets, circumspheres) is
-computed from the original, unperturbed coordinates.
+callers (barycentric coordinates, normals, offsets) is computed from the
+original, unperturbed coordinates.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateSupport,
-    DimensionTooSmall,
-    NoVisibleFacet,
-    SingularSimplex,
-)
+from .errors import DegenerateSupport, DimensionTooSmall, SingularSimplex
 
 # Tolerance for barycentric feasibility and clamping.
 TAU = 1e-9
@@ -100,84 +100,42 @@ class BoundaryFacet:
     normal: np.ndarray
     offset: float
 
-    def side(self, x):
-        """Signed distance N.x + c; positive means x sees this facet."""
-        return float(self.normal @ np.asarray(x, dtype=np.float64) + self.offset)
 
-
-@dataclass
-class Barycentric:
-    """Barycentric coordinates of one query point w.r.t. one simplex."""
-
-    simplex: Simplex
-    coords: np.ndarray
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Triangulation:
-    """Delaunay triangulation of a point cloud.
+    """Simplicial complex over a point cloud; made by build_triangulation.
 
-    maximal  : maximal simplices in lexicographic vertex-id order.
-    boundary : hull facets in lexicographic facet-id order.
+    simplices : (S, n+1) vertex ids of the maximal simplices, rows sorted,
+                in lexicographic order.
+    inverses  : (S, n+1, n+1) inverses of the homogeneous vertex matrices;
+                flat cells get NaN blocks.
+    facets    : (F, n) vertex ids of the hull facets, in lexicographic order.
+    opposite  : (F,) id of the vertex of each facet's cell off the facet.
+    normals   : (F, n) outward unit normals of the facets.
+    offsets   : (F,) hyperplane offsets of the facets.
+    maximal   : the simplices as a list of Simplex.
+    boundary  : the facets as a list of BoundaryFacet.
     """
 
     cloud: PointCloud
-    maximal: list
-    boundary: list
-    _simplex_array: np.ndarray = field(repr=False, default=None)
-    _tmat_inv: np.ndarray = field(repr=False, default=None)
-    _facet_arrays: tuple = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._simplex_array is None:
-            arr = np.array([s.vertex_ids for s in self.maximal], dtype=np.int64)
-            self._simplex_array = arr
-
-    def _inverse_systems(self):
-        """Stacked inverses of the homogeneous vertex matrices, cached.
-
-        Flat cells (quantized input data can force exactly co-hyperplanar
-        vertex sets) get NaN blocks: their coordinates never pass a
-        feasibility test, so point location simply ignores them while the
-        complex keeps its face bookkeeping intact.
-        """
-        if self._tmat_inv is None:
-            pts = self.cloud.points
-            n = self.cloud.dim
-            verts = pts[self._simplex_array]  # (S, n+1, n)
-            tmat = np.empty((verts.shape[0], n + 1, n + 1))
-            tmat[:, :n, :] = np.transpose(verts, (0, 2, 1))
-            tmat[:, n, :] = 1.0
-            sv = np.linalg.svd(tmat, compute_uv=False)
-            usable = sv[:, -1] * COND_LIMIT > sv[:, 0]
-            inv = np.full_like(tmat, np.nan)
-            if usable.any():
-                inv[usable] = np.linalg.inv(tmat[usable])
-            self._tmat_inv = inv
-        return self._tmat_inv
-
-    def boundary_arrays(self):
-        """Stacked facet vertex ids (F, n), unit normals (F, n), offsets (F,), cached."""
-        if self._facet_arrays is None:
-            n = self.cloud.dim
-            self._facet_arrays = (
-                np.array([f.facet_ids for f in self.boundary], dtype=np.int64).reshape(-1, n),
-                np.array([f.normal for f in self.boundary], dtype=np.float64).reshape(-1, n),
-                np.array([f.offset for f in self.boundary], dtype=np.float64),
-            )
-        return self._facet_arrays
+    simplices: np.ndarray
+    inverses: np.ndarray = field(repr=False)
+    facets: np.ndarray = field(repr=False)
+    opposite: np.ndarray = field(repr=False)
+    normals: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    maximal: list = field(repr=False)
+    boundary: list = field(repr=False)
 
     def barycentric_batch(self, xs):
         """Raw coordinates for a batch of queries, shape (Q, S, n+1)."""
         xs = np.asarray(xs, dtype=np.float64)
         h = np.concatenate([xs, np.ones((xs.shape[0], 1))], axis=1)
-        return np.einsum("sij,qj->qsi", self._inverse_systems(), h)
+        return np.einsum("sij,qj->qsi", self.inverses, h)
 
 
-def _as_points(obj):
-    if isinstance(obj, PointCloud):
-        return obj.points
-    return PointCloud(np.asarray(obj)).points
+def _as_cloud(obj):
+    return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
 
 
 def _cloud_diameter(points):
@@ -195,28 +153,13 @@ def _degeneracy_shift(points):
     return zeta * idx[:, None] * np.ones((1, points.shape[1]))
 
 
-def simplex_volume_normalized(vertices):
-    """Volume of the simplex after scaling its edge matrix to unit size.
-
-    Zero for affinely dependent vertices; used to reject degenerate cells.
-    """
-    verts = np.asarray(vertices, dtype=np.float64)
-    edges = verts[1:] - verts[0]
-    scale = np.abs(edges).max()
-    if scale == 0.0:
-        return 0.0
-    n = edges.shape[0]
-    det = np.linalg.det(edges / scale)
-    return abs(det) / math.factorial(n)
-
-
 def _facet_plane(points, facet_ids, opposite_id):
     """Outward unit normal and offset of a hull facet.
 
     The normal spans the null space of the facet edge matrix; its sign is
     fixed so the opposite vertex lies strictly on the negative side.
     """
-    verts = points[list(facet_ids)]
+    verts = points[facet_ids]
     diffs = verts[1:] - verts[0]
     _, sing, vt = np.linalg.svd(diffs, full_matrices=True)
     normal = vt[-1]
@@ -232,6 +175,94 @@ def _facet_plane(points, facet_ids, opposite_id):
     return normal, offset
 
 
+def _check_simplices(simplices, m, n):
+    """The simplex ids as int64, or ValueError when they are malformed."""
+    simp = np.asarray(simplices)
+    if simp.dtype.kind not in "iu" or simp.ndim != 2 or simp.shape[1] != n + 1 or not simp.size:
+        raise ValueError(
+            "simplices must be a nonempty integer array of shape (S, %d), got %s of shape %s"
+            % (n + 1, simp.dtype, simp.shape)
+        )
+    simp = simp.astype(np.int64)
+    if simp.min() < 0 or simp.max() >= m:
+        raise ValueError("simplex vertex ids must lie in [0, %d)" % m)
+    if not (np.diff(simp, axis=1) > 0).all():
+        raise ValueError("simplex vertex ids must be sorted and distinct within each cell")
+    step = np.diff(simp, axis=0)
+    lead = step[np.arange(step.shape[0]), np.argmax(step != 0, axis=1)]
+    if not (lead > 0).all():
+        raise ValueError("simplices must be distinct and listed in lexicographic order")
+    return simp
+
+
+def build_triangulation(cloud, simplices):
+    """The complex of the given maximal simplices over a point cloud.
+
+    The only constructor of a Triangulation.  simplices is an (S, n+1)
+    integer array of ids in [0, m), each row strictly increasing and the
+    rows in strictly increasing lexicographic order; ValueError otherwise.
+    A face shared by two cells is interior and a face of exactly one cell
+    is a hull facet; a face of three or more raises SingularSimplex.
+    Flat cells (possible when quantized points are exactly
+    co-hyperplanar) are kept: they carry no interior but preserve the
+    face counts.
+    """
+    cloud = _as_cloud(cloud)
+    points = cloud.points
+    m, n = points.shape
+    simp = _check_simplices(simplices, m, n)
+
+    # Face d of a cell drops its vertex d, which is then the opposite
+    # vertex; sorting all faces puts equal ones next to each other.
+    keep = np.array([np.delete(np.arange(n + 1), d) for d in range(n + 1)])
+    faces = simp[:, keep].reshape(-1, n)
+    opposite = simp.reshape(-1)
+    order = np.lexsort(faces.T[::-1])
+    faces, opposite = faces[order], opposite[order]
+    same = (faces[1:] == faces[:-1]).all(axis=1)
+    triple = np.nonzero(same[1:] & same[:-1])[0]
+    if triple.size:
+        raise SingularSimplex(
+            "face %r is shared by more than two cells" % (tuple(faces[triple[0]].tolist()),)
+        )
+    single = ~(np.append(same, False) | np.insert(same, 0, False))
+    facets, opposite = faces[single], opposite[single]
+
+    normals = np.empty((facets.shape[0], n))
+    offsets = np.empty(facets.shape[0])
+    for i in range(facets.shape[0]):
+        normals[i], offsets[i] = _facet_plane(points, facets[i], opposite[i])
+
+    # Flat cells get NaN inverse blocks: their coordinates never pass a
+    # feasibility test, so point location simply ignores them.
+    verts = points[simp]  # (S, n+1, n)
+    tmat = np.empty((verts.shape[0], n + 1, n + 1))
+    tmat[:, :n, :] = np.transpose(verts, (0, 2, 1))
+    tmat[:, n, :] = 1.0
+    sv = np.linalg.svd(tmat, compute_uv=False)
+    usable = sv[:, -1] * COND_LIMIT > sv[:, 0]
+    inverses = np.full_like(tmat, np.nan)
+    if usable.any():
+        inverses[usable] = np.linalg.inv(tmat[usable])
+
+    for arr in (simp, inverses, facets, opposite, normals, offsets):
+        arr.setflags(write=False)
+    return Triangulation(
+        cloud=cloud,
+        simplices=simp,
+        inverses=inverses,
+        facets=facets,
+        opposite=opposite,
+        normals=normals,
+        offsets=offsets,
+        maximal=[Simplex(tuple(row)) for row in simp.tolist()],
+        boundary=[
+            BoundaryFacet(tuple(ids), opp, normals[i], float(offsets[i]))
+            for i, (ids, opp) in enumerate(zip(facets.tolist(), opposite.tolist()))
+        ],
+    )
+
+
 def build_delaunay(cloud):
     """Delaunay triangulation of a full-dimensional point cloud.
 
@@ -242,7 +273,8 @@ def build_delaunay(cloud):
     # Imported here so that loading a model and inference need only NumPy.
     from scipy.spatial import Delaunay, cKDTree
 
-    points = _as_points(cloud)
+    cloud = _as_cloud(cloud)
+    points = cloud.points
     m, n = points.shape
     if m < n + 1:
         raise DimensionTooSmall(
@@ -269,62 +301,8 @@ def build_delaunay(cloud):
         )
 
     simp = np.sort(qhull.simplices.astype(np.int64), axis=1)
-    order = np.lexsort(simp.T[::-1])
-    simp = simp[order]
-
-    # A face shared by two cells is interior; a face of exactly one cell
-    # lies on the hull and becomes a boundary facet.  Flat cells (possible
-    # when quantized points are exactly co-hyperplanar) are kept: they
-    # carry no interior but preserve the face counts.
-    face_count = {}
-    face_opposite = {}
-    for row in simp:
-        for drop in range(n + 1):
-            face = tuple(np.delete(row, drop))
-            face_count[face] = face_count.get(face, 0) + 1
-            face_opposite[face] = int(row[drop])
-    bad = [f for f, c in face_count.items() if c > 2]
-    if bad:
-        raise SingularSimplex("face %r is shared by more than two cells" % (bad[0],))
-
-    boundary = []
-    for face in sorted(f for f, c in face_count.items() if c == 1):
-        normal, offset = _facet_plane(points, face, face_opposite[face])
-        boundary.append(
-            BoundaryFacet(
-                facet_ids=tuple(int(i) for i in face),
-                opposite_id=face_opposite[face],
-                normal=normal,
-                offset=offset,
-            )
-        )
-
-    maximal = [Simplex(tuple(int(i) for i in row)) for row in simp]
-    tri = Triangulation(
-        cloud=cloud if isinstance(cloud, PointCloud) else PointCloud(points),
-        maximal=maximal,
-        boundary=boundary,
-        _simplex_array=simp,
-    )
-    return tri
-
-
-def barycentric_solve(vertices, x):
-    """Solve for the barycentric coordinates of x in one simplex.
-
-    Coordinates may be negative; callers clamp after containment testing.
-    Raises SingularSimplex when the vertex system is ill conditioned.
-    """
-    verts = np.asarray(vertices, dtype=np.float64)
-    n_plus_1, n = verts.shape
-    if n_plus_1 != n + 1:
-        raise ValueError("expected n+1 vertices of dimension n, got shape %s" % (verts.shape,))
-    tmat = np.vstack([verts.T, np.ones(n + 1)])
-    if np.linalg.cond(tmat) > COND_LIMIT:
-        raise SingularSimplex("vertex system condition number exceeds %g" % COND_LIMIT)
-    h = np.append(np.asarray(x, dtype=np.float64), 1.0)
-    coords = np.linalg.solve(tmat, h)
-    return coords
+    simp = simp[np.lexsort(simp.T[::-1])]
+    return build_triangulation(cloud, simp)
 
 
 def clamp_coords(coords, tol=TAU):
@@ -352,57 +330,17 @@ def locate_batch(tri, xs):
 
 
 def locate(tri, x):
-    """Find the containing maximal simplex of x, or None when x is outside.
+    """The containing maximal simplex of x and its clamped, renormalized
+    barycentric coordinates, or None when x is outside the hull.
 
-    One row of locate_batch; the returned coordinates are clamped and
-    renormalized.
+    One row of locate_batch.
     """
     (index,), bary = locate_batch(tri, np.asarray(x, dtype=np.float64)[None])
     if index < 0:
         return None
-    simplex = tri.maximal[index]
-    return simplex, Barycentric(simplex, clamp_coords(bary[0, index]))
+    return tri.maximal[index], clamp_coords(bary[0, index])
 
 
 def visible_facet_indices(tri, x):
-    """Ascending positions in tri.boundary of the facets with N.x + c > 0."""
-    _, normals, offsets = tri.boundary_arrays()
-    return np.nonzero(normals @ x + offsets > 0.0)[0]
-
-
-def visible_boundary_facets(tri, x):
-    """Hull facets separating the exterior point x from the hull interior."""
-    x = np.asarray(x, dtype=np.float64)
-    visible = visible_facet_indices(tri, x)
-    if not visible.size:
-        raise NoVisibleFacet("no boundary facet is visible from %s" % (x.tolist(),))
-    return [tri.boundary[i] for i in visible]
-
-
-def circumsphere(vertices):
-    """Circumcenter and squared radius of a full-dimensional simplex.
-
-    Solves the linear system equating squared distances to all vertices.
-    """
-    verts = np.asarray(vertices, dtype=np.float64)
-    n = verts.shape[1]
-    if verts.shape[0] != n + 1:
-        raise ValueError("expected n+1 vertices, got shape %s" % (verts.shape,))
-    amat = 2.0 * (verts[1:] - verts[0])
-    if np.linalg.cond(amat) > COND_LIMIT:
-        raise SingularSimplex("circumsphere system condition number exceeds %g" % COND_LIMIT)
-    rhs = np.einsum("ij,ij->i", verts[1:], verts[1:]) - verts[0] @ verts[0]
-    center = np.linalg.solve(amat, rhs)
-    radius_sq = float(np.sum((verts[0] - center) ** 2))
-    return center, radius_sq
-
-
-def circumsphere_contains(vertices, q, tol=1e-7):
-    """True when q lies strictly inside the circumsphere of the simplex.
-
-    The comparison is relative: containment requires the squared distance
-    to fall below (1 - tol) times the squared circumradius.
-    """
-    center, radius_sq = circumsphere(vertices)
-    dist_sq = float(np.sum((np.asarray(q, dtype=np.float64) - center) ** 2))
-    return dist_sq < radius_sq * (1.0 - tol)
+    """Ascending positions in tri.facets of the facets with N.x + c > 0."""
+    return np.nonzero(tri.normals @ x + tri.offsets > 0.0)[0]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import embed_translated, fit_space, translate_queries, xi_batch
+from .errors import InvalidCount
 from .model import (
     LOSS_FLOOR,
     LabelEncoding,
@@ -230,12 +231,14 @@ def evaluate(model, points, labels):
     counted in n_outside_ball only.  Queries of the wrong shape or with a
     non-finite coordinate raise, as in xi_batch; so does a row behind a
     support hull that misses the centroid (NoContainingVirtualSimplex),
-    which aborts the whole call.
+    which aborts the whole call.  A set with no rows raises InvalidCount.
     """
     pts = np.asarray(
         points.points if hasattr(points, "points") else points, dtype=np.float64
     )
     translated, in_ball = translate_queries(model.space, pts)
+    if not in_ball.size:
+        raise InvalidCount("cannot evaluate a set with no rows")
     inside = np.nonzero(in_ball)[0]
     labels = [str(v) for v in labels]
     if len(labels) != pts.shape[0]:

@@ -1,10 +1,15 @@
-"""Shared fixtures: the worked square example and random-cloud helpers."""
+"""Shared fixtures: the worked square example, random-cloud helpers and the
+geometric oracles (circumspheres, normalized volumes) that tests check the
+triangulation against."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import smnn
+from smnn.geometry import COND_LIMIT
 
 # Property tests draw the same examples on every run; hypothesis's own
 # --hypothesis-profile option selects another registered profile.
@@ -46,6 +51,49 @@ def jittered_grid(rng, per_side, n, jitter=0.05):
     axes = [np.arange(per_side, dtype=float) for _ in range(n)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     return grid + jitter * (rng.random(grid.shape) - 0.5)
+
+
+def simplex_volume_normalized(vertices):
+    """Volume of the simplex after scaling its edge matrix to unit size.
+
+    Zero for affinely dependent vertices.
+    """
+    verts = np.asarray(vertices, dtype=np.float64)
+    edges = verts[1:] - verts[0]
+    scale = np.abs(edges).max()
+    if scale == 0.0:
+        return 0.0
+    det = np.linalg.det(edges / scale)
+    return abs(det) / math.factorial(edges.shape[0])
+
+
+def circumsphere(vertices):
+    """Circumcenter and squared radius of a full-dimensional simplex.
+
+    Solves the linear system equating squared distances to all vertices.
+    """
+    verts = np.asarray(vertices, dtype=np.float64)
+    n = verts.shape[1]
+    if verts.shape[0] != n + 1:
+        raise ValueError("expected n+1 vertices, got shape %s" % (verts.shape,))
+    amat = 2.0 * (verts[1:] - verts[0])
+    if np.linalg.cond(amat) > COND_LIMIT:
+        raise smnn.SingularSimplex("circumsphere system condition number exceeds %g" % COND_LIMIT)
+    rhs = np.einsum("ij,ij->i", verts[1:], verts[1:]) - verts[0] @ verts[0]
+    center = np.linalg.solve(amat, rhs)
+    radius_sq = float(np.sum((verts[0] - center) ** 2))
+    return center, radius_sq
+
+
+def circumsphere_contains(vertices, q, tol=1e-7):
+    """True when q lies strictly inside the circumsphere of the simplex.
+
+    The comparison is relative: containment requires the squared distance
+    to fall below (1 - tol) times the squared circumradius.
+    """
+    center, radius_sq = circumsphere(vertices)
+    dist_sq = float(np.sum((np.asarray(q, dtype=np.float64) - center) ** 2))
+    return dist_sq < radius_sq * (1.0 - tol)
 
 
 def _acceptance_lines():

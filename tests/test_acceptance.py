@@ -19,7 +19,7 @@ import pytest
 import smnn
 from smnn.model import logits, softmax
 
-from conftest import SQUARE_POINTS, random_cloud
+from conftest import SQUARE_POINTS, circumsphere_contains, random_cloud
 
 
 def _verdict(ok, name, detail):
@@ -213,7 +213,7 @@ class TestEmptyBall:
                 verts = pts[list(simplex.vertex_ids)]
                 others = [j for j in range(m) if j not in simplex.vertex_ids]
                 for j in others:
-                    if smnn.circumsphere_contains(verts, pts[j], tol=1e-7):
+                    if circumsphere_contains(verts, pts[j], tol=1e-7):
                         violations += 1
         elapsed = time.perf_counter() - started
 

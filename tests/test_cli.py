@@ -142,7 +142,7 @@ class TestTrainEvalPredictExplain:
     def test_train_writes_model(self, pipeline):
         tmp_path, summary = pipeline
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert summary["support_size"] == len(doc["support_points"])
         assert doc["provenance"]["epochs"] == 200
         assert doc["provenance"]["seed"] == 7
@@ -338,6 +338,29 @@ class TestErrorPaths:
             assert code == 2
             assert stdout == ""
             assert error in stderr
+
+    @pytest.mark.parametrize("command", ["predict", "explain", "eval"])
+    @pytest.mark.parametrize("defect", ["simplex-id-out-of-range", "missing-weights"])
+    def test_bad_model_file(self, tmp_path, capsys, command, defect):
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
+             "--out", str(data), "--train-fraction", "1")
+        model = tmp_path / "m.json"
+        _run(capsys, "train", "--data", str(data), "--epochs", "5", "--out", str(model))
+        doc = json.loads(model.read_text())
+        if defect == "missing-weights":
+            del doc["weights"]
+        else:
+            doc["simplices"][0][-1] = len(doc["support_points"])
+        model.write_text(json.dumps(doc))
+        if command == "eval":
+            args = ("--data", str(data))
+        else:
+            args = ("--point", "0.1,0.2")
+        code, stdout, stderr = _run(capsys, command, "--model", str(model), *args)
+        assert code == 2
+        assert stdout == ""
+        assert "ModelFileError" in stderr
 
     def test_dimension_mismatch_on_eval(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

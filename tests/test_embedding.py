@@ -112,7 +112,7 @@ class TestXi:
     def test_support_point_indicator(self, square_space):
         for t in range(4):
             sparse = smnn.xi(square_space, SQUARE_POINTS[t])
-            assert sparse.entries == [(t, 1.0)]
+            assert list(zip(sparse.indices.tolist(), sparse.values.tolist())) == [(t, 1.0)]
             assert sparse.sphere_mass == 0.0
 
     def test_outside_ball_raises(self, square_space):
@@ -122,7 +122,7 @@ class TestXi:
     def test_closed_ball_boundary_accepted(self, square_space):
         x_raw = square_space.centroid + np.array([0.0, square_space.radius])
         sparse = smnn.xi(square_space, x_raw)
-        assert abs(sum(v for _, v in sparse.entries) + sparse.sphere_mass - 1.0) < 1e-7
+        assert abs(sum(sparse.values.tolist()) + sparse.sphere_mass - 1.0) < 1e-7
 
     def test_partition_reconstruction_sparsity(self):
         rng = np.random.default_rng(4)
@@ -134,14 +134,14 @@ class TestXi:
             direction /= np.linalg.norm(direction)
             x_t = direction * space.radius * rng.random() ** 0.5
             sparse = smnn.xi(space, x_t + space.centroid)
-            total = sum(v for _, v in sparse.entries) + sparse.sphere_mass
+            total = sum(sparse.values.tolist()) + sparse.sphere_mass
             assert abs(total - 1.0) < 1e-7
             recon = sparse.values @ support[sparse.indices]
             if sparse.sphere_point is not None:
                 recon = recon + sparse.sphere_mass * sparse.sphere_point
             assert np.abs(recon - x_t).max() < 1e-6
-            assert len(sparse.entries) <= 3
-            assert all(v > 0.0 for _, v in sparse.entries)
+            assert len(sparse.indices) <= 3
+            assert all(v > 0.0 for v in sparse.values.tolist())
 
     def test_sphere_mass_zero_iff_interior(self):
         rng = np.random.default_rng(5)

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import smnn
-from smnn.geometry import clamp_coords, simplex_volume_normalized
+from smnn.geometry import _facet_plane, build_triangulation, clamp_coords, visible_facet_indices
 
-from conftest import SQUARE_POINTS, random_cloud
+from conftest import (
+    SQUARE_POINTS,
+    circumsphere,
+    circumsphere_contains,
+    random_cloud,
+    simplex_volume_normalized,
+)
 
 # Translated square vertices in row order (centroid removed).
 SQ = SQUARE_POINTS - SQUARE_POINTS.mean(axis=0)
@@ -67,8 +73,8 @@ class TestBuildDelaunay:
         tri = square_tri()
         for facet in tri.boundary:
             for vid in facet.facet_ids:
-                assert abs(facet.side(SQ[vid])) < 1e-9
-            assert facet.side(SQ[facet.opposite_id]) < 0.0
+                assert abs(facet.normal @ SQ[vid] + facet.offset) < 1e-9
+            assert facet.normal @ SQ[facet.opposite_id] + facet.offset < 0.0
             assert abs(np.linalg.norm(facet.normal) - 1.0) < 1e-12
 
     def test_empty_ball_random_cloud_seed42(self):
@@ -80,7 +86,7 @@ class TestBuildDelaunay:
             for vid in range(10):
                 if vid in simplex.vertex_ids:
                     continue
-                assert not smnn.circumsphere_contains(verts, pts[vid])
+                assert not circumsphere_contains(verts, pts[vid])
 
     def test_too_few_points(self):
         with pytest.raises(smnn.DimensionTooSmall):
@@ -160,7 +166,82 @@ class TestBuildDelaunay:
             hit2 = smnn.locate(tri2, x @ q.T + shift)
             assert hit is not None and hit2 is not None
             assert hit2[0].vertex_ids == hit[0].vertex_ids
-            assert np.abs(hit2[1].coords - hit[1].coords).max() < 1e-6
+            assert np.abs(hit2[1] - hit[1]).max() < 1e-6
+
+
+class TestBuildTriangulation:
+    """build_triangulation derives the hull from the simplices alone."""
+
+    @staticmethod
+    def loop_reference(tri):
+        """Hull facets and opposite vertices by counting faces cell by cell."""
+        count, opposite = {}, {}
+        for simplex in tri.maximal:
+            ids = simplex.vertex_ids
+            for drop in range(len(ids)):
+                face = ids[:drop] + ids[drop + 1 :]
+                count[face] = count.get(face, 0) + 1
+                opposite[face] = ids[drop]
+        hull = sorted(f for f, c in count.items() if c == 1)
+        return hull, [opposite[f] for f in hull]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_face_map_matches_loop_reference(self, n):
+        rng = np.random.default_rng(31 + n)
+        pts = random_cloud(rng, 30, n)
+        tri = smnn.build_delaunay(pts)
+        hull, opposite = self.loop_reference(tri)
+        assert [f.facet_ids for f in tri.boundary] == hull
+        assert [f.opposite_id for f in tri.boundary] == opposite
+        assert tri.facets.tolist() == [list(f) for f in hull]
+        assert tri.opposite.tolist() == opposite
+        for i, facet in enumerate(tri.boundary):
+            normal, offset = _facet_plane(pts, list(facet.facet_ids), facet.opposite_id)
+            assert np.array_equal(tri.normals[i], normal) and tri.offsets[i] == offset
+            assert np.array_equal(facet.normal, normal) and facet.offset == offset
+
+    def test_rebuild_is_bit_identical(self):
+        rng = np.random.default_rng(37)
+        tri = smnn.build_delaunay(random_cloud(rng, 40, 3))
+        again = build_triangulation(tri.cloud.points.copy(), tri.simplices.tolist())
+        for name in ("simplices", "inverses", "facets", "opposite", "normals", "offsets"):
+            a, b = getattr(tri, name), getattr(again, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert again.maximal == tri.maximal
+
+    @pytest.mark.parametrize(
+        "simplices",
+        [
+            [[0, 1, 9]],
+            [[-1, 1, 2]],
+            [[1, 0, 2]],
+            [[0, 1, 1]],
+            [[0, 1, 2], [0, 1, 2]],
+            [[1, 2, 3], [0, 1, 2]],
+            [[0.0, 1.0, 2.0]],
+            [[0, 1, 2, 3]],
+            [],
+        ],
+        ids=[
+            "id-out-of-range",
+            "negative-id",
+            "unsorted-row",
+            "repeated-id",
+            "duplicate-cell",
+            "cells-out-of-order",
+            "float-ids",
+            "wrong-width",
+            "no-cells",
+        ],
+    )
+    def test_rejects_malformed_simplices(self, simplices):
+        with pytest.raises(ValueError):
+            build_triangulation(SQ, simplices)
+
+    def test_face_of_three_cells_raises(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+        with pytest.raises(smnn.SingularSimplex, match=r"\(0, 1\)"):
+            build_triangulation(pts, [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
 
 
 @pytest.fixture(scope="module")
@@ -199,11 +280,11 @@ class TestQuantizedData:
         for i in range(pts.shape[0]):
             hit = smnn.locate(tri, pts[i])
             assert hit is not None
-            simplex, bary = hit
+            simplex, coords = hit
             assert i in simplex.vertex_ids
             expected = np.zeros(5)
             expected[simplex.vertex_ids.index(i)] = 1.0
-            assert np.abs(bary.coords - expected).max() < 1e-7
+            assert np.abs(coords - expected).max() < 1e-7
 
     def test_hull_points_locate_to_nonflat_cells(self, iris_tri):
         pts, tri = iris_tri
@@ -218,9 +299,17 @@ class TestQuantizedData:
 
 
 class TestBarycentricSolve:
+    """The inverted vertex systems of build_triangulation are the package's
+    only barycentric solve; single-cell complexes expose them directly."""
+
+    @staticmethod
+    def solve(verts, x):
+        tri = build_triangulation(verts, [list(range(len(verts)))])
+        return tri.barycentric_batch(np.asarray(x, dtype=np.float64)[None])[0, 0]
+
     def test_vertex_identity(self):
         verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-        coords = smnn.barycentric_solve(verts, verts[0])
+        coords = self.solve(verts, verts[0])
         assert np.abs(coords - [1.0, 0.0, 0.0]).max() < 1e-12
 
     def test_square_interior_derived_values(self):
@@ -230,12 +319,12 @@ class TestBarycentricSolve:
         tmat = np.vstack([verts.T, np.ones(3)])
         oracle = np.linalg.solve(tmat, np.append(x, 1.0))
         assert np.abs(oracle - [0.3, 0.2, 0.5]).max() < 1e-12
-        coords = smnn.barycentric_solve(verts, x)
+        coords = square_tri().barycentric_batch(x[None])[0, 0]
         assert np.abs(coords - [0.3, 0.2, 0.5]).max() < 1e-12
 
     def test_virtual_simplex_thirds(self):
         verts = np.vstack([[0.0, 1.0], SQ[1], SQ[3]])
-        coords = smnn.barycentric_solve(verts, np.array([0.0, 0.5]))
+        coords = self.solve(verts, np.array([0.0, 0.5]))
         assert np.abs(coords - 1.0 / 3.0).max() < 1e-12
 
     def test_reconstruction_random(self):
@@ -246,26 +335,28 @@ class TestBarycentricSolve:
                 if simplex_volume_normalized(verts) < 1e-3:
                     continue
                 x = rng.standard_normal(n)
-                coords = smnn.barycentric_solve(verts, x)
+                coords = self.solve(verts, x)
                 assert abs(coords.sum() - 1.0) < 1e-9
                 assert np.abs(coords @ verts - x).max() < 1e-7
 
     def test_singular_simplex(self):
+        # A flat cell is kept with a NaN inverse, so nothing locates in it.
         verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        with pytest.raises(smnn.SingularSimplex):
-            smnn.barycentric_solve(verts, np.array([0.5, 0.5]))
+        tri = build_triangulation(verts, [[0, 1, 2]])
+        assert np.isnan(tri.inverses).all()
+        assert smnn.locate(tri, np.array([0.5, 0.5])) is None
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            smnn.barycentric_solve(np.zeros((3, 3)), np.zeros(3))
+            build_triangulation(np.zeros((3, 3)), [[0, 1, 2]])
 
 
 class TestLocate:
     def test_interior_query(self):
         tri = square_tri()
-        simplex, bary = smnn.locate(tri, np.array([0.0, -0.15]))
+        simplex, coords = smnn.locate(tri, np.array([0.0, -0.15]))
         assert simplex.vertex_ids == (0, 1, 2)
-        assert np.abs(bary.coords - [0.3, 0.2, 0.5]).max() < 1e-12
+        assert np.abs(coords - [0.3, 0.2, 0.5]).max() < 1e-12
 
     def test_outside_returns_none(self):
         tri = square_tri()
@@ -274,18 +365,18 @@ class TestLocate:
     def test_vertex_indicator(self):
         tri = square_tri()
         for vid in range(4):
-            simplex, bary = smnn.locate(tri, SQ[vid])
+            simplex, coords = smnn.locate(tri, SQ[vid])
             assert vid in simplex.vertex_ids
             expected = np.zeros(3)
             expected[simplex.vertex_ids.index(vid)] = 1.0
-            assert np.array_equal(bary.coords, expected)
+            assert np.array_equal(coords, expected)
 
     def test_shared_face_lowest_index(self):
         tri = square_tri()
         # The origin sits on the diagonal shared by both simplices.
-        simplex, bary = smnn.locate(tri, np.zeros(2))
+        simplex, coords = smnn.locate(tri, np.zeros(2))
         assert simplex.vertex_ids == (0, 1, 2)
-        assert bary.coords[0] == 0.0
+        assert coords[0] == 0.0
 
     def test_coords_clamped_and_normalized(self):
         rng = np.random.default_rng(7)
@@ -296,52 +387,50 @@ class TestLocate:
             w /= w.sum()
             hit = smnn.locate(tri, w @ pts)
             assert hit is not None
-            coords = hit[1].coords
+            coords = hit[1]
             assert coords.min() >= 0.0
             assert abs(coords.sum() - 1.0) < 1e-9
 
 
 class TestVisibleFacets:
+    @staticmethod
+    def visible(tri, x):
+        return [tri.boundary[i].facet_ids for i in visible_facet_indices(tri, np.asarray(x))]
+
     def test_top_facet_from_above(self):
-        tri = square_tri()
-        facets = smnn.visible_boundary_facets(tri, np.array([0.0, 0.5]))
-        assert [f.facet_ids for f in facets] == [(1, 3)]
+        assert self.visible(square_tri(), [0.0, 0.5]) == [(1, 3)]
 
     def test_single_facet_midpoint(self):
         tri = smnn.build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        facets = smnn.visible_boundary_facets(tri, np.array([0.5, -0.2]))
-        assert [f.facet_ids for f in facets] == [(0, 1)]
+        assert self.visible(tri, [0.5, -0.2]) == [(0, 1)]
 
     def test_two_facets_beyond_corner(self):
-        tri = square_tri()
-        facets = smnn.visible_boundary_facets(tri, np.array([0.6, 0.6]))
-        assert [f.facet_ids for f in facets] == [(1, 3), (2, 3)]
+        assert self.visible(square_tri(), [0.6, 0.6]) == [(1, 3), (2, 3)]
 
-    def test_interior_raises(self):
-        tri = square_tri()
-        with pytest.raises(smnn.NoVisibleFacet):
-            smnn.visible_boundary_facets(tri, np.array([0.0, -0.15]))
+    def test_interior_sees_none(self):
+        indices = visible_facet_indices(square_tri(), np.array([0.0, -0.15]))
+        assert indices.size == 0
 
 
 class TestCircumsphere:
     def test_right_triangle_center(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        center, radius_sq = smnn.circumsphere(verts)
+        center, radius_sq = circumsphere(verts)
         assert np.abs(center - [0.5, 0.5]).max() < 1e-12
         assert abs(radius_sq - 0.5) < 1e-12
 
     def test_containment_cases(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         # The circumcenter itself is strictly inside.
-        assert smnn.circumsphere_contains(verts, np.array([0.5, 0.5]))
+        assert circumsphere_contains(verts, np.array([0.5, 0.5]))
         # A vertex sits on the sphere: strict containment fails.
-        assert not smnn.circumsphere_contains(verts, np.array([1.0, 1.0]))
-        assert not smnn.circumsphere_contains(verts, np.array([2.0, 2.0]))
+        assert not circumsphere_contains(verts, np.array([1.0, 1.0]))
+        assert not circumsphere_contains(verts, np.array([2.0, 2.0]))
 
     def test_singular(self):
         verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(smnn.SingularSimplex):
-            smnn.circumsphere(verts)
+            circumsphere(verts)
 
     def test_empty_ball_property_random(self):
         rng = np.random.default_rng(13)
@@ -355,7 +444,7 @@ class TestCircumsphere:
                 for vid in range(m):
                     if vid in simplex.vertex_ids:
                         continue
-                    assert not smnn.circumsphere_contains(verts, pts[vid])
+                    assert not circumsphere_contains(verts, pts[vid])
 
 
 class TestClamp:

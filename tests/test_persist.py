@@ -1,5 +1,6 @@
 """Model serialization: schema, round trips and bit-exact inference."""
 
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import smnn
 
@@ -22,14 +25,14 @@ class TestModelDict:
     def test_field_layout(self):
         model, _ = _train_square()
         doc = smnn.model_to_dict(model, provenance={"seed": 3})
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["dim"] == 2
         assert doc["n_classes"] == 2
         assert doc["labels"] == ["0", "1"]
         assert len(doc["support_points"]) == 4
         assert doc["support_labels"] == [0, 0, 1, 1]
         assert sorted(doc["simplices"]) == [[0, 1, 2], [1, 2, 3]]
-        assert len(doc["boundary_facets"]) == 4
+        assert "boundary_facets" not in doc
         assert doc["provenance"] == {"seed": 3}
         assert np.array(doc["weights"]).shape == (2, 4)
 
@@ -38,9 +41,13 @@ class TestModelDict:
         json.dumps(smnn.model_to_dict(model))
 
     def test_facet_fields(self):
+        # The file holds no facets; loading rebuilds every field of each.
         model, _ = _train_square()
-        facet = smnn.model_to_dict(model)["boundary_facets"][0]
-        assert set(facet) == {"facet_ids", "opposite_id", "normal", "offset"}
+        back, _ = smnn.model_from_dict(smnn.model_to_dict(model))
+        assert len(back.space.tri.boundary) == 4
+        for a, b in zip(model.space.tri.boundary, back.space.tri.boundary):
+            assert (a.facet_ids, a.opposite_id) == (b.facet_ids, b.opposite_id)
+            assert a.normal.tobytes() == b.normal.tobytes() and a.offset == b.offset
 
 
 class TestRoundTrip:
@@ -138,3 +145,145 @@ class TestSchemaChecks:
         doc["dim"] = 3
         with pytest.raises(ValueError):
             smnn.model_from_dict(doc)
+
+
+def _drop_column(doc):
+    for row in doc["weights"]:
+        row.pop()
+
+
+def _three_cells_on_one_face(doc):
+    # A fifth support point at the square's centre, and three cells on (0, 1).
+    doc["support_points"].append([0.0, 0.0])
+    doc["support_labels"].append(0)
+    for row in doc["weights"]:
+        row.append(0.0)
+    doc["simplices"] = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
+
+
+BAD_DOCUMENTS = {
+    "simplex-id-out-of-range": lambda doc: doc["simplices"][0].__setitem__(2, 9),
+    "simplex-id-negative": lambda doc: doc["simplices"][1].__setitem__(0, -1),
+    "simplex-row-unsorted": lambda doc: doc["simplices"][0].reverse(),
+    "simplex-row-too-short": lambda doc: doc["simplices"][0].pop(),
+    "simplex-id-float": lambda doc: doc["simplices"][0].__setitem__(0, 0.5),
+    "face-of-three-cells": _three_cells_on_one_face,
+    "missing-weights": lambda doc: doc.pop("weights"),
+    "missing-simplices": lambda doc: doc.pop("simplices"),
+    "missing-radius": lambda doc: doc.pop("radius"),
+    "nan-weight": lambda doc: doc["weights"][0].__setitem__(0, float("nan")),
+    "weights-wrong-shape": _drop_column,
+    "nan-support-point": lambda doc: doc["support_points"][2].__setitem__(1, float("nan")),
+    "labels-below-2": lambda doc: doc.update(labels=["0"], n_classes=1),
+    "labels-not-strings": lambda doc: doc.update(labels=[0, 1]),
+    "n-classes-mismatch": lambda doc: doc.update(n_classes=3),
+    "dim-not-an-integer": lambda doc: doc.update(dim="2"),
+    "centroid-wrong-dimension": lambda doc: doc["centroid"].append(0.0),
+    "radius-negative": lambda doc: doc.update(radius=-1),
+    "radius-inside-support": lambda doc: doc.update(radius=0.3),
+    "radius-huge-int": lambda doc: doc.update(radius=10**400),
+    "radius-string": lambda doc: doc.update(radius="1.0"),
+    "support-label-7": lambda doc: doc["support_labels"].__setitem__(0, 7),
+    "support-labels-short": lambda doc: doc["support_labels"].pop(),
+    "provenance-not-an-object": lambda doc: doc.update(provenance=[1]),
+}
+
+
+class TestLoaderValidation:
+    @pytest.mark.parametrize("defect", sorted(BAD_DOCUMENTS))
+    def test_bad_document_raises(self, defect):
+        model, _ = _train_square()
+        doc = smnn.model_to_dict(model)
+        BAD_DOCUMENTS[defect](doc)
+        with pytest.raises(smnn.ModelFileError):
+            smnn.model_from_dict(doc)
+
+    def test_document_must_be_an_object(self):
+        model, _ = _train_square()
+        with pytest.raises(smnn.ModelFileError):
+            smnn.model_from_dict([smnn.model_to_dict(model)])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda facets: facets[0].update(normal=[-v for v in facets[0]["normal"]]),
+            lambda facets: facets.clear(),
+            lambda facets: facets[1].update(opposite_id=99, offset=float("nan")),
+        ],
+        ids=["flipped-normal", "no-facets", "nonsense-facet"],
+    )
+    def test_v1_facets_are_rebuilt(self, edit):
+        # Version 1 files also listed the hull facets; loading ignores them.
+        model, _ = _train_square()
+        doc = smnn.model_to_dict(model)
+        doc["schema_version"] = 1
+        doc["boundary_facets"] = [
+            {
+                "facet_ids": list(f.facet_ids),
+                "opposite_id": f.opposite_id,
+                "normal": f.normal.tolist(),
+                "offset": f.offset,
+            }
+            for f in model.space.tri.boundary
+        ]
+        edit(doc["boundary_facets"])
+        back, _ = smnn.model_from_dict(json.loads(json.dumps(doc)))
+        for x in ([0.75, 0.6], [0.75, 1.25], [1.2, 0.3], [0.3, 0.9]):
+            assert model.forward(x).tobytes() == back.forward(x).tobytes()
+        for a, b in zip(model.space.tri.boundary, back.space.tri.boundary):
+            assert a.normal.tobytes() == b.normal.tobytes() and a.offset == b.offset
+
+
+def _fuzz_model():
+    rng = np.random.default_rng(8)
+    pts = random_cloud(rng, 14, 2)
+    labels = [str(v) for v in rng.integers(0, 3, size=14)]
+    model, _ = smnn.train(pts, labels, list(range(10)), smnn.TrainConfig(epochs=5, seed=8))
+    return model, pts
+
+
+_FUZZ_MODEL, _FUZZ_ROWS = _fuzz_model()
+_FUZZ_DOC = smnn.model_to_dict(_FUZZ_MODEL, provenance={"seed": 8, "note": "fuzz"})
+
+
+def _nodes(node, path=()):
+    """Paths to every value below node, each with whether it is a leaf."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,), not isinstance(child, (dict, list))
+        yield from _nodes(child, path + (key,))
+
+
+_FUZZ_NODES = list(_nodes(_FUZZ_DOC))
+_FUZZ_LEAVES = [path for path, leaf in _FUZZ_NODES if leaf]
+_DROP = object()
+
+
+class TestLoaderFuzz:
+    @given(st.data())
+    def test_mutated_document_is_rejected_or_answers(self, data):
+        doc = copy.deepcopy(_FUZZ_DOC)
+        if data.draw(st.booleans(), label="replace"):
+            path = data.draw(st.sampled_from(_FUZZ_LEAVES), label="leaf")
+            value = data.draw(st.sampled_from([float("nan"), -1, 10**400, "x", None]), label="value")
+        else:
+            path = data.draw(st.sampled_from([p for p, _ in _FUZZ_NODES]), label="dropped")
+            value = _DROP
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            parent.pop(path[-1])
+        else:
+            parent[path[-1]] = value
+        try:
+            model, _ = smnn.model_from_dict(doc)
+        except smnn.ModelFileError:
+            return
+        for row in _FUZZ_ROWS:
+            try:
+                probs = smnn.forward(model, row)
+            except smnn.SmnnError:
+                continue
+            assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-9
+

@@ -265,6 +265,10 @@ class TestEvaluate:
         assert report.accuracy == 0.5
         assert abs(report.mean_loss - (np.log(2.0) + np.log(2.0)) / 2.0) < 1e-12
 
+    def test_no_rows_raises(self, square_model):
+        with pytest.raises(smnn.InvalidCount):
+            smnn.evaluate(square_model, np.zeros((0, 2)), [])
+
     def test_row_behind_a_hull_that_misses_the_centroid_raises(self):
         # Two blobs supported by blob a alone: a row behind that hull, as
         # seen from the centroid, has no embedding and aborts the call.
