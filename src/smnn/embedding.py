@@ -11,8 +11,9 @@ maps any query x inside the ball to a sparse vector of convex weights:
   whose virtual simplex (w, facet vertices) contains x supplies the
   coordinates; the weight on w is reported separately as sphere_mass and
   owns no support index.  When the centroid lies outside the support
-  hull, queries behind the hull have no such facet and raise
-  NoContainingVirtualSimplex.
+  hull, queries behind the hull have no such facet: xi and xi_batch
+  raise NoContainingVirtualSimplex, and training.evaluate scores them
+  as misses.
 
 Entries smaller than 1e-9 in magnitude are zeroed and the rest
 renormalized, so exact vertex queries come back as clean indicators.
@@ -137,7 +138,7 @@ def _xi_outside(space, x):
 
     The virtual simplices (w, facet vertices) of all visible facets are
     solved in one stacked system.  The most interior coordinate vector
-    wins, ties going to the lowest facet index; raises when none of them
+    wins, ties going to the lowest facet index; None when none of them
     contains x within TAU.
     """
     w = project_to_sphere(space, x)
@@ -151,9 +152,7 @@ def _xi_outside(space, x):
     coords = np.linalg.solve(tmat, rhs[..., None])[..., 0]
     low = coords.min(axis=1, initial=np.inf)
     if not (low >= -TAU).any():
-        raise NoContainingVirtualSimplex(
-            "no virtual simplex accepts the exterior point %s" % (x.tolist(),)
-        )
+        return None
     best = int(np.argmax(low))
     coords = clamp_coords(coords[best])
     keep = coords[1:] > 0.0
@@ -207,17 +206,18 @@ def translate_queries(space, xs_raw):
 def embed_translated(space, translated, chunk=512):
     """Embeddings of translated queries already known to lie in the ball.
 
-    Interior queries are located against all simplices at once; exterior
-    rows take the virtual-simplex route.
+    Interior queries are located through geometry.locate_batch; exterior
+    rows take the virtual-simplex route, and a row that no virtual
+    simplex contains (behind a hull that misses the centroid) comes back
+    as None.
     """
     out = []
     for start in range(0, translated.shape[0], chunk):
         block = translated[start : start + chunk]
-        index, bary = locate_batch(space.tri, block)
+        index, coords = locate_batch(space.tri, block)
         for q, idx in enumerate(index):
             if idx >= 0:
-                coords = clamp_coords(bary[q, idx])
-                out.append(_xi_inside(space.tri.simplices[idx], coords))
+                out.append(_xi_inside(space.tri.simplices[idx], clamp_coords(coords[q])))
             else:
                 out.append(_xi_outside(space, block[q]))
     return out
@@ -227,8 +227,9 @@ def xi_batch(space, xs_raw, chunk=512):
     """Embeddings for a batch of raw queries, one SparseXi per row.
 
     The single embedding path: queries of the wrong shape raise
-    DimensionMismatch, non-finite ones NonFiniteQuery, and queries outside
-    the ball OutsideBall.
+    DimensionMismatch, non-finite ones NonFiniteQuery, queries outside
+    the ball OutsideBall, and queries that no virtual simplex contains
+    NoContainingVirtualSimplex.
     """
     translated, inside = translate_queries(space, xs_raw)
     if not inside.all():
@@ -237,4 +238,10 @@ def xi_batch(space, xs_raw, chunk=512):
             "query %d has norm %g exceeding ball radius %g"
             % (row, np.linalg.norm(translated[row]), space.radius)
         )
-    return embed_translated(space, translated, chunk)
+    out = embed_translated(space, translated, chunk)
+    for row, x in enumerate(out):
+        if x is None:
+            raise NoContainingVirtualSimplex(
+                "no virtual simplex accepts the exterior point %s" % (translated[row].tolist(),)
+            )
+    return out

@@ -16,6 +16,18 @@ normals and offsets, and the inverted vertex systems all follow from
 those two, so build_delaunay (after Qhull) and a model file load (from
 the stored simplices) produce the same complex from the same bits.
 
+Point location (locate_batch) accepts a cell when every barycentric
+coordinate is at least -TAU, and the lowest cell index wins on shared
+faces.  A complex with fewer than INDEX_MIN_CELLS cells tests all its
+cells at once, in (Q, S, n+1) memory.  A larger one carries a CellIndex
+built with it: each usable cell's bounding box, padded by a bound derived
+from TAU and the cell's condition number (see _padded_boxes) so that it
+holds every query the coordinate test can accept, and a uniform grid of
+buckets listing, in ascending order, the cells whose boxes meet them.  A
+query tests only the cells of its bucket whose box holds it, which gives
+the same cell and the same coordinate bits in memory linear in the
+(query, candidate) pairs.
+
 Degenerate inputs (co-spherical point subsets) are resolved by building
 the triangulation on a deterministically perturbed copy of the cloud:
 point i is shifted by zeta * i * (1, ..., 1) with zeta = 1e-10 times the
@@ -38,6 +50,12 @@ COND_LIMIT = 1e12
 
 # Two points closer than this are considered coincident.
 COINCIDENCE_TOL = 1e-9
+
+# Complexes with at least this many cells locate queries through a
+# CellIndex; smaller ones test every cell.  On random 2- to 4-D clouds a
+# single query through the index breaks even with the all-cells test at
+# 670-750 cells and is 22-27% cheaper at about 1,050.
+INDEX_MIN_CELLS = 1024
 
 
 @dataclass
@@ -102,6 +120,47 @@ class BoundaryFacet:
 
 
 @dataclass(frozen=True, eq=False)
+class CellIndex:
+    """Uniform grid over the padded bounding boxes of the usable cells.
+
+    bounds : (S, 2n) padded box of every cell as (-lo, hi), so that x
+             lies in it exactly when (-x, x) <= bounds; a usable cell's
+             coordinates pass the TAU feasibility test only for queries
+             inside its box (see _padded_boxes).  Rows of flat cells are
+             never read.
+    origin : (n,) lower corner of the grid, the support's lower corner.
+    scale  : (n,) buckets per unit length along each axis.
+    top    : (n,) highest bucket coordinate along each axis.
+    stride : (n,) flat bucket id of a unit step along each axis.
+    start  : (B+1,) CSR offsets: bucket b holds cells[start[b]:start[b+1]].
+    cells  : ids of the usable cells whose box meets each bucket, ascending
+             within each bucket.
+    """
+
+    bounds: np.ndarray
+    origin: np.ndarray
+    scale: np.ndarray
+    top: np.ndarray
+    stride: np.ndarray
+    start: np.ndarray
+    cells: np.ndarray
+
+    def buckets(self, xs):
+        """Flat bucket id of each row of xs."""
+        return _grid_coords(xs, self.origin, self.scale, self.top) @ self.stride
+
+
+def _grid_coords(xs, origin, scale, top):
+    """Per-axis bucket coordinates of the rows of xs, shape (Q, n).
+
+    Monotone in every coordinate and clipped to the grid, so a point
+    inside a box always falls in a bucket of that box's range, and a
+    point off the grid in the nearest edge bucket.
+    """
+    return np.minimum(np.maximum((xs - origin) * scale, 0.0), top).astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class Triangulation:
     """Simplicial complex over a point cloud; made by build_triangulation.
 
@@ -115,6 +174,7 @@ class Triangulation:
     offsets   : (F,) hyperplane offsets of the facets.
     maximal   : the simplices as a list of Simplex.
     boundary  : the facets as a list of BoundaryFacet.
+    index     : CellIndex of the usable cells, or None below INDEX_MIN_CELLS.
     """
 
     cloud: PointCloud
@@ -126,6 +186,7 @@ class Triangulation:
     offsets: np.ndarray = field(repr=False)
     maximal: list = field(repr=False)
     boundary: list = field(repr=False)
+    index: CellIndex = field(repr=False)
 
     def barycentric_batch(self, xs):
         """Raw coordinates for a batch of queries, shape (Q, S, n+1)."""
@@ -195,6 +256,93 @@ def _check_simplices(simplices, m, n):
     return simp
 
 
+def _padded_boxes(lo, hi, sv):
+    """Bounding boxes of the cells, padded to hold every query that the
+    TAU feasibility test of locate_batch can accept in the cell.
+
+    lo and hi are the (S, n) corners of the cells' vertex boxes, sv the
+    (S, n+1) singular values of the homogeneous vertex matrices T.  For a query x, h = (x, 1), let lam be
+    the exact coordinates T^-1 h and lam' = fl(X h) the ones the kernel
+    computes with the stored inverse X.  As h = T lam,
+    lam' - lam = (X T - I) lam + r with |r| <= gamma_{n+1} |X| |T| |lam|,
+    and an LU-based inverse has |X T - I| <= c_n u |X| |L| |U| (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 14.3).  So
+    max|lam' - lam| <= eps L with L = max|lam| and
+    eps = 64 (n+1)^2 u kappa, kappa = sv[0] / sv[-1]; the factor 64
+    covers c_n and the pivot growth with room to spare, and also the few
+    ulps by which the pad below is rounded.
+
+    A feasible query has lam'_i >= -TAU, so lam_i >= -(TAU + eps L).  The
+    lam_i sum to 1, so L <= 1 + n (TAU + eps L), i.e.
+    L <= (1 + n TAU) / (1 - n eps), and every lam_i >= -delta with
+    delta = TAU + eps L.  Along axis d, x_d - min_i v_id is
+    sum_i lam_i (v_id - min_i v_id), which has at most n negative terms,
+    each above -delta w_d (w_d the width of the cell along d); hence
+    x_d >= min_i v_id - n delta w_d, and likewise
+    x_d <= max_i v_id + n delta w_d.  The corners are then moved one ulp
+    outward so that their own rounding cannot cut into that bound.  A
+    usable cell with n eps >= 1 gets an unbounded box; flat cells, which
+    the index never lists, may get NaN corners.
+    """
+    n = lo.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = 64 * (n + 1) ** 2 * np.finfo(np.float64).eps * (sv[:, 0] / sv[:, -1])
+        bound = np.where(n * eps < 1.0, (1.0 + n * TAU) / (1.0 - n * eps), np.inf)
+        pad = (n * (TAU + eps * bound))[:, None] * (hi - lo)
+    return np.nextafter(lo - pad, -np.inf), np.nextafter(hi + pad, np.inf)
+
+
+def _cell_index(points, simp, sv, usable):
+    """The CellIndex of the usable cells of a complex.
+
+    The grid spans the support's bounding box.  A bucket gets a third of
+    the mean volume of the unpadded usable boxes (their total volume over
+    three times the cell count), so a typical box spans two to three
+    buckets along each axis.  Larger buckets list more cells that the
+    box test then rejects; smaller ones list each cell in more buckets.
+    Supports far from that typical shape (most of the bounding box empty,
+    or long thin boxes) would need far more buckets or list entries, so
+    the bucket side doubles until there are at most 4 buckets and 64
+    list entries per cell.
+    """
+    n = points.shape[1]
+    corners = points[simp.T]  # (n+1, S, n)
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    ids = np.flatnonzero(usable)
+    side = (np.prod((hi - lo)[ids], axis=1).mean() / 3.0) ** (1.0 / n)
+    lo, hi = _padded_boxes(lo, hi, sv)
+    origin = points.min(axis=0)
+    span = points.max(axis=0) - origin
+    while True:
+        shape = np.maximum(np.ceil(span / side), 1.0)
+        scale, top = shape / span, shape - 1
+        first = _grid_coords(lo[ids], origin, scale, top)
+        extent = _grid_coords(hi[ids], origin, scale, top) - first + 1
+        count = extent.prod(axis=1)
+        if np.prod(shape) <= 4 * ids.size and count.sum() <= 64 * ids.size:
+            break
+        side *= 2.0
+    stride = np.cumprod(np.concatenate([[1], shape[:-1]])).astype(np.int64)
+
+    # Every (cell, bucket) pair of each box's bucket range, sorted by
+    # bucket and then by cell through the unique key bucket * S + cell.
+    rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    key = np.zeros_like(rank)
+    for d in range(n):
+        along = np.repeat(extent[:, d], count)
+        key += (np.repeat(first[:, d], count) + rank % along) * stride[d]
+        rank //= along
+    cells_total = simp.shape[0]
+    key = np.sort(key * cells_total + np.repeat(ids, count))
+    start = np.zeros(int(np.prod(shape)) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // cells_total, minlength=start.size - 1), out=start[1:])
+    cells = key % cells_total
+    bounds = np.concatenate([-lo, hi], axis=1)
+    for arr in (bounds, origin, scale, top, stride, start, cells):
+        arr.setflags(write=False)
+    return CellIndex(bounds, origin, scale, top, stride, start, cells)
+
+
 def build_triangulation(cloud, simplices):
     """The complex of the given maximal simplices over a point cloud.
 
@@ -245,6 +393,10 @@ def build_triangulation(cloud, simplices):
     if usable.any():
         inverses[usable] = np.linalg.inv(tmat[usable])
 
+    index = None
+    if simp.shape[0] >= INDEX_MIN_CELLS and usable.any():
+        index = _cell_index(points, simp, sv, usable)
+
     for arr in (simp, inverses, facets, opposite, normals, offsets):
         arr.setflags(write=False)
     return Triangulation(
@@ -260,6 +412,7 @@ def build_triangulation(cloud, simplices):
             BoundaryFacet(tuple(ids), opp, normals[i], float(offsets[i]))
             for i, (ids, opp) in enumerate(zip(facets.tolist(), opposite.tolist()))
         ],
+        index=index,
     )
 
 
@@ -315,18 +468,55 @@ def clamp_coords(coords, tol=TAU):
 
 
 def locate_batch(tri, xs):
-    """Containing simplex of each query row, and the raw coordinates.
+    """Containing simplex of each query row, and its raw coordinates.
 
     The only point-location kernel.  Containment allows a slack of TAU on
     every coordinate; when a query lies on a shared face the simplex with
-    the lowest index wins.  Returns (index, bary): index[q] is the
-    containing simplex of row q, or -1 outside the hull, and
-    bary[q, index[q]] holds its unclamped coordinates.
+    the lowest index wins.  Returns (index, coords): index[q] is the
+    containing simplex of row q, or -1 outside the hull, and coords[q]
+    its n+1 unclamped coordinates (meaningless where index[q] is -1).
+
+    A complex with a CellIndex tests only the cells whose padded box holds
+    the query, among those listed for its bucket; a smaller one tests all
+    its cells.  Both give the same index and the same coordinate bits.
     """
+    if tri.index is not None:
+        return _locate_indexed(tri, xs)
     bary = tri.barycentric_batch(xs)
     feasible = (bary >= -TAU).all(axis=2)
     first = np.argmax(feasible, axis=1).tolist()
-    return [s if feasible[q, s] else -1 for q, s in enumerate(first)], bary
+    index = [s if feasible[q, s] else -1 for q, s in enumerate(first)]
+    return index, [bary[q, s] for q, s in enumerate(first)]
+
+
+def _locate_indexed(tri, xs):
+    """locate_batch through the CellIndex, in memory linear in the number
+    of (query, candidate cell) pairs."""
+    grid = tri.index
+    xs = np.asarray(xs, dtype=np.float64)
+    rows, n = xs.shape
+    bucket = grid.buckets(xs)
+    first, stop = grid.start[bucket], grid.start[bucket + 1]
+    # Pair p joins query qs[p] with cell cand[p]; a query's pairs follow
+    # its bucket's list, so its cells stay in ascending order.
+    qs = np.repeat(np.arange(rows), stop - first)
+    cand = np.concatenate(
+        [grid.cells[:0]] + [grid.cells[a:b] for a, b in zip(first.tolist(), stop.tolist())]
+    )
+    inside = (np.concatenate([-xs, xs], axis=1)[qs] <= grid.bounds[cand]).all(axis=1)
+    qs, cand = qs[inside], cand[inside]
+    h = np.empty((rows, n + 1))
+    h[:, :n] = xs
+    h[:, n] = 1.0
+    coords = np.einsum("pij,pj->pi", tri.inverses[cand], h[qs])
+    hit = np.flatnonzero((coords >= -TAU).all(axis=1))
+    index = [-1] * rows
+    pick = [0] * rows
+    # Walk the feasible pairs backwards, so each query keeps its first one:
+    # the lowest cell, as its bucket lists them in ascending order.
+    for p, q, s in zip(hit[::-1].tolist(), qs[hit[::-1]].tolist(), cand[hit[::-1]].tolist()):
+        index[q], pick[q] = s, p
+    return index, coords[pick] if coords.size else np.zeros((rows, n + 1))
 
 
 def locate(tri, x):
@@ -335,10 +525,10 @@ def locate(tri, x):
 
     One row of locate_batch.
     """
-    (index,), bary = locate_batch(tri, np.asarray(x, dtype=np.float64)[None])
+    (index,), coords = locate_batch(tri, np.asarray(x, dtype=np.float64)[None])
     if index < 0:
         return None
-    return tri.maximal[index], clamp_coords(bary[0, index])
+    return tri.maximal[index], clamp_coords(coords[0])
 
 
 def visible_facet_indices(tri, x):

@@ -199,9 +199,13 @@ def train_cached(space, cached, support_labels, encoding, config):
 class EvalReport:
     """Scores of a labelled set.
 
-    n_out_of_hull  : rows embedded through a virtual simplex.
-    n_outside_ball : rows outside the bounding ball; they count as misses
-                     in accuracy and mean_loss but not in the confusion.
+    n_out_of_hull        : rows embedded through a virtual simplex.
+    n_outside_ball       : rows outside the bounding ball.
+    n_no_virtual_simplex : rows in the ball but behind a support hull that
+                           misses the centroid, where no virtual simplex
+                           contains them.
+    Rows of the last two kinds count as misses with loss log(k) in
+    accuracy and mean_loss, but not in the confusion.
     """
 
     accuracy: float
@@ -209,6 +213,7 @@ class EvalReport:
     confusion: np.ndarray
     n_out_of_hull: int
     n_outside_ball: int
+    n_no_virtual_simplex: int
 
     def to_dict(self, encoding=None):
         out = {
@@ -217,6 +222,7 @@ class EvalReport:
             "confusion": self.confusion.tolist(),
             "n_out_of_hull": self.n_out_of_hull,
             "n_outside_ball": self.n_outside_ball,
+            "n_no_virtual_simplex": self.n_no_virtual_simplex,
         }
         if encoding is not None:
             out["labels"] = list(encoding.labels)
@@ -226,12 +232,12 @@ class EvalReport:
 def evaluate(model, points, labels):
     """Accuracy, mean loss and confusion counts on a labelled set.
 
-    Points whose translation leaves the bounding ball cannot be embedded;
-    they are scored as misclassified with chance-level loss log(k) and
-    counted in n_outside_ball only.  Queries of the wrong shape or with a
-    non-finite coordinate raise, as in xi_batch; so does a row behind a
-    support hull that misses the centroid (NoContainingVirtualSimplex),
-    which aborts the whole call.  A set with no rows raises InvalidCount.
+    Points whose translation leaves the bounding ball, and points behind
+    a support hull that misses the centroid, cannot be embedded; they are
+    scored as misclassified with chance-level loss log(k) and counted in
+    n_outside_ball and n_no_virtual_simplex respectively.  Queries of the
+    wrong shape or with a non-finite coordinate raise, as in xi_batch.  A
+    set with no rows raises InvalidCount.
     """
     pts = np.asarray(
         points.points if hasattr(points, "points") else points, dtype=np.float64
@@ -250,7 +256,11 @@ def evaluate(model, points, labels):
     total_loss = 0.0
     hits = 0
     n_virtual = 0
+    n_missing = 0
     for row, x in zip(inside, embed_translated(model.space, translated[inside])):
+        if x is None:
+            n_missing += 1
+            continue
         probs = softmax(logits(model, x))
         pred = int(np.argmax(probs))
         confusion[y[row], pred] += 1
@@ -259,7 +269,7 @@ def evaluate(model, points, labels):
         n_virtual += x.facet_used is not None
     n_rows = pts.shape[0]
     n_outside = n_rows - inside.size
-    total_loss += n_outside * np.log(k)
+    total_loss += (n_outside + n_missing) * np.log(k)
 
     return EvalReport(
         accuracy=hits / n_rows,
@@ -267,4 +277,5 @@ def evaluate(model, points, labels):
         confusion=confusion,
         n_out_of_hull=n_virtual,
         n_outside_ball=n_outside,
+        n_no_virtual_simplex=n_missing,
     )

@@ -303,11 +303,14 @@ class TestErrorPaths:
         x, y = space.centroid + np.array([10.0, -10.0])
         data = tmp_path / "d.csv"
         data.write_text("f1,f2,label\n%.17g,%.17g,a\n%.17g,%.17g,b\n" % (*pts[0], x, y))
-        code, _, stderr = _run(
+        code, stdout, _ = _run(
             capsys, "eval", "--model", str(tmp_path / "m.json"), "--data", str(data),
         )
-        assert code == 2
-        assert "NoContainingVirtualSimplex" in stderr
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["n_no_virtual_simplex"] == 1
+        assert report["accuracy"] == 0.5
+        assert report["confusion"] == [[1, 0], [0, 0]]
 
     def test_point_outside_ball(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

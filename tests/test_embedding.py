@@ -1,5 +1,7 @@
 """Embedding space fit and the sparse barycentric map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -230,6 +232,26 @@ class TestXi:
                 smnn.xi(space, space.centroid + np.array(t))
             with pytest.raises(smnn.NoContainingVirtualSimplex):
                 smnn.xi_batch(space, [space.centroid + np.array(t)])
+
+
+class TestMemory:
+    def test_xi_batch_memory_linear_in_pairs(self):
+        # The all-cells kernel would hold 512 x S x (n+1) coordinates per
+        # chunk; the cell index needs memory for its (query, candidate)
+        # pairs only.
+        rng = np.random.default_rng(12)
+        space = smnn.fit_space(random_cloud(rng, 1000, 3), list(range(1000)), radius_margin=0.5)
+        cells = space.tri.simplices.shape[0]
+        assert cells >= 6000
+        queries = space.centroid + 0.4 * (rng.random((512, 3)) - 0.5)
+        dense = 512 * cells * 4 * 8
+        tracemalloc.start()
+        try:
+            smnn.xi_batch(space, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense / 20
 
 
 class TestQueryValidation:

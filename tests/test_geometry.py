@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import smnn
-from smnn.geometry import _facet_plane, build_triangulation, clamp_coords, visible_facet_indices
+from smnn.geometry import (
+    INDEX_MIN_CELLS,
+    TAU,
+    _facet_plane,
+    build_triangulation,
+    clamp_coords,
+    locate_batch,
+    visible_facet_indices,
+)
 
 from conftest import (
     SQUARE_POINTS,
@@ -390,6 +398,136 @@ class TestLocate:
             coords = hit[1]
             assert coords.min() >= 0.0
             assert abs(coords.sum() - 1.0) < 1e-9
+
+
+def indexed_complex(n, seed=0):
+    """A Delaunay complex above INDEX_MIN_CELLS in n-D with one near-flat
+    cell: its first n points span a hull facet on x_n = 0, and point n
+    sits 2.5e-11 above that facet's centroid (condition number about 1e11).
+    """
+    rng = np.random.default_rng(seed)
+    m = {2: 620, 3: 230, 4: 85}[n]
+    facet = np.vstack([np.zeros(n), np.eye(n)[: n - 1]])
+    near = np.append(facet[:, :-1].mean(axis=0), 2.5e-11)
+    cloud = rng.random((m, n))
+    cloud[:, -1] = 0.1 + 0.9 * cloud[:, -1]
+    return smnn.build_delaunay(np.vstack([facet, near, cloud]))
+
+
+def reference_locate(tri, xs):
+    """The all-cells kernel: every cell's coordinates, lowest feasible
+    index; also the number of feasible cells of each query."""
+    index, coords, count = [], [], []
+    for start in range(0, xs.shape[0], 100):
+        bary = tri.barycentric_batch(xs[start : start + 100])
+        feasible = (bary >= -TAU).all(axis=2)
+        first = np.argmax(feasible, axis=1)
+        rows = np.arange(first.size)
+        index.append(np.where(feasible[rows, first], first, -1))
+        coords.append(bary[rows, first])
+        count.append(feasible.sum(axis=1))
+    return np.concatenate(index), np.concatenate(coords), np.concatenate(count)
+
+
+def index_queries(tri, rng):
+    """Queries that probe the bucket index where it could go wrong."""
+    pts, grid = tri.cloud.points, tri.index
+    n = pts.shape[1]
+    out = []
+    # On bucket boundaries, and one ulp to either side.
+    x = pts.min(axis=0) + rng.random((150, n)) * np.ptp(pts, axis=0)
+    snapped = grid.origin + np.round((x - grid.origin) * grid.scale) / grid.scale
+    for d in range(n):
+        on = x.copy()
+        on[:, d] = snapped[:, d]
+        out += [on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)]
+    out.append(snapped)
+    # Exactly on shared faces, and at the vertices.
+    for ids in tri.simplices[rng.choice(tri.simplices.shape[0], 200)]:
+        w = rng.random(n) + 0.1
+        out.append((w / w.sum() @ pts[np.delete(ids, rng.integers(n + 1))])[None])
+    out.append(pts)
+    # Vertices pushed along each axis by a few TAU-scale distances: inside
+    # a neighbouring cell's slack but outside its unpadded box.
+    for t in (1e-13, 1e-11, 1e-10, 1e-9):
+        for d in range(n):
+            for sign in (1.0, -1.0):
+                moved = pts[rng.choice(pts.shape[0], 40)].copy()
+                moved[:, d] += sign * t * np.ptp(pts[:, d])
+                out.append(moved)
+    # At the edge of the padded global box, and one ulp beyond.
+    usable = np.isfinite(tri.inverses).all(axis=(1, 2))
+    low, high = -grid.bounds[usable, :n].max(axis=0), grid.bounds[usable, n:].max(axis=0)
+    for d in range(n):
+        for edge, beyond in ((low, -np.inf), (high, np.inf)):
+            at = pts[np.argsort(np.abs(pts[:, d] - edge[d]))[:5]].copy()
+            at[:, d] = edge[d]
+            out += [at, np.nextafter(at, beyond)]
+    # Outside the hull.
+    out.append(pts.min(axis=0) - 0.5 + 2.0 * rng.random((200, n)))
+    # Inside the near-flat cell.
+    flat = pts[: n + 1]
+    w = rng.random((50, n + 1)) + 0.05
+    out += [(w / w.sum(axis=1, keepdims=True)) @ flat, flat.mean(axis=0)[None]]
+    return np.concatenate(out)
+
+
+class TestCellIndex:
+    """locate_batch through the bucket index against the all-cells kernel."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bit_identical_to_all_cells_kernel(self, n):
+        tri = indexed_complex(n)
+        assert tri.simplices.shape[0] >= INDEX_MIN_CELLS and tri.index is not None
+        cond = np.linalg.cond(tri.inverses[0])
+        assert 1e10 < cond < 1e12
+        queries = index_queries(tri, np.random.default_rng(n))
+        got, coords = locate_batch(tri, queries)
+        want, want_coords, n_feasible = reference_locate(tri, queries)
+        assert got == want.tolist()
+        hit = want >= 0
+        assert coords[hit].tobytes() == want_coords[hit].tobytes()
+
+        # The queries reach what exactness depends on: located queries
+        # outside the unpadded box of their cell (the padding), queries
+        # with several feasible cells (the lowest-index rule), and queries
+        # in the near-flat cell 0.
+        verts = tri.cloud.points[tri.simplices[want[hit]]]
+        x = queries[hit]
+        outside = ((x < verts.min(axis=1)) | (x > verts.max(axis=1))).any(axis=1)
+        assert outside.sum() >= 5
+        assert (n_feasible > 1).sum() >= 20
+        assert (want == 0).sum() >= 20
+        assert (want < 0).sum() >= 50
+
+    def test_thin_support_keeps_index_linear(self):
+        # A needle along the x axis: its cells' boxes are long and thin,
+        # and at the mean-volume bucket side each would be listed in about
+        # 200 buckets.  The grid coarsens until buckets and list entries
+        # stay linear in the cell count, and location stays exact.
+        rng = np.random.default_rng(9)
+        pts = np.column_stack([rng.random(900), 1e-5 * rng.standard_normal((900, 2))])
+        tri = smnn.build_delaunay(pts)
+        cells = tri.simplices.shape[0]
+        assert tri.index.start.size - 1 <= 4 * cells and tri.index.cells.size <= 64 * cells
+        queries = pts[rng.integers(0, 900, 300)] + 1e-6 * rng.standard_normal((300, 3))
+        got, coords = locate_batch(tri, queries)
+        want, want_coords, _ = reference_locate(tri, queries)
+        assert got == want.tolist()
+        assert coords[want >= 0].tobytes() == want_coords[want >= 0].tobytes()
+
+    def test_small_complex_tests_every_cell(self):
+        rng = np.random.default_rng(3)
+        tri = smnn.build_delaunay(random_cloud(rng, 40, 2))
+        assert tri.simplices.shape[0] < INDEX_MIN_CELLS and tri.index is None
+
+    def test_index_lists_usable_cells_in_ascending_order(self):
+        tri = indexed_complex(3)
+        grid = tri.index
+        usable = np.isfinite(tri.inverses).all(axis=(1, 2))
+        assert set(grid.cells.tolist()) == set(np.flatnonzero(usable).tolist())
+        for a, b in zip(grid.start[:-1].tolist(), grid.start[1:].tolist()):
+            assert (np.diff(grid.cells[a:b]) > 0).all()
 
 
 class TestVisibleFacets:

@@ -82,6 +82,42 @@ class TestRoundTrip:
             x = pts[rng.integers(0, 40)] + 0.1 * rng.standard_normal(4)
             assert np.array_equal(model.forward(x), back.forward(x))
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_cell_index_rebuilt_bit_identical(self, version):
+        # A complex above the index crossover: loading rebuilds its cell
+        # index from the stored simplices, field for field.
+        rng = np.random.default_rng(6)
+        pts = random_cloud(rng, 250, 3)
+        space = smnn.fit_space(pts, list(range(250)))
+        assert space.tri.index is not None
+        y = rng.integers(0, 2, size=250)
+        model = smnn.SmnnModel(
+            space=space,
+            encoding=smnn.LabelEncoding.from_labels(["0", "1"]),
+            weights=smnn.init_weights("one_hot", 0, 2, 250, y),
+            support_labels=y,
+        )
+        doc = smnn.model_to_dict(model)
+        if version == 1:
+            doc["schema_version"] = 1
+            doc["boundary_facets"] = [
+                {
+                    "facet_ids": list(f.facet_ids),
+                    "opposite_id": f.opposite_id,
+                    "normal": f.normal.tolist(),
+                    "offset": f.offset,
+                }
+                for f in space.tri.boundary
+            ]
+        back, _ = smnn.model_from_dict(json.loads(json.dumps(doc)))
+        built, loaded = space.tri.index, back.space.tri.index
+        for name in built.__dataclass_fields__:
+            a, b = getattr(built, name), getattr(loaded, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        queries = pts[:50] + 0.01 * rng.standard_normal((50, 3))
+        for x in queries:
+            assert model.forward(x).tobytes() == back.forward(x).tobytes()
+
     def test_reloaded_model_evaluates(self, tmp_path):
         model, _ = _train_square()
         path = tmp_path / "model.json"

@@ -269,15 +269,25 @@ class TestEvaluate:
         with pytest.raises(smnn.InvalidCount):
             smnn.evaluate(square_model, np.zeros((0, 2)), [])
 
-    def test_row_behind_a_hull_that_misses_the_centroid_raises(self):
+    def test_row_behind_a_hull_that_misses_the_centroid_scored_as_miss(self):
         # Two blobs supported by blob a alone: a row behind that hull, as
-        # seen from the centroid, has no embedding and aborts the call.
+        # seen from the centroid, has no embedding; it is scored as a miss
+        # with loss log(k) and counted, and the other rows are unaffected.
         model = _two_blob_model()
         pts = model.space.support.points[:2] + model.space.centroid
-        assert smnn.evaluate(model, pts, ["a", "a"]).accuracy == 1.0
-        rows = np.vstack([pts, model.space.centroid + np.array([10.0, -10.0])])
+        alone = smnn.evaluate(model, pts, ["a", "a"])
+        assert alone.accuracy == 1.0 and alone.n_no_virtual_simplex == 0
+        behind = model.space.centroid + np.array([10.0, -10.0])
         with pytest.raises(smnn.NoContainingVirtualSimplex):
-            smnn.evaluate(model, rows, ["a", "a", "b"])
+            smnn.xi(model.space, behind)
+        report = smnn.evaluate(model, np.vstack([pts, behind]), ["a", "a", "b"])
+        assert report.n_no_virtual_simplex == 1
+        assert report.n_outside_ball == 0 and report.n_out_of_hull == 0
+        assert np.array_equal(report.confusion, alone.confusion)
+        assert report.accuracy == 2 / 3
+        expected = (2 * alone.mean_loss + np.log(2.0)) / 3
+        assert abs(report.mean_loss - expected) < 1e-12
+        assert report.to_dict()["n_no_virtual_simplex"] == 1
 
     def test_confusion_totals(self):
         rng = np.random.default_rng(21)
@@ -296,6 +306,7 @@ class TestEvaluate:
         assert payload["labels"] == ["0", "1"]
         assert payload["confusion"] == [[2, 0], [0, 2]]
         assert payload["n_out_of_hull"] == 0 and payload["n_outside_ball"] == 0
+        assert payload["n_no_virtual_simplex"] == 0
         assert isinstance(payload["accuracy"], float)
 
     def test_unknown_label_rejected(self, square_model):
