@@ -222,6 +222,8 @@ def _cmd_train(args):
                 "final_train_loss": report.final_loss,
                 "final_train_accuracy": report.final_accuracy,
                 "wall_time": round(report.wall_time, 3),
+                "n_steps": report.n_steps,
+                "us_per_step": round(report.us_per_step, 3),
             }
         )
     )

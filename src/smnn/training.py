@@ -7,6 +7,7 @@ SGD step updates at most n+2 columns.  Embeddings are precomputed once
 per space because they never change during training.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,8 +36,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive, got %g" % self.learning_rate)
+        _positive_rate(self.learning_rate)
         if int(self.epochs) != self.epochs or self.epochs < 1:
             raise ValueError("epochs must be a positive integer, got %r" % (self.epochs,))
         self.epochs = int(self.epochs)
@@ -46,7 +46,8 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch running mean loss and accuracy, plus wall time in seconds.
+    """Per-epoch running mean loss and accuracy, wall time in seconds and
+    the number of SGD steps (epochs times rows).
 
     Epoch metrics are accumulated sample by sample as the weights move,
     so they reflect the state of the model during that epoch.
@@ -54,6 +55,11 @@ class TrainReport:
 
     history: list = field(default_factory=list)
     wall_time: float = 0.0
+    n_steps: int = 0
+
+    @property
+    def us_per_step(self):
+        return self.wall_time / self.n_steps * 1e6 if self.n_steps else 0.0
 
     @property
     def final_loss(self):
@@ -101,40 +107,91 @@ def precompute_embeddings(space, train_points, y_encoded):
     return CachedEmbedding(xis=xi_batch(space, pts), y=y)
 
 
-def _residual(weights, cols, vals, y_index):
-    """Probabilities s of one sample and the logit gradient s - e_y."""
-    s = softmax(weights[:, cols] @ vals)
-    g = s.copy()
-    g[y_index] -= 1.0
-    return s, g
+def _positive_rate(rate):
+    """The learning rate as a float; it must be finite and positive."""
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError("learning rate must be finite and positive, got %r" % (rate,))
+    return float(rate)
+
+
+def _pack(xis, k, m):
+    """The embeddings as the kernel reads them.  Per row: the indices of
+    its columns in the flattened C-ordered (k, m) weights, shape (c, k);
+    its values; and each value repeated k times, in the order of those
+    indices."""
+    vals = [np.asarray(xi.values, dtype=np.float64) for xi in xis]
+    ends = np.cumsum([v.size for v in vals]).tolist()
+    cols = np.concatenate([np.asarray(xi.indices, dtype=np.int64) for xi in xis])
+    fidx = cols[:, None] + np.arange(k) * m
+    vrep = np.concatenate(vals).repeat(k).tolist()
+    return [(fidx[a:b], v, vrep[a * k:b * k]) for a, b, v in zip([0] + ends, ends, vals)]
+
+
+def _kernel(flat, fidx, vals, vrep, y_index, eta):
+    """Softmax probabilities of one packed sample, as a list, before the
+    SGD update that follows in place unless eta is None.  `flat` is the
+    flattened view of C-ordered weights.
+
+    Each operation rounds as the NumPy step `s = softmax(W[:, cols] @ v)`,
+    `W[:, cols] -= eta * ((s - e_y)[:, None] * v)` does, so the weights
+    are bit-identical to it:
+    - the logits are the same column-major gemv (with its FMAs), since the
+      (c, k) block is the transpose of the F-ordered `W[:, cols]`;
+    - each exponential is NumPy's `exp`, whose scalar call rounds as its
+      array loop does, and `math.exp` does not;
+    - NumPy sums fewer than 8 terms left to right and more in pairwise
+      blocks, so only the short sum is done in Python;
+    - the rest is single IEEE operations, the same in Python and NumPy.
+    """
+    block = flat[fidx]
+    z = vals.dot(block).tolist()
+    top = max(z)
+    e = [float(np.exp(v - top)) for v in z]
+    if len(e) < 8:
+        total = 0.0
+        for v in e:
+            total += v
+    else:
+        total = float(np.sum(e))
+    s = [v / total for v in e]
+    if eta is not None:
+        g = s.copy()
+        g[y_index] -= 1.0
+        flat.put(fidx, [
+            w - eta * (gr * v)
+            for w, gr, v in zip(block.ravel().tolist(), g * len(fidx), vrep)
+        ])
+    return s
+
+
+def _sample(weights, xi, y_index):
+    """Checked label index and packed embedding of one caller's sample."""
+    k, m = weights.shape
+    if not 0 <= y_index < k:
+        raise ValueError("label index %d out of range for %d classes" % (y_index, k))
+    return int(y_index), _pack([xi], k, m)[0]
 
 
 def gradient(weights, xi, y_index):
     """Cross-entropy gradient for one sample, restricted to touched columns."""
-    cols = np.asarray(xi.indices, dtype=np.int64)
-    vals = np.asarray(xi.values, dtype=np.float64)
-    if not 0 <= y_index < weights.shape[0]:
-        raise ValueError("label index %d out of range" % y_index)
-    _, g = _residual(weights, cols, vals, y_index)
-    return SparseGradient(indices=cols, block=np.outer(g, vals))
-
-
-def _step(weights, cols, vals, y_index, eta):
-    """One in-place SGD update; returns the pre-update loss and hit flag."""
-    s, g = _residual(weights, cols, vals, y_index)
-    step_loss = -np.log(max(s[y_index], LOSS_FLOOR))
-    hit = s.argmax() == y_index
-    weights[:, cols] -= eta * (g[:, None] * vals)
-    return float(step_loss), hit
+    y, (fidx, vals, vrep) = _sample(weights, xi, y_index)
+    g = np.array(_kernel(weights.reshape(-1), fidx, vals, vrep, y, None))
+    g[y] -= 1.0
+    return SparseGradient(
+        indices=np.asarray(xi.indices, dtype=np.int64), block=np.outer(g, vals)
+    )
 
 
 def sgd_step(weights, xi, y_index, eta):
     """Apply one closed-form SGD update in place and return the weights."""
-    if eta <= 0.0:
-        raise ValueError("learning rate must be positive, got %g" % eta)
-    cols = np.asarray(xi.indices, dtype=np.int64)
-    vals = np.asarray(xi.values, dtype=np.float64)
-    _step(weights, cols, vals, int(y_index), eta)
+    eta = _positive_rate(eta)
+    if weights.dtype.kind != "f":
+        raise TypeError("weights must be a floating-point array, got %s" % weights.dtype)
+    y, packed = _sample(weights, xi, y_index)
+    work = np.ascontiguousarray(weights)
+    _kernel(work.reshape(-1), *packed, y, eta)
+    if work is not weights:
+        weights[...] = work
     return weights
 
 
@@ -167,24 +224,34 @@ def train_cached(space, cached, support_labels, encoding, config):
     rng = np.random.default_rng(config.seed)
     weights = init_weights(config.init_mode, rng, k, m, support_labels)
 
-    cols_list = [np.asarray(x.indices, dtype=np.int64) for x in cached.xis]
-    vals_list = [np.asarray(x.values, dtype=np.float64) for x in cached.xis]
-    y = cached.y
+    flat = weights.reshape(-1)
+    packed = _pack(cached.xis, k, m)
+    y = cached.y.tolist()
     n_rows = len(cached)
-    eta = config.learning_rate
+    eta = float(config.learning_rate)
 
     history = []
     started = time.perf_counter()
     for _ in range(config.epochs):
-        order = rng.permutation(n_rows) if config.shuffle else np.arange(n_rows)
-        total = 0.0
+        order = rng.permutation(n_rows).tolist() if config.shuffle else range(n_rows)
+        kept = []
         hits = 0
         for i in order:
-            step_loss, hit = _step(weights, cols_list[i], vals_list[i], y[i], eta)
+            y_i = y[i]
+            s = _kernel(flat, *packed[i], y_i, eta)
+            kept.append(max(s[y_i], LOSS_FLOOR))
+            hits += s.index(max(s)) == y_i
+        # One array log rounds as the per-step scalar logs; the losses are
+        # still summed in step order.
+        total = 0.0
+        for step_loss in (-np.log(kept)).tolist():
             total += step_loss
-            hits += hit
         history.append((total / n_rows, hits / n_rows))
-    report = TrainReport(history=history, wall_time=time.perf_counter() - started)
+    report = TrainReport(
+        history=history,
+        wall_time=time.perf_counter() - started,
+        n_steps=config.epochs * n_rows,
+    )
 
     model = SmnnModel(
         space=space,

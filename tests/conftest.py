@@ -10,6 +10,7 @@ from hypothesis import settings
 
 import smnn
 from smnn.geometry import COND_LIMIT
+from smnn.model import LOSS_FLOOR, init_weights, softmax
 
 # Property tests draw the same examples on every run; hypothesis's own
 # --hypothesis-profile option selects another registered profile.
@@ -94,6 +95,53 @@ def circumsphere_contains(vertices, q, tol=1e-7):
     center, radius_sq = circumsphere(vertices)
     dist_sq = float(np.sum((np.asarray(q, dtype=np.float64) - center) ** 2))
     return dist_sq < radius_sq * (1.0 - tol)
+
+
+# The NumPy SGD step that the training kernel must reproduce bit for bit,
+# and the training loop of train_cached around it.
+
+
+def _residual(weights, cols, vals, y_index):
+    """Probabilities s of one sample and the logit gradient s - e_y."""
+    s = softmax(weights[:, cols] @ vals)
+    g = s.copy()
+    g[y_index] -= 1.0
+    return s, g
+
+
+def numpy_step(weights, cols, vals, y_index, eta):
+    """One in-place SGD update; returns the pre-update loss and hit flag."""
+    s, g = _residual(weights, cols, vals, y_index)
+    step_loss = -np.log(max(s[y_index], LOSS_FLOOR))
+    hit = s.argmax() == y_index
+    weights[:, cols] -= eta * (g[:, None] * vals)
+    return float(step_loss), hit
+
+
+def numpy_train(space, cached, support_labels, encoding, config):
+    """Weights and history of train_cached, computed with numpy_step."""
+    k = encoding.k
+    m = space.support.size
+    rng = np.random.default_rng(config.seed)
+    weights = init_weights(config.init_mode, rng, k, m, support_labels)
+
+    cols_list = [np.asarray(x.indices, dtype=np.int64) for x in cached.xis]
+    vals_list = [np.asarray(x.values, dtype=np.float64) for x in cached.xis]
+    y = cached.y
+    n_rows = len(cached)
+    eta = config.learning_rate
+
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n_rows) if config.shuffle else np.arange(n_rows)
+        total = 0.0
+        hits = 0
+        for i in order:
+            step_loss, hit = numpy_step(weights, cols_list[i], vals_list[i], y[i], eta)
+            total += step_loss
+            hits += hit
+        history.append((total / n_rows, hits / n_rows))
+    return weights, history
 
 
 def _acceptance_lines():

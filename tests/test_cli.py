@@ -146,6 +146,12 @@ class TestTrainEvalPredictExplain:
         assert summary["support_size"] == len(doc["support_points"])
         assert doc["provenance"]["epochs"] == 200
         assert doc["provenance"]["seed"] == 7
+        assert summary["n_steps"] == 200 * doc["provenance"]["n_train"]
+        assert summary["us_per_step"] > 0.0
+        # Both figures are rounded in the JSON: wall_time to 1 ms, the
+        # step time to 1 ns.
+        expected = summary["wall_time"] / summary["n_steps"] * 1e6
+        assert abs(summary["us_per_step"] - expected) <= 500.0 / summary["n_steps"] + 5e-4
 
     def test_eval_report(self, pipeline, tmp_path, capsys):
         tmp_dir, _ = pipeline
@@ -273,6 +279,21 @@ class TestErrorPaths:
         assert code == 2
         assert "ParseError" in stderr
         assert "row 3" in stderr
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate(self, tmp_path, capsys, rate):
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
+             "--out", str(data), "--train-fraction", "1")
+        model = tmp_path / "m.json"
+        code, stdout, stderr = _run(
+            capsys, "train", "--data", str(data), "--epochs", "5", "--lr=" + rate,
+            "--out", str(model),
+        )
+        assert code == 2
+        assert "ValueError" in stderr and "learning rate" in stderr
+        assert stdout == ""
+        assert not model.exists()
 
     def test_bad_point_text(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

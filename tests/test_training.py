@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 import smnn
-from smnn.training import CachedEmbedding, _step, precompute_embeddings
+from smnn.training import _kernel, _pack, precompute_embeddings
 
-from conftest import SQUARE_LABELS, SQUARE_MARGIN, SQUARE_POINTS, random_cloud
+from conftest import (
+    SQUARE_LABELS,
+    SQUARE_MARGIN,
+    SQUARE_POINTS,
+    numpy_step,
+    numpy_train,
+    random_cloud,
+)
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 def _dense_loss(weights, cols, vals, y_index):
@@ -29,6 +38,11 @@ class TestTrainConfig:
             smnn.TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             smnn.TrainConfig(init_mode="gaussian")
+
+    @pytest.mark.parametrize("rate", NON_FINITE)
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            smnn.TrainConfig(learning_rate=rate)
 
 
 class TestGradient:
@@ -82,8 +96,15 @@ class TestGradient:
 
     def test_bad_label_index(self, square_model):
         xi = smnn.xi(square_model.space, [0.75, 0.6])
-        with pytest.raises(ValueError):
-            smnn.gradient(square_model.weights, xi, 2)
+        for y_index in (2, -1):
+            with pytest.raises(ValueError):
+                smnn.gradient(square_model.weights, xi, y_index)
+
+    def test_reads_weights_only(self, square_model):
+        xi = smnn.xi(square_model.space, [0.75, 0.6])
+        square_model.weights.flags.writeable = False
+        grad = smnn.gradient(square_model.weights, xi, 0)
+        assert grad.block.shape == (2, 3)
 
 
 class TestSgdStep:
@@ -128,17 +149,57 @@ class TestSgdStep:
 
     def test_positive_rate_required(self, square_model):
         xi = smnn.xi(square_model.space, [0.75, 0.6])
-        with pytest.raises(ValueError):
-            smnn.sgd_step(square_model.weights, xi, 0, 0.0)
+        before = square_model.weights.copy()
+        for rate in (0.0, -0.1) + NON_FINITE:
+            with pytest.raises(ValueError):
+                smnn.sgd_step(square_model.weights, xi, 0, rate)
+        assert np.array_equal(square_model.weights, before)
+
+    @pytest.mark.parametrize("y_index", [-1, 2])
+    def test_label_index_out_of_range(self, square_model, y_index):
+        xi = smnn.xi(square_model.space, [0.75, 0.6])
+        before = square_model.weights.copy()
+        with pytest.raises(ValueError, match="label index"):
+            smnn.sgd_step(square_model.weights, xi, y_index, 0.1)
+        assert np.array_equal(square_model.weights, before)
+
+    def test_integer_weights_rejected(self, square_model):
+        # Writing float updates back into an integer matrix would truncate.
+        xi = smnn.xi(square_model.space, [0.75, 0.6])
+        weights = np.ones((2, 4), dtype=np.int64)
+        with pytest.raises(TypeError):
+            smnn.sgd_step(weights, xi, 0, 0.1)
+        assert (weights == 1).all()
+
+    def test_updates_non_contiguous_weights_in_place(self, square_model):
+        rng = np.random.default_rng(4)
+        xi = smnn.xi(square_model.space, [0.75, 0.6])
+        dense = rng.standard_normal((2, 4))
+        expected = smnn.sgd_step(dense.copy(), xi, 1, 0.3)
+
+        fortran = np.asfortranarray(dense)
+        assert smnn.sgd_step(fortran, xi, 1, 0.3) is fortran
+        assert fortran.flags.f_contiguous
+        assert fortran.tobytes() == expected.tobytes()
+
+        base = np.zeros((2, 8))
+        base[:, ::2] = dense
+        view = base[:, ::2]
+        assert smnn.sgd_step(view, xi, 1, 0.3) is view
+        assert base[:, ::2].tobytes() == expected.tobytes()
+        assert not base[:, 1::2].any()
 
     def test_step_reports_preupdate_loss(self, square_model):
+        # The kernel returns the probabilities before its update; training
+        # scores each step by them.
         xi = smnn.xi(square_model.space, [0.75, 0.6])
         cols = np.asarray(xi.indices)
         vals = np.asarray(xi.values)
         expected = _dense_loss(square_model.weights, cols, vals, 1)
-        step_loss, hit = _step(square_model.weights, cols, vals, 1, 0.1)
-        assert abs(step_loss - expected) < 1e-12
-        assert hit in (False, True)
+        before = square_model.weights.copy()
+        probs = _kernel(square_model.weights.reshape(-1), *_pack([xi], 2, 4)[0], 1, 0.1)
+        assert abs(-np.log(probs[1]) - expected) < 1e-12
+        assert not np.array_equal(square_model.weights, before)
 
 
 class TestTrain:
@@ -156,6 +217,8 @@ class TestTrain:
         )
         assert len(report.history) == 200
         assert report.wall_time > 0.0
+        assert report.n_steps == 200 * 4
+        assert report.us_per_step == report.wall_time / report.n_steps * 1e6
         assert report.final_loss < report.history[0][0]
         assert report.final_accuracy == 1.0
         for t, label in enumerate(SQUARE_LABELS):
@@ -215,6 +278,103 @@ class TestTrainCached:
             _, report = smnn.train_cached(space, cached, y, encoding, cfg)
             finals.append(report.final_loss)
         assert finals[1] < finals[0]
+
+
+def _training_inputs(pts, labels, support):
+    """Space, embedding cache, support labels and encoding of one fit."""
+    encoding = smnn.LabelEncoding.from_labels(labels)
+    y = np.array([encoding.index(v) for v in labels], dtype=np.int64)
+    space = smnn.fit_space(pts, support)
+    cached = precompute_embeddings(space, pts, y)
+    return space, cached, y[np.asarray(support, dtype=np.int64)], encoding
+
+
+def _sized_support(pts, size):
+    return smnn.epsilon_representative(pts, smnn.epsilon_for_size(pts, size, 0), 0)
+
+
+def _spiral_inputs(size):
+    train, _ = smnn.split(smnn.gen_spiral(400, seed=0), 0.75, seed=0)
+    pts = train.points.points
+    return _training_inputs(pts, train.labels, _sized_support(pts, size))
+
+
+def _exterior_rows(cached):
+    return sum(x.facet_used is not None for x in cached.xis)
+
+
+class TestKernelExactness:
+    """train_cached, sgd_step and gradient give the bytes of the NumPy step
+    (numpy_step in conftest) on every kind of row and class count."""
+
+    @staticmethod
+    def assert_matches_numpy_step(inputs, config):
+        model, report = smnn.train_cached(*inputs, config)
+        weights, history = numpy_train(*inputs, config)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert report.history == history
+
+    @pytest.mark.parametrize("size", [5, 95])
+    def test_spiral(self, size):
+        inputs = _spiral_inputs(size)
+        assert _exterior_rows(inputs[1]) > 0
+        for rate in (0.1, 0.5):
+            config = smnn.TrainConfig(learning_rate=rate, epochs=15, seed=1)
+            self.assert_matches_numpy_step(inputs, config)
+
+    def test_one_hot_without_shuffle(self):
+        config = smnn.TrainConfig(epochs=20, seed=2, init_mode="one_hot", shuffle=False)
+        self.assert_matches_numpy_step(_spiral_inputs(9), config)
+
+    def test_clusters_3d(self):
+        data = smnn.gen_clusters(800, n_features=3, class_sep=1.5, seed=0)
+        pts = data.points.points
+        inputs = _training_inputs(pts, data.labels, _sized_support(pts, 120))
+        self.assert_matches_numpy_step(inputs, smnn.TrainConfig(epochs=3, seed=0))
+
+    def test_iris_full_support(self):
+        # Every row is a support vertex: one touched column, three classes.
+        data = smnn.load_iris()
+        pts = data.points.points
+        support = np.sort(np.unique(pts, axis=0, return_index=True)[1])
+        inputs = _training_inputs(pts, data.labels, support)
+        assert inputs[3].k == 3
+        assert sum(len(x.indices) == 1 for x in inputs[1].xis) > 100
+        for rate in (0.01, 0.5):
+            config = smnn.TrainConfig(learning_rate=rate, epochs=10, seed=3)
+            self.assert_matches_numpy_step(inputs, config)
+
+    def test_ten_classes(self):
+        # NumPy sums 8 or more exponentials in pairwise blocks.
+        rng = np.random.default_rng(5)
+        pts = random_cloud(rng, 240, 2)
+        labels = [str(v) for v in rng.integers(0, 10, size=240)]
+        inputs = _training_inputs(pts, labels, _sized_support(pts, 60))
+        assert inputs[3].k == 10
+        self.assert_matches_numpy_step(inputs, smnn.TrainConfig(epochs=5, seed=4))
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            k = int(rng.integers(2, 13))
+            c = int(rng.integers(1, 9))
+            m = c + int(rng.integers(0, 4))
+            weights = rng.standard_normal((k, m)) * rng.choice([0.1, 1.0, 10.0])
+            cols = np.sort(rng.choice(m, size=c, replace=False))
+            xi = smnn.SparseXi(indices=cols, values=rng.dirichlet(np.ones(c)))
+            y_index = int(rng.integers(k))
+            eta = float(rng.choice([0.01, 0.1, 0.5]))
+
+            expected = weights.copy()
+            numpy_step(expected, cols, xi.values, y_index, eta)
+            grad = smnn.gradient(weights, xi, y_index)
+            s = weights[:, cols] @ xi.values
+            s = np.exp(s - s.max())
+            s /= s.sum()
+            s[y_index] -= 1.0
+            assert grad.block.tobytes() == np.outer(s, xi.values).tobytes()
+            smnn.sgd_step(weights, xi, y_index, eta)
+            assert weights.tobytes() == expected.tobytes()
 
 
 class TestPrecompute:
