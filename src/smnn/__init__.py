@@ -24,6 +24,7 @@ from .errors import (
     SingularSimplex,
     SmnnError,
     TooManyClusters,
+    UnknownLabel,
     ZeroNorm,
 )
 from .explain import Explanation, explain, render_explanation_svg
@@ -90,6 +91,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "Triangulation",
+    "UnknownLabel",
     "ZeroNorm",
     "build_delaunay",
     "epsilon_for_size",

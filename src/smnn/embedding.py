@@ -11,14 +11,16 @@ maps any query x inside the ball to a sparse vector of convex weights:
   whose virtual simplex (w, facet vertices) contains x supplies the
   coordinates; the weight on w is reported separately as sphere_mass and
   owns no support index.  When the centroid lies outside the support
-  hull, queries behind the hull have no such facet: xi and xi_batch
-  raise NoContainingVirtualSimplex, and training.evaluate scores them
-  as misses.
+  hull, queries behind the hull have no such facet, and the centroid
+  itself has no projection: xi and xi_batch raise
+  NoContainingVirtualSimplex, and training.evaluate scores them as
+  misses.
 
 Entries smaller than 1e-9 in magnitude are zeroed and the rest
 renormalized, so exact vertex queries come back as clean indicators.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +43,11 @@ from .geometry import (
     locate_batch,
     visible_facet_indices,
 )
+
+# Rows located per call of geometry.locate_batch.  A complex small enough
+# to have no cell index is searched by the all-cells kernel, which holds
+# (rows, cells, n+1) coordinates at once; the chunk bounds that memory.
+_CHUNK = 512
 
 
 @dataclass
@@ -91,8 +98,8 @@ def fit_space(train_points, support_indices, radius_margin=1.0):
     the origin falls outside the support hull: queries behind that hull,
     as seen from the origin, then have no containing virtual simplex.
     """
-    if radius_margin <= 0.0:
-        raise InvalidMargin("radius margin must be positive, got %g" % radius_margin)
+    if not (math.isfinite(radius_margin) and radius_margin > 0.0):
+        raise InvalidMargin("radius margin must be finite and positive, got %r" % (radius_margin,))
     pts = train_points.points if isinstance(train_points, PointCloud) else None
     if pts is None:
         pts = PointCloud(np.asarray(train_points)).points
@@ -139,9 +146,13 @@ def _xi_outside(space, x):
     The virtual simplices (w, facet vertices) of all visible facets are
     solved in one stacked system.  The most interior coordinate vector
     wins, ties going to the lowest facet index; None when none of them
-    contains x within TAU.
+    contains x within TAU, or when x is the centroid itself, which has no
+    sphere point and so no virtual simplex.
     """
-    w = project_to_sphere(space, x)
+    try:
+        w = project_to_sphere(space, x)
+    except ZeroNorm:
+        return None
     visible = visible_facet_indices(space.tri, x)
     ids = space.tri.facets[visible]
     n = x.size
@@ -203,7 +214,7 @@ def translate_queries(space, xs_raw):
     return translated, inside
 
 
-def embed_translated(space, translated, chunk=512):
+def embed_translated(space, translated):
     """Embeddings of translated queries already known to lie in the ball.
 
     Interior queries are located through geometry.locate_batch; exterior
@@ -212,8 +223,8 @@ def embed_translated(space, translated, chunk=512):
     as None.
     """
     out = []
-    for start in range(0, translated.shape[0], chunk):
-        block = translated[start : start + chunk]
+    for start in range(0, translated.shape[0], _CHUNK):
+        block = translated[start : start + _CHUNK]
         index, coords = locate_batch(space.tri, block)
         for q, idx in enumerate(index):
             if idx >= 0:
@@ -223,7 +234,7 @@ def embed_translated(space, translated, chunk=512):
     return out
 
 
-def xi_batch(space, xs_raw, chunk=512):
+def xi_batch(space, xs_raw):
     """Embeddings for a batch of raw queries, one SparseXi per row.
 
     The single embedding path: queries of the wrong shape raise
@@ -238,7 +249,7 @@ def xi_batch(space, xs_raw, chunk=512):
             "query %d has norm %g exceeding ball radius %g"
             % (row, np.linalg.norm(translated[row]), space.radius)
         )
-    out = embed_translated(space, translated, chunk)
+    out = embed_translated(space, translated)
     for row, x in enumerate(out):
         if x is None:
             raise NoContainingVirtualSimplex(

@@ -61,3 +61,10 @@ class NonFiniteQuery(SmnnError):
 
 class ModelFileError(SmnnError, ValueError):
     """A model document is malformed or inconsistent, so nothing was loaded."""
+
+
+class UnknownLabel(SmnnError, KeyError):
+    """A class label that the model's label encoding does not hold."""
+
+    # KeyError would print the message quoted, as it does a missing key.
+    __str__ = SmnnError.__str__

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import xi as _xi
+from .errors import UnknownLabel
 
 # Probabilities are floored at this value inside log-loss.
 LOSS_FLOOR = 1e-12
@@ -44,7 +45,7 @@ class LabelEncoding:
         try:
             return self.labels.index(str(label))
         except ValueError:
-            raise KeyError("unknown label %r, expected one of %r" % (label, self.labels))
+            raise UnknownLabel("unknown label %r, expected one of %r" % (label, self.labels))
 
 
 @dataclass
@@ -73,22 +74,21 @@ class SmnnModel:
         if self.support_labels.shape != (m,):
             raise ValueError("support_labels must have shape (%d,)" % m)
 
-    def forward(self, x_raw):
-        return forward(self, x_raw)
-
-    def predict(self, x_raw):
-        return predict(self, x_raw)
-
-    def loss(self, x_raw, true_label):
-        return loss(self, x_raw, true_label)
-
 
 def softmax(z):
-    """Numerically stable softmax: shifts by the max before exponentiating."""
+    """Numerically stable softmax along the last axis: one (k,) logit
+    vector, or (Q, k) rows of them.  Each row is shifted by its max before
+    exponentiating, and its result equals the softmax of that row alone
+    bit for bit."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy(p_true):
+    """-log of true-class probabilities, each floored at LOSS_FLOOR; a
+    scalar or an array of them."""
+    return -np.log(np.maximum(p_true, LOSS_FLOOR))
 
 
 def init_weights(mode, seed, k, m, support_labels=None):
@@ -134,5 +134,4 @@ def predict(model, x_raw):
 def loss(model, x_raw, true_label):
     """Cross-entropy of the forward probabilities against the true label."""
     probs = forward(model, x_raw)
-    idx = model.encoding.index(true_label)
-    return float(-np.log(max(probs[idx], LOSS_FLOOR)))
+    return float(cross_entropy(probs[model.encoding.index(true_label)]))

@@ -8,6 +8,7 @@ an epsilon that yields an exact support size.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,11 @@ class SamplerConfig:
         if self.mode not in ("epsilon", "kappa"):
             raise ValueError("mode must be 'epsilon' or 'kappa', got %r" % (self.mode,))
         if self.mode == "epsilon":
-            if self.epsilon is None or self.epsilon <= 0.0 or self.kappa is not None:
-                raise ValueError("mode 'epsilon' needs epsilon > 0 and no kappa")
+            if not _positive(self.epsilon) or self.kappa is not None:
+                raise ValueError("mode 'epsilon' needs a finite epsilon > 0 and no kappa")
         else:
-            if self.kappa is None or self.kappa <= 0.0 or self.epsilon is not None:
-                raise ValueError("mode 'kappa' needs kappa > 0 and no epsilon")
+            if not _positive(self.kappa) or self.epsilon is not None:
+                raise ValueError("mode 'kappa' needs a finite kappa > 0 and no epsilon")
 
     def to_dict(self):
         return {
@@ -43,6 +44,11 @@ class SamplerConfig:
         }
 
 
+def _positive(value):
+    """True for a finite number above zero; False for None, NaN and infinity."""
+    return value is not None and math.isfinite(value) and value > 0.0
+
+
 def _points_of(obj):
     if isinstance(obj, PointCloud):
         return obj.points
@@ -51,8 +57,8 @@ def _points_of(obj):
 
 def epsilon_from_kappa(train_points, kappa):
     """epsilon = (max point norm + 1/2) / kappa, for centroid-centered points."""
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive, got %g" % kappa)
+    if not _positive(kappa):
+        raise ValueError("kappa must be finite and positive, got %r" % (kappa,))
     pts = _points_of(train_points)
     max_norm = float(np.linalg.norm(pts, axis=1).max())
     return (max_norm + 0.5) / kappa
@@ -100,8 +106,8 @@ def epsilon_representative(train_points, epsilon, seed=0):
 
     Every training point ends up within epsilon of a selected point.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive, got %g" % epsilon)
+    if not _positive(epsilon):
+        raise ValueError("epsilon must be finite and positive, got %r" % (epsilon,))
     selected = []
     for index, radius in _farthest_points(_points_of(train_points), seed):
         selected.append(index)

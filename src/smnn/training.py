@@ -15,14 +15,7 @@ import numpy as np
 
 from .embedding import embed_translated, fit_space, translate_queries, xi_batch
 from .errors import InvalidCount
-from .model import (
-    LOSS_FLOOR,
-    LabelEncoding,
-    SmnnModel,
-    init_weights,
-    logits,
-    softmax,
-)
+from .model import LabelEncoding, SmnnModel, cross_entropy, init_weights, logits, softmax
 
 INIT_MODES = ("uniform01", "one_hot")
 
@@ -129,8 +122,8 @@ def _pack(xis, k, m):
 
 def _kernel(flat, fidx, vals, vrep, y_index, eta):
     """Softmax probabilities of one packed sample, as a list, before the
-    SGD update that follows in place unless eta is None.  `flat` is the
-    flattened view of C-ordered weights.
+    SGD update that follows in place.  `flat` is the flattened view of
+    C-ordered weights.
 
     Each operation rounds as the NumPy step `s = softmax(W[:, cols] @ v)`,
     `W[:, cols] -= eta * ((s - e_y)[:, None] * v)` does, so the weights
@@ -154,32 +147,31 @@ def _kernel(flat, fidx, vals, vrep, y_index, eta):
     else:
         total = float(np.sum(e))
     s = [v / total for v in e]
-    if eta is not None:
-        g = s.copy()
-        g[y_index] -= 1.0
-        flat.put(fidx, [
-            w - eta * (gr * v)
-            for w, gr, v in zip(block.ravel().tolist(), g * len(fidx), vrep)
-        ])
+    g = s.copy()
+    g[y_index] -= 1.0
+    flat.put(fidx, [
+        w - eta * (gr * v)
+        for w, gr, v in zip(block.ravel().tolist(), g * len(fidx), vrep)
+    ])
     return s
 
 
-def _sample(weights, xi, y_index):
-    """Checked label index and packed embedding of one caller's sample."""
-    k, m = weights.shape
+def _label_index(weights, y_index):
+    """The caller's label index, checked against the weight rows."""
+    k = weights.shape[0]
     if not 0 <= y_index < k:
         raise ValueError("label index %d out of range for %d classes" % (y_index, k))
-    return int(y_index), _pack([xi], k, m)[0]
+    return int(y_index)
 
 
 def gradient(weights, xi, y_index):
     """Cross-entropy gradient for one sample, restricted to touched columns."""
-    y, (fidx, vals, vrep) = _sample(weights, xi, y_index)
-    g = np.array(_kernel(weights.reshape(-1), fidx, vals, vrep, y, None))
+    y = _label_index(weights, y_index)
+    indices = np.asarray(xi.indices, dtype=np.int64)
+    vals = np.asarray(xi.values, dtype=np.float64)
+    g = softmax(weights[:, indices] @ vals)
     g[y] -= 1.0
-    return SparseGradient(
-        indices=np.asarray(xi.indices, dtype=np.int64), block=np.outer(g, vals)
-    )
+    return SparseGradient(indices=indices, block=np.outer(g, vals))
 
 
 def sgd_step(weights, xi, y_index, eta):
@@ -187,12 +179,23 @@ def sgd_step(weights, xi, y_index, eta):
     eta = _positive_rate(eta)
     if weights.dtype.kind != "f":
         raise TypeError("weights must be a floating-point array, got %s" % weights.dtype)
-    y, packed = _sample(weights, xi, y_index)
+    y = _label_index(weights, y_index)
+    packed = _pack([xi], *weights.shape)[0]
     work = np.ascontiguousarray(weights)
     _kernel(work.reshape(-1), *packed, y, eta)
     if work is not weights:
         weights[...] = work
     return weights
+
+
+def _sum_in_order(losses):
+    """Sum of an array of losses, added one at a time in order.  NumPy's
+    array log rounds as its scalar log, so this is the total that scoring
+    one sample at a time gives, bit for bit."""
+    total = 0.0
+    for v in losses.tolist():
+        total += v
+    return total
 
 
 def train(train_points, train_labels, support_indices, config, radius_margin=1.0):
@@ -239,13 +242,9 @@ def train_cached(space, cached, support_labels, encoding, config):
         for i in order:
             y_i = y[i]
             s = _kernel(flat, *packed[i], y_i, eta)
-            kept.append(max(s[y_i], LOSS_FLOOR))
+            kept.append(s[y_i])
             hits += s.index(max(s)) == y_i
-        # One array log rounds as the per-step scalar logs; the losses are
-        # still summed in step order.
-        total = 0.0
-        for step_loss in (-np.log(kept)).tolist():
-            total += step_loss
+        total = _sum_in_order(cross_entropy(np.array(kept)))
         history.append((total / n_rows, hits / n_rows))
     report = TrainReport(
         history=history,
@@ -319,30 +318,24 @@ def evaluate(model, points, labels):
     y = np.array([model.encoding.index(v) for v in labels], dtype=np.int64)
     k = model.encoding.k
 
-    confusion = np.zeros((k, k), dtype=np.int64)
-    total_loss = 0.0
-    hits = 0
-    n_virtual = 0
-    n_missing = 0
-    for row, x in zip(inside, embed_translated(model.space, translated[inside])):
-        if x is None:
-            n_missing += 1
-            continue
-        probs = softmax(logits(model, x))
-        pred = int(np.argmax(probs))
-        confusion[y[row], pred] += 1
-        hits += pred == y[row]
-        total_loss += -np.log(max(probs[y[row]], LOSS_FLOOR))
-        n_virtual += x.facet_used is not None
+    embedded = embed_translated(model.space, translated[inside])
+    xis = [x for x in embedded if x is not None]
+    y = y[inside[[x is not None for x in embedded]]]
+    # Logits stay one gemv per row: a batched elementwise product would
+    # round without the fused multiply-adds that forward's gemv uses.
+    probs = softmax(np.array([logits(model, x) for x in xis]).reshape(-1, k))
+    pred = probs.argmax(axis=1)
     n_rows = pts.shape[0]
     n_outside = n_rows - inside.size
+    n_missing = inside.size - len(xis)
+    total_loss = _sum_in_order(cross_entropy(probs[np.arange(y.size), y]))
     total_loss += (n_outside + n_missing) * np.log(k)
 
     return EvalReport(
-        accuracy=hits / n_rows,
+        accuracy=int((pred == y).sum()) / n_rows,
         mean_loss=float(total_loss / n_rows),
-        confusion=confusion,
-        n_out_of_hull=n_virtual,
+        confusion=np.bincount(y * k + pred, minlength=k * k).reshape(k, k),
+        n_out_of_hull=sum(x.facet_used is not None for x in xis),
         n_outside_ball=n_outside,
         n_no_virtual_simplex=n_missing,
     )

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import settings
 
 import smnn
+from smnn.embedding import embed_translated, translate_queries
+from smnn.errors import InvalidCount
 from smnn.geometry import COND_LIMIT
-from smnn.model import LOSS_FLOOR, init_weights, softmax
+from smnn.model import LOSS_FLOOR, init_weights, logits
+from smnn.training import EvalReport
 
 # Property tests draw the same examples on every run; hypothesis's own
 # --hypothesis-profile option selects another registered profile.
@@ -97,13 +100,22 @@ def circumsphere_contains(vertices, q, tol=1e-7):
     return dist_sq < radius_sq * (1.0 - tol)
 
 
-# The NumPy SGD step that the training kernel must reproduce bit for bit,
-# and the training loop of train_cached around it.
+# The one-vector softmax, the NumPy SGD step that the training kernel must
+# reproduce bit for bit, the training loop of train_cached around it, and
+# the per-row evaluate that the array scoring of evaluate must reproduce.
+
+
+def reference_softmax(z):
+    """Softmax of one logit vector, shifted by its max."""
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - z.max()
+    e = np.exp(shifted)
+    return e / e.sum()
 
 
 def _residual(weights, cols, vals, y_index):
     """Probabilities s of one sample and the logit gradient s - e_y."""
-    s = softmax(weights[:, cols] @ vals)
+    s = reference_softmax(weights[:, cols] @ vals)
     g = s.copy()
     g[y_index] -= 1.0
     return s, g
@@ -142,6 +154,50 @@ def numpy_train(space, cached, support_labels, encoding, config):
             hits += hit
         history.append((total / n_rows, hits / n_rows))
     return weights, history
+
+
+def reference_evaluate(model, points, labels):
+    """EvalReport of evaluate, scoring one row at a time."""
+    pts = np.asarray(
+        points.points if hasattr(points, "points") else points, dtype=np.float64
+    )
+    translated, in_ball = translate_queries(model.space, pts)
+    if not in_ball.size:
+        raise InvalidCount("cannot evaluate a set with no rows")
+    inside = np.nonzero(in_ball)[0]
+    labels = [str(v) for v in labels]
+    if len(labels) != pts.shape[0]:
+        raise ValueError("labels and points disagree")
+    y = np.array([model.encoding.index(v) for v in labels], dtype=np.int64)
+    k = model.encoding.k
+
+    confusion = np.zeros((k, k), dtype=np.int64)
+    total_loss = 0.0
+    hits = 0
+    n_virtual = 0
+    n_missing = 0
+    for row, x in zip(inside, embed_translated(model.space, translated[inside])):
+        if x is None:
+            n_missing += 1
+            continue
+        probs = reference_softmax(logits(model, x))
+        pred = int(np.argmax(probs))
+        confusion[y[row], pred] += 1
+        hits += pred == y[row]
+        total_loss += -np.log(max(probs[y[row]], LOSS_FLOOR))
+        n_virtual += x.facet_used is not None
+    n_rows = pts.shape[0]
+    n_outside = n_rows - inside.size
+    total_loss += (n_outside + n_missing) * np.log(k)
+
+    return EvalReport(
+        accuracy=hits / n_rows,
+        mean_loss=float(total_loss / n_rows),
+        confusion=confusion,
+        n_out_of_hull=n_virtual,
+        n_outside_ball=n_outside,
+        n_no_virtual_simplex=n_missing,
+    )
 
 
 def _acceptance_lines():

@@ -308,9 +308,11 @@ class TestErrorPaths:
         assert code == 2
         assert "ParseError" in stderr
 
-    def test_eval_row_behind_a_hull_that_misses_the_centroid(self, tmp_path, capsys):
-        # One-hot model over blob a of a two-blob cloud, whose centroid lies
-        # outside that hull; the second row lies behind it.
+    @staticmethod
+    def _eval_two_blob_model(tmp_path, capsys, offset):
+        """smnn eval of a one-hot model over blob a of a two-blob cloud,
+        whose centroid lies outside that hull, on a row of blob a and the
+        row at `offset` from the centroid."""
         rng = np.random.default_rng(2)
         pts = np.vstack([rng.random((10, 2)) + 10.0, rng.random((10, 2)) - 10.0])
         with pytest.warns(UserWarning):
@@ -321,17 +323,65 @@ class TestErrorPaths:
             weights=smnn.init_weights("one_hot", 0, 2, 10, y), support_labels=y,
         )
         smnn.save_model(model, tmp_path / "m.json")
-        x, y = space.centroid + np.array([10.0, -10.0])
+        x, y = space.centroid + np.array(offset)
         data = tmp_path / "d.csv"
         data.write_text("f1,f2,label\n%.17g,%.17g,a\n%.17g,%.17g,b\n" % (*pts[0], x, y))
-        code, stdout, _ = _run(
-            capsys, "eval", "--model", str(tmp_path / "m.json"), "--data", str(data),
-        )
+        return _run(capsys, "eval", "--model", str(tmp_path / "m.json"), "--data", str(data))
+
+    def test_eval_row_behind_a_hull_that_misses_the_centroid(self, tmp_path, capsys):
+        code, stdout, _ = self._eval_two_blob_model(tmp_path, capsys, [10.0, -10.0])
         assert code == 0
         report = json.loads(stdout)
         assert report["n_no_virtual_simplex"] == 1
         assert report["accuracy"] == 0.5
         assert report["confusion"] == [[1, 0], [0, 0]]
+
+    def test_eval_row_at_a_centroid_outside_the_hull(self, tmp_path, capsys):
+        # The centroid has no sphere projection, so no virtual simplex.
+        code, stdout, stderr = self._eval_two_blob_model(tmp_path, capsys, [0.0, 0.0])
+        assert code == 0, stderr
+        report = json.loads(stdout)
+        assert report["n_no_virtual_simplex"] == 1
+        assert report["accuracy"] == 0.5
+        assert report["confusion"] == [[1, 0], [0, 0]]
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--radius-margin", "inf"),
+        ("train", "--radius-margin", "nan"),
+        ("train", "--epsilon", "nan"),
+        ("train", "--epsilon", "inf"),
+        ("train", "--kappa", "nan"),
+        ("subsample", "--epsilon", "nan"),
+        ("subsample", "--epsilon", "inf"),
+        ("subsample", "--kappa", "nan"),
+    ], ids=" ".join)
+    def test_non_finite_geometry_parameter(self, tmp_path, capsys, argv):
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
+             "--out", str(data), "--train-fraction", "1")
+        command, flag, value = argv
+        out = tmp_path / "out.json"
+        source = "--data" if command == "train" else "--in"
+        code, stdout, stderr = _run(
+            capsys, command, source, str(data), flag + "=" + value, "--out", str(out),
+        )
+        assert code == 2
+        assert "finite" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_unknown_label_on_eval(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
+             "--out", str(data), "--train-fraction", "1")
+        model = tmp_path / "m.json"
+        _run(capsys, "train", "--data", str(data), "--epochs", "5", "--out", str(model))
+        odd = tmp_path / "odd.csv"
+        odd.write_text("f1,f2,label\n0.1,0.2,0\n0.2,0.1,seven\n")
+        code, stdout, stderr = _run(capsys, "eval", "--model", str(model), "--data", str(odd))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("UnknownLabel: unknown label 'seven'")
 
     def test_point_outside_ball(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -37,8 +37,9 @@ class TestFitSpace:
         assert abs(space.radius - (np.linalg.norm(translated, axis=1).max() + 1.0)) < 1e-12
 
     def test_invalid_margin(self):
-        with pytest.raises(smnn.InvalidMargin):
-            smnn.fit_space(SQUARE_POINTS, [0, 1, 2, 3], radius_margin=0.0)
+        for margin in (0.0, float("nan"), float("inf")):
+            with pytest.raises(smnn.InvalidMargin):
+                smnn.fit_space(SQUARE_POINTS, [0, 1, 2, 3], radius_margin=margin)
 
     def test_bad_support_indices(self):
         with pytest.raises(ValueError):
@@ -227,11 +228,14 @@ class TestXi:
         pts = np.vstack([blob_a, blob_b])
         with pytest.warns(UserWarning, match="NoContainingVirtualSimplex"):
             space = smnn.fit_space(pts, list(range(10)), radius_margin=1.0)
-        for t in ([10.0, -10.0], [-10.0, 10.0], [5.0, -5.0]):
+        # The centroid itself has no sphere projection, so no virtual simplex.
+        for t in ([10.0, -10.0], [-10.0, 10.0], [5.0, -5.0], [0.0, 0.0]):
             with pytest.raises(smnn.NoContainingVirtualSimplex):
                 smnn.xi(space, space.centroid + np.array(t))
             with pytest.raises(smnn.NoContainingVirtualSimplex):
                 smnn.xi_batch(space, [space.centroid + np.array(t)])
+        with pytest.raises(smnn.ZeroNorm):
+            smnn.project_to_sphere(space, np.zeros(2))
 
 
 class TestMemory:

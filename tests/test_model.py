@@ -30,6 +30,9 @@ class TestLabelEncoding:
         enc = smnn.LabelEncoding(("a", "b"))
         with pytest.raises(KeyError):
             enc.index("z")
+        with pytest.raises(smnn.UnknownLabel, match="unknown label 'z'") as err:
+            enc.index("z")
+        assert isinstance(err.value, smnn.SmnnError)
 
 
 class TestInitWeights:
@@ -118,12 +121,12 @@ class TestSoftmax:
 
 class TestForward:
     def test_square_goldens(self, square_model):
-        assert np.abs(square_model.forward([0.75, 0.6]) - 0.5).max() < 1e-9
-        assert np.abs(square_model.forward([0.75, 1.25]) - 0.5).max() < 1e-9
+        assert np.abs(smnn.forward(square_model, [0.75, 0.6]) - 0.5).max() < 1e-9
+        assert np.abs(smnn.forward(square_model, [0.75, 1.25]) - 0.5).max() < 1e-9
 
     def test_outside_ball_propagates(self, square_model):
         with pytest.raises(smnn.OutsideBall):
-            square_model.forward([0.75, 9.0])
+            smnn.forward(square_model, [0.75, 9.0])
 
     def test_probability_vector_invariants(self, square_model):
         rng = np.random.default_rng(2)
@@ -132,7 +135,7 @@ class TestForward:
             angle = rng.random() * 2.0 * np.pi
             r = rng.random()
             x = square_model.space.centroid + r * np.array([np.cos(angle), np.sin(angle)])
-            probs = square_model.forward(x)
+            probs = smnn.forward(square_model, x)
             assert abs(probs.sum() - 1.0) < 1e-9
             assert (probs > 0.0).all()
 
@@ -140,12 +143,12 @@ class TestForward:
 class TestPredict:
     def test_argmax(self, square_model):
         square_model.weights[:] = np.array([[5.0, 5.0, 5.0, 5.0], [0.0, 0.0, 0.0, 0.0]])
-        assert square_model.predict([0.75, 0.6]) == "0"
+        assert smnn.predict(square_model, [0.75, 0.6]) == "0"
 
     def test_tie_lowest_index(self, square_model):
         # Golden forwards are exactly (0.5, 0.5): the tie goes to class "0".
-        assert square_model.predict([0.75, 0.6]) == "0"
-        assert square_model.predict([0.75, 1.25]) == "0"
+        assert smnn.predict(square_model, [0.75, 0.6]) == "0"
+        assert smnn.predict(square_model, [0.75, 1.25]) == "0"
 
     def test_consistence_on_support(self):
         rng = np.random.default_rng(3)
@@ -157,29 +160,29 @@ class TestPredict:
         weights = smnn.init_weights("one_hot", 0, enc.k, 20, y)
         model = smnn.SmnnModel(space=space, encoding=enc, weights=weights, support_labels=y)
         for t in range(20):
-            assert model.predict(pts[t]) == labels[t]
+            assert smnn.predict(model, pts[t]) == labels[t]
 
 
 class TestLoss:
     def test_uniform_prediction(self, square_model):
-        assert abs(square_model.loss([0.75, 0.6], "0") - np.log(2.0)) < 1e-9
-        assert abs(square_model.loss([0.75, 0.6], "1") - np.log(2.0)) < 1e-9
+        assert abs(smnn.loss(square_model, [0.75, 0.6], "0") - np.log(2.0)) < 1e-9
+        assert abs(smnn.loss(square_model, [0.75, 0.6], "1") - np.log(2.0)) < 1e-9
 
     def test_direct_value(self, square_model):
         # Force probabilities (0.9, 0.1) via logit difference log 9.
         square_model.weights[:] = 0.0
         square_model.weights[0] = np.log(9.0)
-        assert abs(square_model.loss([0.75, 0.6], "1") + np.log(0.1)) < 1e-9
+        assert abs(smnn.loss(square_model, [0.75, 0.6], "1") + np.log(0.1)) < 1e-9
 
     def test_confident_correct_loss_small(self, square_model):
         square_model.weights[:] = 0.0
         square_model.weights[0] = 30.0
-        assert square_model.loss([0.75, 0.6], "0") < 1e-9
+        assert smnn.loss(square_model, [0.75, 0.6], "0") < 1e-9
 
     def test_floor_bounds_loss(self, square_model):
         square_model.weights[:] = 0.0
         square_model.weights[0] = 1e4
-        loss = square_model.loss([0.75, 0.6], "1")
+        loss = smnn.loss(square_model, [0.75, 0.6], "1")
         assert loss <= -np.log(1e-12) + 1e-9
         assert loss > 0.0
 

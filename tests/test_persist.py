@@ -64,8 +64,8 @@ class TestRoundTrip:
             x = model.space.centroid + rng.random() * np.array(
                 [np.cos(angle), np.sin(angle)]
             )
-            assert np.array_equal(model.forward(x), back.forward(x))
-            assert model.predict(x) == back.predict(x)
+            assert np.array_equal(smnn.forward(model, x), smnn.forward(back, x))
+            assert smnn.predict(model, x) == smnn.predict(back, x)
 
     def test_high_dimensional_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -80,7 +80,7 @@ class TestRoundTrip:
         assert back.space.radius == model.space.radius
         for _ in range(50):
             x = pts[rng.integers(0, 40)] + 0.1 * rng.standard_normal(4)
-            assert np.array_equal(model.forward(x), back.forward(x))
+            assert np.array_equal(smnn.forward(model, x), smnn.forward(back, x))
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_cell_index_rebuilt_bit_identical(self, version):
@@ -116,7 +116,7 @@ class TestRoundTrip:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         queries = pts[:50] + 0.01 * rng.standard_normal((50, 3))
         for x in queries:
-            assert model.forward(x).tobytes() == back.forward(x).tobytes()
+            assert smnn.forward(model, x).tobytes() == smnn.forward(back, x).tobytes()
 
     def test_reloaded_model_evaluates(self, tmp_path):
         model, _ = _train_square()
@@ -265,7 +265,7 @@ class TestLoaderValidation:
         edit(doc["boundary_facets"])
         back, _ = smnn.model_from_dict(json.loads(json.dumps(doc)))
         for x in ([0.75, 0.6], [0.75, 1.25], [1.2, 0.3], [0.3, 0.9]):
-            assert model.forward(x).tobytes() == back.forward(x).tobytes()
+            assert smnn.forward(model, x).tobytes() == smnn.forward(back, x).tobytes()
         for a, b in zip(model.space.tri.boundary, back.space.tri.boundary):
             assert a.normal.tobytes() == b.normal.tobytes() and a.offset == b.offset
 

@@ -13,6 +13,8 @@ FOUR_POINTS = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 9.0], [1.0, 1.0]])
 FOUR_ORDER = [3, 1, 2, 0]
 FOUR_RADII = [np.sqrt(82.0), np.sqrt(65.0), np.sqrt(2.0), 0.0]
 
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
 
 class TestSamplerConfig:
     def test_valid_modes(self):
@@ -30,10 +32,11 @@ class TestSamplerConfig:
             smnn.SamplerConfig(mode="grid", epsilon=0.5)
 
     def test_positive_values(self):
-        with pytest.raises(ValueError):
-            smnn.SamplerConfig(mode="epsilon", epsilon=0.0)
-        with pytest.raises(ValueError):
-            smnn.SamplerConfig(mode="kappa", kappa=-1.0)
+        for value in (0.0, -1.0) + NON_FINITE:
+            with pytest.raises(ValueError):
+                smnn.SamplerConfig(mode="epsilon", epsilon=value)
+            with pytest.raises(ValueError):
+                smnn.SamplerConfig(mode="kappa", kappa=value)
 
     def test_to_dict(self):
         cfg = smnn.SamplerConfig(mode="kappa", kappa=10.0, seed=7)
@@ -51,8 +54,9 @@ class TestEpsilonFromKappa:
         assert abs(smnn.epsilon_from_kappa(pts, 20.0) * 2.0 - smnn.epsilon_from_kappa(pts, 10.0)) < 1e-12
 
     def test_positive_kappa_required(self):
-        with pytest.raises(ValueError):
-            smnn.epsilon_from_kappa(np.zeros((2, 2)), 0.0)
+        for kappa in (0.0,) + NON_FINITE:
+            with pytest.raises(ValueError):
+                smnn.epsilon_from_kappa(np.zeros((2, 2)), kappa)
 
 
 class TestFarthestPointOrder:
@@ -136,8 +140,9 @@ class TestEpsilonRepresentative:
         assert len(smnn.epsilon_representative(pts, 1e-12)) == 20
 
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            smnn.epsilon_representative(FOUR_POINTS, 0.0)
+        for epsilon in (0.0,) + NON_FINITE:
+            with pytest.raises(ValueError):
+                smnn.epsilon_representative(FOUR_POINTS, epsilon)
 
 
 class TestEpsilonForSize:

@@ -222,7 +222,7 @@ class TestTrain:
         assert report.final_loss < report.history[0][0]
         assert report.final_accuracy == 1.0
         for t, label in enumerate(SQUARE_LABELS):
-            assert model.predict(SQUARE_POINTS[t]) == label
+            assert smnn.predict(model, SQUARE_POINTS[t]) == label
 
     def test_seed_changes_weights(self):
         cfg_a = smnn.TrainConfig(epochs=5, seed=1)
@@ -448,6 +448,20 @@ class TestEvaluate:
         expected = (2 * alone.mean_loss + np.log(2.0)) / 3
         assert abs(report.mean_loss - expected) < 1e-12
         assert report.to_dict()["n_no_virtual_simplex"] == 1
+
+    def test_row_at_a_centroid_outside_the_hull_scored_as_miss(self):
+        # The centroid has no sphere projection, so no virtual simplex.
+        model = _two_blob_model()
+        pts = model.space.support.points[:2] + model.space.centroid
+        with pytest.raises(smnn.NoContainingVirtualSimplex):
+            smnn.xi(model.space, model.space.centroid)
+        with pytest.raises(smnn.NoContainingVirtualSimplex):
+            smnn.forward(model, model.space.centroid)
+        report = smnn.evaluate(model, np.vstack([pts, model.space.centroid]), ["a", "a", "b"])
+        assert report.n_no_virtual_simplex == 1
+        assert report.n_outside_ball == 0 and report.n_out_of_hull == 0
+        assert np.array_equal(report.confusion, [[2, 0], [0, 0]])
+        assert report.accuracy == 2 / 3
 
     def test_confusion_totals(self):
         rng = np.random.default_rng(21)
