@@ -181,7 +181,9 @@ def _cmd_train(args):
     if args.support is not None:
         with open(args.support) as fh:
             support = json.load(fh)
-        if not isinstance(support, list) or not all(isinstance(i, int) for i in support):
+        if not isinstance(support, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in support
+        ):
             raise ParseError("support file %s must be a JSON array of integers" % args.support)
     elif args.epsilon is not None or args.kappa is not None:
         support, sampler_record = _select_support(pts, args.epsilon, args.kappa, args.seed)
@@ -223,6 +225,7 @@ def _cmd_train(args):
                 "final_train_accuracy": report.final_accuracy,
                 "wall_time": round(report.wall_time, 3),
                 "n_steps": report.n_steps,
+                "n_batches": report.n_batches,
                 "us_per_step": round(report.us_per_step, 3),
             }
         )

@@ -5,6 +5,11 @@ support indices: with probabilities s and one-hot target y the gradient
 of the cross-entropy w.r.t. weight column t is (s - y) * xi_t, so one
 SGD step updates at most n+2 columns.  Embeddings are precomputed once
 per space because they never change during training.
+
+Steps on disjoint columns commute exactly, so an epoch whose steps
+rarely share a column runs level by level (_level_epoch): each level is
+a set of steps sharing no column, done as one NumPy batch, and every
+column sees the updates of the sequential order (_kernel_epoch).
 """
 
 import math
@@ -18,6 +23,12 @@ from .errors import InvalidCount
 from .model import LabelEncoding, SmnnModel, cross_entropy, init_weights, logits, softmax
 
 INIT_MODES = ("uniform01", "one_hot")
+
+# train_cached runs its epochs level by level when the first epoch's
+# schedule has at least this many steps per level on average, and one
+# kernel call per step otherwise.  See the README's "Training kernel"
+# for the sweep behind the crossover.
+BATCH_MIN_WIDTH = 16
 
 
 @dataclass
@@ -39,8 +50,9 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch running mean loss and accuracy, wall time in seconds and
-    the number of SGD steps (epochs times rows).
+    """Per-epoch running mean loss and accuracy, wall time in seconds, the
+    number of SGD steps (epochs times rows) and the number of batches
+    they ran in: kernel calls, or level batches of the level schedule.
 
     Epoch metrics are accumulated sample by sample as the weights move,
     so they reflect the state of the model during that epoch.
@@ -49,6 +61,7 @@ class TrainReport:
     history: list = field(default_factory=list)
     wall_time: float = 0.0
     n_steps: int = 0
+    n_batches: int = 0
 
     @property
     def us_per_step(self):
@@ -156,9 +169,8 @@ def _kernel(flat, fidx, vals, vrep, y_index, eta):
     return s
 
 
-def _label_index(weights, y_index):
-    """The caller's label index, checked against the weight rows."""
-    k = weights.shape[0]
+def _label_index(k, y_index):
+    """The caller's label index, checked against the k classes."""
     if not 0 <= y_index < k:
         raise ValueError("label index %d out of range for %d classes" % (y_index, k))
     return int(y_index)
@@ -166,7 +178,7 @@ def _label_index(weights, y_index):
 
 def gradient(weights, xi, y_index):
     """Cross-entropy gradient for one sample, restricted to touched columns."""
-    y = _label_index(weights, y_index)
+    y = _label_index(weights.shape[0], y_index)
     indices = np.asarray(xi.indices, dtype=np.int64)
     vals = np.asarray(xi.values, dtype=np.float64)
     g = softmax(weights[:, indices] @ vals)
@@ -179,7 +191,7 @@ def sgd_step(weights, xi, y_index, eta):
     eta = _positive_rate(eta)
     if weights.dtype.kind != "f":
         raise TypeError("weights must be a floating-point array, got %s" % weights.dtype)
-    y = _label_index(weights, y_index)
+    y = _label_index(weights.shape[0], y_index)
     packed = _pack([xi], *weights.shape)[0]
     work = np.ascontiguousarray(weights)
     _kernel(work.reshape(-1), *packed, y, eta)
@@ -220,36 +232,151 @@ def train(train_points, train_labels, support_indices, config, radius_margin=1.0
     return train_cached(space, cached, support_labels, encoding, config)
 
 
+def _levels(order, cols, m):
+    """The level of each step of an epoch's order: one more than the
+    highest level of any earlier step that shares a weight column with it.
+    Steps of one level share no column, and each column's steps fall in
+    increasing levels in their order in the epoch."""
+    last = [0] * m
+    get = last.__getitem__
+    levels = []
+    for touched in map(cols.__getitem__, order):
+        level = max(map(get, touched)) + 1
+        for j in touched:
+            last[j] = level
+        levels.append(level)
+    return levels
+
+
+def _kernel_epoch(flat, rows, order, eta):
+    """One epoch as one kernel call per step.  `rows` is (packed rows, label
+    indices).  Returns the true-class probability of each step in order,
+    the number of hits and the number of kernel calls."""
+    packed, y = rows
+    kept = []
+    hits = 0
+    for i in order.tolist():
+        y_i = y[i]
+        s = _kernel(flat, *packed[i], y_i, eta)
+        kept.append(s[y_i])
+        hits += s.index(max(s)) == y_i
+    return np.array(kept), hits, len(kept)
+
+
+@dataclass
+class _LevelRows:
+    """The rows as _level_epoch reads them, grouped by embedding width c.
+
+    cols   : per row, its weight columns, for the level scan.
+    group  : per row, the index of its width group; slot, its place in it.
+    groups : per width, the flattened (k, m) indices of each row's
+             columns, shape (rows, c, k); its values, (rows, c); its labels.
+    """
+
+    m: int
+    cols: list
+    group: np.ndarray
+    slot: np.ndarray
+    groups: list
+
+
+def _level_rows(xis, y, k, m):
+    cols = [np.asarray(xi.indices, dtype=np.int64).tolist() for xi in xis]
+    widths = np.array([len(c) for c in cols], dtype=np.int64)
+    group = np.zeros(len(cols), dtype=np.int64)
+    slot = np.zeros(len(cols), dtype=np.int64)
+    groups = []
+    for g, c in enumerate(np.unique(widths).tolist()):
+        members = np.flatnonzero(widths == c)
+        group[members] = g
+        slot[members] = np.arange(members.size)
+        fidx = np.array([cols[i] for i in members.tolist()])[:, :, None] + np.arange(k) * m
+        vals = np.array([np.asarray(xis[i].values, dtype=np.float64) for i in members.tolist()])
+        groups.append((fidx, vals, y[members]))
+    return _LevelRows(m=m, cols=cols, group=group, slot=slot, groups=groups)
+
+
+def _level_epoch(flat, rows, order, eta):
+    """One epoch level by level, bit-identical to _kernel_epoch.
+
+    The steps of one level and width run as one batch.  Each column sees
+    the updates of the sequential order, and each batch rounds as the
+    kernel does:
+    - the stacked matmul of (1, c) values and (c, k) blocks is, per step,
+      the gemv of the kernel's `vals.dot(block)`, FMAs included (an einsum
+      or an elementwise product is not);
+    - NumPy's array exp rounds as its scalar call;
+    - np.sum along the rows of a C-ordered array adds as the kernel does,
+      left to right below 8 classes and in pairwise blocks from 8.
+    Returns what _kernel_epoch does, with the number of batches.
+    """
+    levels = np.array(_levels(order.tolist(), rows.cols, rows.m))
+    key = levels * len(rows.groups) + rows.group[order]
+    steps = np.argsort(key, kind="stable")
+    cuts = (np.flatnonzero(np.diff(key[steps])) + 1).tolist()
+    kept = np.empty(order.size)
+    hits = 0
+    for a, b in zip([0] + cuts, cuts + [order.size]):
+        at = steps[a:b]
+        picked = order[at]
+        fidx, vals, y = rows.groups[rows.group[picked[0]]]
+        sub = rows.slot[picked]
+        fidx, vals, y = fidx[sub], vals[sub], y[sub]
+        block = flat[fidx]
+        z = np.matmul(vals[:, None, :], block)[:, 0]
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        s = e / e.sum(axis=1, keepdims=True)
+        true = (np.arange(y.size), y)
+        kept[at] = s[true]
+        hits += int(np.count_nonzero(s.argmax(axis=1) == y))
+        s[true] -= 1.0
+        flat[fidx] = block - eta * (s[:, None, :] * vals[:, :, None])
+    return kept, hits, len(cuts) + 1
+
+
 def train_cached(space, cached, support_labels, encoding, config):
-    """SGD over precomputed embeddings; lets callers sweep hyperparameters."""
+    """SGD over precomputed embeddings; lets callers sweep hyperparameters.
+
+    The first epoch's order decides how every epoch runs: level by level
+    when it averages at least BATCH_MIN_WIDTH steps per level, else one
+    kernel call per step.  Both give the same bits.
+    """
     k = encoding.k
     m = space.support.size
+    y = np.asarray(cached.y, dtype=np.int64)
+    bad = y[(y < 0) | (y >= k)]
+    if bad.size:
+        _label_index(k, int(bad[0]))
     rng = np.random.default_rng(config.seed)
     weights = init_weights(config.init_mode, rng, k, m, support_labels)
 
     flat = weights.reshape(-1)
-    packed = _pack(cached.xis, k, m)
-    y = cached.y.tolist()
     n_rows = len(cached)
     eta = float(config.learning_rate)
 
+    def draw():
+        return rng.permutation(n_rows) if config.shuffle else np.arange(n_rows)
+
+    order = draw()
+    epoch, rows = _level_epoch, _level_rows(cached.xis, y, k, m)
+    if n_rows < BATCH_MIN_WIDTH * max(_levels(order.tolist(), rows.cols, m)):
+        epoch, rows = _kernel_epoch, (_pack(cached.xis, k, m), y.tolist())
+
     history = []
+    n_batches = 0
     started = time.perf_counter()
-    for _ in range(config.epochs):
-        order = rng.permutation(n_rows).tolist() if config.shuffle else range(n_rows)
-        kept = []
-        hits = 0
-        for i in order:
-            y_i = y[i]
-            s = _kernel(flat, *packed[i], y_i, eta)
-            kept.append(s[y_i])
-            hits += s.index(max(s)) == y_i
-        total = _sum_in_order(cross_entropy(np.array(kept)))
+    for done in range(config.epochs):
+        if done:
+            order = draw()
+        kept, hits, batches = epoch(flat, rows, order, eta)
+        n_batches += batches
+        total = _sum_in_order(cross_entropy(kept))
         history.append((total / n_rows, hits / n_rows))
     report = TrainReport(
         history=history,
         wall_time=time.perf_counter() - started,
         n_steps=config.epochs * n_rows,
+        n_batches=n_batches,
     )
 
     model = SmnnModel(

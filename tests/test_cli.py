@@ -225,6 +225,24 @@ class TestTrainEvalPredictExplain:
         assert code == 0
         assert _last_json(stdout)["support_size"] == 40
 
+    @pytest.mark.parametrize("support, batches_per_epoch", [(None, 1), ([0, 10, 20, 30, 40, 50], 60)])
+    def test_train_reports_batches(self, tmp_path, capsys, support, batches_per_epoch):
+        # The full support gives every row a column of its own, so each
+        # epoch is one level batch; six support points make the schedule
+        # narrow, and each step is a kernel call.
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "60", "--seed", "2",
+             "--out", str(data), "--train-fraction", "1")
+        argv = ["train", "--data", str(data), "--epochs", "7", "--out", str(tmp_path / "m.json")]
+        if support is not None:
+            (tmp_path / "s.json").write_text(json.dumps(support))
+            argv += ["--support", str(tmp_path / "s.json")]
+        code, stdout, _ = _run(capsys, *argv)
+        assert code == 0
+        summary = _last_json(stdout)
+        assert summary["n_steps"] == 7 * 60
+        assert summary["n_batches"] == 7 * batches_per_epoch
+
     def test_support_and_epsilon_conflict(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
@@ -279,6 +297,23 @@ class TestErrorPaths:
         assert code == 2
         assert "ParseError" in stderr
         assert "row 3" in stderr
+
+    @pytest.mark.parametrize("support", [[True, False, 2, 3, 4, 5], [0, 1, 2.0, 3, 4, 5]])
+    def test_non_integer_support_file(self, tmp_path, capsys, support):
+        # JSON true is a Python bool, and bool is a subclass of int.
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
+             "--out", str(data), "--train-fraction", "1")
+        support_file = tmp_path / "s.json"
+        support_file.write_text(json.dumps(support))
+        model = tmp_path / "m.json"
+        code, _, stderr = _run(
+            capsys, "train", "--data", str(data), "--support", str(support_file),
+            "--epochs", "5", "--out", str(model),
+        )
+        assert code == 2
+        assert "ParseError" in stderr and "integers" in stderr
+        assert not model.exists()
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
     def test_non_finite_learning_rate(self, tmp_path, capsys, rate):

@@ -49,6 +49,30 @@ class TestFitSpace:
         with pytest.raises(ValueError):
             smnn.fit_space(SQUARE_POINTS, [], radius_margin=1.0)
 
+    @pytest.mark.parametrize("support", [
+        [0.9, 1.7, 2.2, 3.99],
+        [True, False, 2, 3],
+        np.array([0.0, 1.0, 2.0, 3.0]),
+        np.array([True, False, True, True]),
+        [np.True_, 1, 2, 3],
+    ])
+    def test_non_integer_support_indices_rejected(self, support):
+        # A cast to int64 would read these as rows 0-3 and 1, 0, 2, 3.
+        with pytest.raises(ValueError, match="integers"):
+            smnn.fit_space(SQUARE_POINTS, support, radius_margin=1.0)
+
+    @pytest.mark.parametrize("support", [
+        [3, 0, 1, 2],
+        range(4),
+        np.arange(4, dtype=np.int32),
+        np.arange(4, dtype=np.uint8),
+        [np.int64(0), 1, 2, 3],
+    ])
+    def test_integer_support_indices_accepted(self, support):
+        space = smnn.fit_space(SQUARE_POINTS, support, radius_margin=1.0)
+        expected = SQUARE_POINTS[list(support)] - SQUARE_POINTS.mean(axis=0)
+        assert np.array_equal(space.support.points, expected)
+
     def test_warns_when_origin_outside_support_hull(self):
         # Two distant blobs; a one-sided support hull misses the centroid.
         rng = np.random.default_rng(2)

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 import smnn
-from smnn.training import _kernel, _pack, precompute_embeddings
+from smnn.model import cross_entropy
+from smnn.training import (
+    BATCH_MIN_WIDTH,
+    _kernel,
+    _kernel_epoch,
+    _level_epoch,
+    _level_rows,
+    _levels,
+    _pack,
+    _sum_in_order,
+    precompute_embeddings,
+)
 
 from conftest import (
     SQUARE_LABELS,
@@ -218,6 +229,7 @@ class TestTrain:
         assert len(report.history) == 200
         assert report.wall_time > 0.0
         assert report.n_steps == 200 * 4
+        assert report.n_batches == report.n_steps  # four steps per level: the kernel path
         assert report.us_per_step == report.wall_time / report.n_steps * 1e6
         assert report.final_loss < report.history[0][0]
         assert report.final_accuracy == 1.0
@@ -309,10 +321,23 @@ class TestKernelExactness:
 
     @staticmethod
     def assert_matches_numpy_step(inputs, config):
+        """Returns whether train_cached ran the level schedule, after
+        checking that it did exactly when the first epoch's order averages
+        BATCH_MIN_WIDTH or more steps per level."""
         model, report = smnn.train_cached(*inputs, config)
         weights, history = numpy_train(*inputs, config)
         assert model.weights.tobytes() == weights.tobytes()
         assert report.history == history
+
+        space, cached, support_labels, encoding = inputs
+        rng = np.random.default_rng(config.seed)
+        smnn.init_weights(config.init_mode, rng, encoding.k, space.support.size, support_labels)
+        order = rng.permutation(len(cached)) if config.shuffle else np.arange(len(cached))
+        cols = [list(x.indices) for x in cached.xis]
+        levels = _levels(order.tolist(), cols, space.support.size)
+        level_path = len(cached) >= BATCH_MIN_WIDTH * max(levels)
+        assert (report.n_batches < report.n_steps) == level_path
+        return level_path
 
     @pytest.mark.parametrize("size", [5, 95])
     def test_spiral(self, size):
@@ -320,7 +345,8 @@ class TestKernelExactness:
         assert _exterior_rows(inputs[1]) > 0
         for rate in (0.1, 0.5):
             config = smnn.TrainConfig(learning_rate=rate, epochs=15, seed=1)
-            self.assert_matches_numpy_step(inputs, config)
+            # About 1.3 and 8 steps per level: one kernel call per step.
+            assert not self.assert_matches_numpy_step(inputs, config)
 
     def test_one_hot_without_shuffle(self):
         config = smnn.TrainConfig(epochs=20, seed=2, init_mode="one_hot", shuffle=False)
@@ -342,7 +368,7 @@ class TestKernelExactness:
         assert sum(len(x.indices) == 1 for x in inputs[1].xis) > 100
         for rate in (0.01, 0.5):
             config = smnn.TrainConfig(learning_rate=rate, epochs=10, seed=3)
-            self.assert_matches_numpy_step(inputs, config)
+            assert self.assert_matches_numpy_step(inputs, config)
 
     def test_ten_classes(self):
         # NumPy sums 8 or more exponentials in pairwise blocks.
@@ -375,6 +401,163 @@ class TestKernelExactness:
             assert grad.block.tobytes() == np.outer(s, xi.values).tobytes()
             smnn.sgd_step(weights, xi, y_index, eta)
             assert weights.tobytes() == expected.tobytes()
+
+
+def _iris_inputs(keep_duplicate=False):
+    """Iris on its full support: every distinct row is a support vertex and
+    touches one column.  With the duplicate row kept, two rows share one."""
+    data = smnn.load_iris()
+    pts, labels = data.points.points, data.labels
+    support = np.sort(np.unique(pts, axis=0, return_index=True)[1])
+    if not keep_duplicate:
+        pts, labels = pts[support], [labels[i] for i in support]
+        support = np.arange(len(support))
+    return _training_inputs(pts, labels, support)
+
+
+def _run_epochs(epoch, inputs, config):
+    """Weights, history and batch count of train_cached's loop, with each
+    epoch run by `epoch` (_kernel_epoch or _level_epoch)."""
+    space, cached, support_labels, encoding = inputs
+    k, m, n_rows = encoding.k, space.support.size, len(cached)
+    y = np.asarray(cached.y)
+    rng = np.random.default_rng(config.seed)
+    weights = smnn.init_weights(config.init_mode, rng, k, m, support_labels)
+    if epoch is _level_epoch:
+        rows = _level_rows(cached.xis, y, k, m)
+    else:
+        rows = (_pack(cached.xis, k, m), y.tolist())
+    history, n_batches = [], 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n_rows) if config.shuffle else np.arange(n_rows)
+        kept, hits, batches = epoch(weights.reshape(-1), rows, order, config.learning_rate)
+        history.append((_sum_in_order(cross_entropy(kept)) / n_rows, hits / n_rows))
+        n_batches += batches
+    return weights, history, n_batches
+
+
+def _level_cases():
+    config = smnn.TrainConfig
+    ten = np.random.default_rng(5)
+    ten_pts = random_cloud(ten, 240, 2)
+    ten_labels = [str(v) for v in ten.integers(0, 10, size=240)]
+    clusters = smnn.gen_clusters(800, n_features=3, class_sep=1.5, seed=0)
+    return {
+        "spiral-5": (lambda: _spiral_inputs(5), config(epochs=8, seed=1)),
+        "spiral-95": (lambda: _spiral_inputs(95), config(learning_rate=0.5, epochs=8, seed=1)),
+        "iris-0.1": (_iris_inputs, config(learning_rate=0.1, epochs=20, seed=3)),
+        "iris-0.01": (_iris_inputs, config(learning_rate=0.01, epochs=20, seed=3)),
+        "iris-0.5": (_iris_inputs, config(learning_rate=0.5, epochs=20, seed=3)),
+        "iris-duplicate": (lambda: _iris_inputs(True), config(epochs=20, seed=4)),
+        "clusters-3d": (
+            lambda: _training_inputs(
+                clusters.points.points, clusters.labels,
+                _sized_support(clusters.points.points, 300),
+            ),
+            config(epochs=3, seed=0),
+        ),
+        "ten-classes": (
+            lambda: _training_inputs(ten_pts, ten_labels, _sized_support(ten_pts, 60)),
+            config(epochs=5, seed=4),
+        ),
+        "one-hot-no-shuffle": (
+            lambda: _spiral_inputs(9),
+            config(epochs=10, seed=2, init_mode="one_hot", shuffle=False),
+        ),
+    }
+
+
+LEVEL_CASES = _level_cases()
+
+
+class TestLevelSchedule:
+    """The level schedule gives the bytes of one kernel call per step, and
+    train_cached picks it by the measured level width alone."""
+
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    def test_paths_bit_identical(self, case):
+        make, config = LEVEL_CASES[case]
+        inputs = make()
+        w_kernel, h_kernel, calls = _run_epochs(_kernel_epoch, inputs, config)
+        w_level, h_level, batches = _run_epochs(_level_epoch, inputs, config)
+        assert w_level.tobytes() == w_kernel.tobytes()
+        assert h_level == h_kernel
+        assert calls == config.epochs * len(inputs[1])
+        assert config.epochs <= batches <= calls
+        if case == "iris-duplicate":
+            # The twin rows share a column, so every epoch has two levels.
+            assert batches == 2 * config.epochs
+
+        model, report = smnn.train_cached(*inputs, config)
+        assert model.weights.tobytes() == w_kernel.tobytes()
+        assert report.history == h_kernel
+        assert report.n_batches in (calls, batches)
+
+    def test_level_invariant(self):
+        # No two steps of a level share a column, and each step sits one
+        # level above the highest earlier step it shares a column with.
+        rng = np.random.default_rng(8)
+        for make in (lambda: _spiral_inputs(9), lambda: _spiral_inputs(95), _iris_inputs):
+            space, cached, _, _ = make()
+            cols = [set(np.asarray(x.indices).tolist()) for x in cached.xis]
+            for _ in range(3):
+                order = rng.permutation(len(cols)).tolist()
+                levels = _levels(order, [sorted(c) for c in cols], space.support.size)
+                for t, i in enumerate(order):
+                    below = [levels[u] for u in range(t) if cols[order[u]] & cols[i]]
+                    assert levels[t] == 1 + max(below, default=0)
+                for level in set(levels):
+                    members = [cols[i] for i, lv in zip(order, levels) if lv == level]
+                    assert sum(map(len, members)) == len(set().union(*members))
+
+    def test_stacked_matmul_is_the_kernel_gemv(self):
+        # The level batch takes its logits from one stacked matmul; each
+        # step's row must be the kernel's vals.dot(block), FMAs included.
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            k = int(rng.integers(2, 13))
+            c = int(rng.integers(1, 10))
+            steps = int(rng.integers(1, 20))
+            m = c * steps
+            flat = (rng.standard_normal((k, m)) * rng.choice([0.1, 1.0, 10.0])).reshape(-1)
+            cols = rng.permutation(m).reshape(steps, c)
+            fidx = cols[:, :, None] + np.arange(k) * m
+            vals = rng.dirichlet(np.ones(c), size=steps)
+            blocks = flat[fidx]
+            stacked = np.matmul(vals[:, None, :], blocks)[:, 0]
+            for t in range(steps):
+                assert stacked[t].tobytes() == vals[t].dot(blocks[t]).tobytes()
+
+    def test_row_sum_and_exp_are_the_kernel_s(self):
+        # np.sum along C-ordered rows adds left to right below 8 terms and
+        # pairwise from 8, as the kernel's sum does; the array exp rounds as
+        # the scalar one.
+        rng = np.random.default_rng(10)
+        for k in range(2, 18):
+            z = rng.standard_normal((300, k)) * rng.choice([0.1, 1.0, 30.0], size=(300, 1))
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            for row, zr in zip(e, z):
+                scalar = [float(np.exp(v - zr.max())) for v in zr.tolist()]
+                assert row.tolist() == scalar
+            sums = e.sum(axis=1, keepdims=True)[:, 0]
+            for row, total in zip(e.tolist(), sums.tolist()):
+                if k < 8:
+                    expected = 0.0
+                    for v in row:
+                        expected += v
+                else:
+                    expected = float(np.sum(row))
+                assert total == expected
+
+
+class TestLabelRange:
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_label_rejected_before_any_step(self, square_space, bad):
+        # -1 would wrap to the last class, 2 (= k) would overrun it.
+        encoding = smnn.LabelEncoding.from_labels(SQUARE_LABELS)
+        cached = precompute_embeddings(square_space, SQUARE_POINTS, [0, bad, bad, 1])
+        with pytest.raises(ValueError, match="label index %d out of range for 2 classes" % bad):
+            smnn.train_cached(square_space, cached, [0, 0, 1, 1], encoding, smnn.TrainConfig(epochs=2))
 
 
 class TestPrecompute:
