@@ -90,6 +90,18 @@ class SparseXi:
         return dense
 
 
+def integer_indices(values, what):
+    """values as an int64 array; ValueError when any of them is a float or
+    a boolean, which casting would silently read as an index (1.7 and
+    True as 1)."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if arr.dtype.kind not in "iu" and not all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in arr.reshape(-1)
+    ):
+        raise ValueError("%s must be integers, not floats or booleans" % what)
+    return arr.astype(np.int64, copy=False)
+
+
 def fit_space(train_points, support_indices, radius_margin=1.0):
     """Build the embedding space for a training set and support subset.
 
@@ -103,17 +115,11 @@ def fit_space(train_points, support_indices, radius_margin=1.0):
     pts = train_points.points if isinstance(train_points, PointCloud) else None
     if pts is None:
         pts = PointCloud(np.asarray(train_points)).points
-    support_indices = np.asarray(support_indices, dtype=object)
+    support_indices = integer_indices(support_indices, "support_indices")
     if support_indices.ndim != 1 or support_indices.size == 0:
         raise ValueError("support_indices must be a nonempty 1-d sequence")
-    # Casting would truncate 1.7 to row 1 and read True as row 1.
-    if not all(
-        isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in support_indices
-    ):
-        raise ValueError("support_indices must be integers, not floats or booleans")
-    if min(support_indices) < 0 or max(support_indices) >= pts.shape[0]:
+    if support_indices.min() < 0 or support_indices.max() >= pts.shape[0]:
         raise ValueError("support index out of range")
-    support_indices = support_indices.astype(np.int64)
     if np.unique(support_indices).size != support_indices.size:
         raise ValueError("support_indices contains duplicates")
 

@@ -10,11 +10,13 @@ Conventions used throughout the package:
   adjacent simplex satisfies N.x + c < 0 (the normal points outward).
   A query x sees the facet exactly when N.x + c > 0.
 
-A Triangulation is only ever made by build_triangulation, from a cloud
-and its maximal simplices: the hull facets, their opposite vertices,
-normals and offsets, and the inverted vertex systems all follow from
+A Triangulation is its arrays, made only by build_triangulation from a
+cloud and its maximal simplices: the hull facets, their opposite
+vertices, planes (one stacked SVD; dots by a stacked matmul, which rounds
+as the 1-d product) and the inverted vertex systems all follow from
 those two, so build_delaunay (after Qhull) and a model file load (from
-the stored simplices) produce the same complex from the same bits.
+the stored simplices) produce the same complex from the same bits.  Its
+Simplex and BoundaryFacet lists are views built on each read.
 
 Point location (locate_batch) accepts a cell when every barycentric
 coordinate is at least -TAU, and the lowest cell index wins on shared
@@ -172,9 +174,8 @@ class Triangulation:
     opposite  : (F,) id of the vertex of each facet's cell off the facet.
     normals   : (F, n) outward unit normals of the facets.
     offsets   : (F,) hyperplane offsets of the facets.
-    maximal   : the simplices as a list of Simplex.
-    boundary  : the facets as a list of BoundaryFacet.
     index     : CellIndex of the usable cells, or None below INDEX_MIN_CELLS.
+    The complex is these arrays; maximal and boundary are views of them.
     """
 
     cloud: PointCloud
@@ -184,15 +185,18 @@ class Triangulation:
     opposite: np.ndarray = field(repr=False)
     normals: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
-    maximal: list = field(repr=False)
-    boundary: list = field(repr=False)
     index: CellIndex = field(repr=False)
 
-    def barycentric_batch(self, xs):
-        """Raw coordinates for a batch of queries, shape (Q, S, n+1)."""
-        xs = np.asarray(xs, dtype=np.float64)
-        h = np.concatenate([xs, np.ones((xs.shape[0], 1))], axis=1)
-        return np.einsum("sij,qj->qsi", self.inverses, h)
+    @property
+    def maximal(self):
+        """The simplices as a list of Simplex, built on each read."""
+        return [Simplex(tuple(row)) for row in self.simplices.tolist()]
+
+    @property
+    def boundary(self):
+        """The hull facets as a list of BoundaryFacet, built on each read."""
+        planes = zip(self.facets.tolist(), self.opposite.tolist(), self.normals, self.offsets.tolist())
+        return [BoundaryFacet(tuple(ids), opp, nrm, c) for ids, opp, nrm, c in planes]
 
 
 def _as_cloud(obj):
@@ -214,26 +218,9 @@ def _degeneracy_shift(points):
     return zeta * idx[:, None] * np.ones((1, points.shape[1]))
 
 
-def _facet_plane(points, facet_ids, opposite_id):
-    """Outward unit normal and offset of a hull facet.
-
-    The normal spans the null space of the facet edge matrix; its sign is
-    fixed so the opposite vertex lies strictly on the negative side.
-    """
-    verts = points[facet_ids]
-    diffs = verts[1:] - verts[0]
-    _, sing, vt = np.linalg.svd(diffs, full_matrices=True)
-    normal = vt[-1]
-    offset = -float(normal @ verts.mean(axis=0))
-    side_opp = float(normal @ points[opposite_id] + offset)
-    if abs(side_opp) <= 1e-12 * max(1.0, float(np.abs(verts).max())):
-        # The owning cell is flat, so the opposite vertex sits on the
-        # facet plane and cannot orient it; point away from the cloud
-        # centroid instead, which lies inside the hull.
-        side_opp = float(normal @ points.mean(axis=0) + offset)
-    if side_opp > 0.0:
-        normal, offset = -normal, -offset
-    return normal, offset
+def _dots(a, b):
+    """Row-wise a[i] @ b[i], rounded as the 1-d product (einsum is not)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _check_simplices(simplices, m, n):
@@ -376,10 +363,20 @@ def build_triangulation(cloud, simplices):
     single = ~(np.append(same, False) | np.insert(same, 0, False))
     facets, opposite = faces[single], opposite[single]
 
-    normals = np.empty((facets.shape[0], n))
-    offsets = np.empty(facets.shape[0])
-    for i in range(facets.shape[0]):
-        normals[i], offsets[i] = _facet_plane(points, facets[i], opposite[i])
+    # Each facet's unit normal spans the null space of its edge matrix and
+    # is signed so the opposite vertex lies strictly on the negative side.
+    corners = points[facets]  # (F, n, n)
+    normals = np.linalg.svd(corners[:, 1:] - corners[:, :1], full_matrices=True)[2][:, -1]
+    offsets = -_dots(normals, corners.mean(axis=1))
+    side = _dots(normals, points[opposite]) + offsets
+    # A flat owning cell puts the opposite vertex on the facet plane, where
+    # it cannot orient the facet; point away from the cloud centroid,
+    # which lies inside the hull, instead.
+    flat = np.abs(side) <= 1e-12 * np.maximum(1.0, np.abs(corners).max(axis=(1, 2)))
+    centroid = np.broadcast_to(points.mean(axis=0), normals.shape)
+    side = np.where(flat, _dots(normals, centroid) + offsets, side)
+    sign = np.where(side > 0.0, -1.0, 1.0)
+    normals, offsets = normals * sign[:, None], offsets * sign
 
     # Flat cells get NaN inverse blocks: their coordinates never pass a
     # feasibility test, so point location simply ignores them.
@@ -407,11 +404,6 @@ def build_triangulation(cloud, simplices):
         opposite=opposite,
         normals=normals,
         offsets=offsets,
-        maximal=[Simplex(tuple(row)) for row in simp.tolist()],
-        boundary=[
-            BoundaryFacet(tuple(ids), opp, normals[i], float(offsets[i]))
-            for i, (ids, opp) in enumerate(zip(facets.tolist(), opposite.tolist()))
-        ],
         index=index,
     )
 
@@ -458,9 +450,9 @@ def build_delaunay(cloud):
     return build_triangulation(cloud, simp)
 
 
-def clamp_coords(coords, tol=TAU):
-    """Zero out entries below tol in magnitude and renormalize to sum 1."""
-    out = np.where(np.abs(coords) < tol, 0.0, coords)
+def clamp_coords(coords):
+    """Zero out entries below TAU in magnitude and renormalize to sum 1."""
+    out = np.where(np.abs(coords) < TAU, 0.0, coords)
     total = out.sum()
     if total <= 0.0:
         raise SingularSimplex("cannot renormalize barycentric coordinates summing to %g" % total)
@@ -480,9 +472,11 @@ def locate_batch(tri, xs):
     the query, among those listed for its bucket; a smaller one tests all
     its cells.  Both give the same index and the same coordinate bits.
     """
+    xs = np.asarray(xs, dtype=np.float64)
     if tri.index is not None:
         return _locate_indexed(tri, xs)
-    bary = tri.barycentric_batch(xs)
+    h = np.concatenate([xs, np.ones((xs.shape[0], 1))], axis=1)
+    bary = np.einsum("sij,qj->qsi", tri.inverses, h)
     feasible = (bary >= -TAU).all(axis=2)
     first = np.argmax(feasible, axis=1).tolist()
     index = [s if feasible[q, s] else -1 for q, s in enumerate(first)]
@@ -493,7 +487,6 @@ def _locate_indexed(tri, xs):
     """locate_batch through the CellIndex, in memory linear in the number
     of (query, candidate cell) pairs."""
     grid = tri.index
-    xs = np.asarray(xs, dtype=np.float64)
     rows, n = xs.shape
     bucket = grid.buckets(xs)
     first, stop = grid.start[bucket], grid.start[bucket + 1]
@@ -528,7 +521,7 @@ def locate(tri, x):
     (index,), coords = locate_batch(tri, np.asarray(x, dtype=np.float64)[None])
     if index < 0:
         return None
-    return tri.maximal[index], clamp_coords(coords[0])
+    return Simplex(tuple(tri.simplices[index].tolist())), clamp_coords(coords[0])
 
 
 def visible_facet_indices(tri, x):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import integer_indices
 from .embedding import xi as _xi
 from .errors import UnknownLabel
 
@@ -104,7 +105,7 @@ def init_weights(mode, seed, k, m, support_labels=None):
     if mode == "one_hot":
         if support_labels is None:
             raise ValueError("one_hot initialization requires support_labels")
-        support_labels = np.asarray(support_labels, dtype=np.int64)
+        support_labels = integer_indices(support_labels, "support_labels")
         if support_labels.shape != (m,):
             raise ValueError("support_labels must have shape (%d,)" % m)
         if support_labels.min() < 0 or support_labels.max() >= k:

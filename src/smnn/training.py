@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import embed_translated, fit_space, translate_queries, xi_batch
+from .embedding import embed_translated, fit_space, integer_indices, translate_queries, xi_batch
 from .errors import InvalidCount
 from .model import LabelEncoding, SmnnModel, cross_entropy, init_weights, logits, softmax
 
@@ -107,7 +107,7 @@ def precompute_embeddings(space, train_points, y_encoded):
         train_points.points if hasattr(train_points, "points") else train_points,
         dtype=np.float64,
     )
-    y = np.asarray(y_encoded, dtype=np.int64)
+    y = integer_indices(y_encoded, "label indices")
     if y.shape != (pts.shape[0],):
         raise ValueError("labels and points disagree: %d vs %d" % (y.size, pts.shape[0]))
     return CachedEmbedding(xis=xi_batch(space, pts), y=y)
@@ -171,9 +171,10 @@ def _kernel(flat, fidx, vals, vrep, y_index, eta):
 
 def _label_index(k, y_index):
     """The caller's label index, checked against the k classes."""
+    y_index = int(integer_indices(y_index, "label indices"))
     if not 0 <= y_index < k:
         raise ValueError("label index %d out of range for %d classes" % (y_index, k))
-    return int(y_index)
+    return y_index
 
 
 def gradient(weights, xi, y_index):
@@ -339,8 +340,11 @@ def train_cached(space, cached, support_labels, encoding, config):
 
     The first epoch's order decides how every epoch runs: level by level
     when it averages at least BATCH_MIN_WIDTH steps per level, else one
-    kernel call per step.  Both give the same bits.
+    kernel call per step.  Both give the same bits.  A cache with no rows
+    raises InvalidCount.
     """
+    if not len(cached):
+        raise InvalidCount("cannot train on an embedding cache with no rows")
     k = encoding.k
     m = space.support.size
     y = np.asarray(cached.y, dtype=np.int64)

@@ -7,7 +7,6 @@ import smnn
 from smnn.geometry import (
     INDEX_MIN_CELLS,
     TAU,
-    _facet_plane,
     build_triangulation,
     clamp_coords,
     locate_batch,
@@ -28,6 +27,35 @@ SQ = SQUARE_POINTS - SQUARE_POINTS.mean(axis=0)
 
 def square_tri():
     return smnn.build_delaunay(smnn.PointCloud(SQ))
+
+
+def all_cells(tri, xs):
+    """Raw coordinates of a batch of queries in every cell, shape (Q, S, n+1)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    h = np.concatenate([xs, np.ones((xs.shape[0], 1))], axis=1)
+    return np.einsum("sij,qj->qsi", tri.inverses, h)
+
+
+def reference_facet_plane(points, facet_ids, opposite_id):
+    """Outward unit normal and offset of a hull facet.
+
+    The normal spans the null space of the facet edge matrix; its sign is
+    fixed so the opposite vertex lies strictly on the negative side.
+    """
+    verts = points[facet_ids]
+    diffs = verts[1:] - verts[0]
+    _, sing, vt = np.linalg.svd(diffs, full_matrices=True)
+    normal = vt[-1]
+    offset = -float(normal @ verts.mean(axis=0))
+    side_opp = float(normal @ points[opposite_id] + offset)
+    if abs(side_opp) <= 1e-12 * max(1.0, float(np.abs(verts).max())):
+        # The owning cell is flat, so the opposite vertex sits on the
+        # facet plane and cannot orient it; point away from the cloud
+        # centroid instead, which lies inside the hull.
+        side_opp = float(normal @ points.mean(axis=0) + offset)
+    if side_opp > 0.0:
+        normal, offset = -normal, -offset
+    return normal, offset
 
 
 class TestPointCloud:
@@ -151,7 +179,7 @@ class TestBuildDelaunay:
                 w = 0.05 + rng.random(3)
                 w /= w.sum()
                 x = w @ verts
-                bary = tri.barycentric_batch(x[None])[0]
+                bary = all_cells(tri, x[None])[0]
                 strict = (bary > 1e-7).all(axis=1)
                 assert int(strict.sum()) == 1
 
@@ -193,7 +221,7 @@ class TestBuildTriangulation:
         hull = sorted(f for f, c in count.items() if c == 1)
         return hull, [opposite[f] for f in hull]
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_face_map_matches_loop_reference(self, n):
         rng = np.random.default_rng(31 + n)
         pts = random_cloud(rng, 30, n)
@@ -204,8 +232,9 @@ class TestBuildTriangulation:
         assert tri.facets.tolist() == [list(f) for f in hull]
         assert tri.opposite.tolist() == opposite
         for i, facet in enumerate(tri.boundary):
-            normal, offset = _facet_plane(pts, list(facet.facet_ids), facet.opposite_id)
-            assert np.array_equal(tri.normals[i], normal) and tri.offsets[i] == offset
+            normal, offset = reference_facet_plane(pts, list(facet.facet_ids), facet.opposite_id)
+            assert tri.normals[i].tobytes() == normal.tobytes()
+            assert tri.offsets[i].tobytes() == np.float64(offset).tobytes()
             assert np.array_equal(facet.normal, normal) and facet.offset == offset
 
     def test_rebuild_is_bit_identical(self):
@@ -250,6 +279,39 @@ class TestBuildTriangulation:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
         with pytest.raises(smnn.SingularSimplex, match=r"\(0, 1\)"):
             build_triangulation(pts, [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+
+
+@pytest.fixture(scope="module")
+def iris_sweep_tri():
+    """The full-support complex of the Iris split at seed 0, built as the
+    iris-sweep benchmark builds it.  Two of its 175 hull facets belong to
+    flat cells, whose opposite vertex lies on the facet plane."""
+    train, _ = smnn.split(smnn.load_iris(), 0.75, seed=0)
+    pts = train.points.points
+    eps = smnn.epsilon_for_size(pts, len(np.unique(pts, axis=0)), 0)
+    return smnn.fit_space(pts, smnn.epsilon_representative(pts, eps, 0)).tri
+
+
+class TestFacetPlanes:
+    """The stacked plane solve on a complex with flat cells; random clouds
+    are checked against the same reference in TestBuildTriangulation."""
+
+    def test_flat_cell_facets_point_away_from_the_centroid(self, iris_sweep_tri):
+        tri = iris_sweep_tri
+        pts = tri.cloud.points
+        opposite = np.array([n @ pts[v] + c for n, v, c in zip(tri.normals, tri.opposite, tri.offsets)])
+        scale = np.maximum(1.0, np.abs(pts[tri.facets]).max(axis=(1, 2)))
+        assert tri.facets.shape[0] == 175
+        assert np.count_nonzero(np.abs(opposite) <= 1e-12 * scale) == 2
+        assert (tri.normals @ pts.mean(axis=0) + tri.offsets < 0.0).all()
+
+    def test_planes_match_per_facet_reference(self, iris_sweep_tri):
+        tri = iris_sweep_tri
+        pts = tri.cloud.points
+        for i, (ids, opp) in enumerate(zip(tri.facets, tri.opposite)):
+            normal, offset = reference_facet_plane(pts, ids, opp)
+            assert tri.normals[i].tobytes() == normal.tobytes()
+            assert tri.offsets[i].tobytes() == np.float64(offset).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +375,7 @@ class TestBarycentricSolve:
     @staticmethod
     def solve(verts, x):
         tri = build_triangulation(verts, [list(range(len(verts)))])
-        return tri.barycentric_batch(np.asarray(x, dtype=np.float64)[None])[0, 0]
+        return all_cells(tri, np.asarray(x, dtype=np.float64)[None])[0, 0]
 
     def test_vertex_identity(self):
         verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
@@ -327,7 +389,7 @@ class TestBarycentricSolve:
         tmat = np.vstack([verts.T, np.ones(3)])
         oracle = np.linalg.solve(tmat, np.append(x, 1.0))
         assert np.abs(oracle - [0.3, 0.2, 0.5]).max() < 1e-12
-        coords = square_tri().barycentric_batch(x[None])[0, 0]
+        coords = all_cells(square_tri(), x[None])[0, 0]
         assert np.abs(coords - [0.3, 0.2, 0.5]).max() < 1e-12
 
     def test_virtual_simplex_thirds(self):
@@ -419,7 +481,7 @@ def reference_locate(tri, xs):
     index; also the number of feasible cells of each query."""
     index, coords, count = [], [], []
     for start in range(0, xs.shape[0], 100):
-        bary = tri.barycentric_batch(xs[start : start + 100])
+        bary = all_cells(tri, xs[start : start + 100])
         feasible = (bary >= -TAU).all(axis=2)
         first = np.argmax(feasible, axis=1)
         rows = np.arange(first.size)

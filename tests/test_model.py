@@ -60,6 +60,18 @@ class TestInitWeights:
         with pytest.raises(ValueError):
             smnn.init_weights("one_hot", 0, 2, 2, [0, 5])
 
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1, 0, 1],
+        [0.0, 0.0, 1.0, 1.0],
+        [True, False, True, False],
+        np.array([0.0, 0.0, 1.0, 1.0]),
+        np.array([False, False, True, True]),
+    ])
+    def test_one_hot_rejects_non_integer_labels(self, labels):
+        # A cast to int64 would read 0.5 as class 0 and True as class 1.
+        with pytest.raises(ValueError, match="integers"):
+            smnn.init_weights("one_hot", 0, 2, 4, labels)
+
 
 def _sparse(indices, values, mass=0.0, point=None, facet=None):
     return SparseXi(

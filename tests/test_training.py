@@ -560,6 +560,38 @@ class TestLabelRange:
             smnn.train_cached(square_space, cached, [0, 0, 1, 1], encoding, smnn.TrainConfig(epochs=2))
 
 
+class TestIntegerLabels:
+    """Label indices are integers; a cast would truncate 1.7 to class 1
+    and read True as class 1, so floats and booleans are rejected."""
+
+    @pytest.mark.parametrize("y", [
+        [0.9, 1.7, True, 0.2],
+        [0.0, 1.0, 1.0, 0.0],
+        [True, False, True, False],
+        np.array([0.0, 1.0, 1.0, 0.0]),
+        np.array([False, True, True, False]),
+    ])
+    def test_precompute_rejects_non_integer_labels(self, square_space, y):
+        with pytest.raises(ValueError, match="integers"):
+            precompute_embeddings(square_space, SQUARE_POINTS, y)
+
+    @pytest.mark.parametrize("y_index", [0.5, 1.7, 1.0, True, np.float64(1.0), np.True_])
+    def test_gradient_and_step_reject_non_integer_label(self, square_model, y_index):
+        xi = smnn.xi(square_model.space, [0.75, 0.6])
+        before = square_model.weights.copy()
+        with pytest.raises(ValueError, match="integers"):
+            smnn.gradient(square_model.weights, xi, y_index)
+        with pytest.raises(ValueError, match="integers"):
+            smnn.sgd_step(square_model.weights, xi, y_index, 0.1)
+        assert np.array_equal(square_model.weights, before)
+
+    @pytest.mark.parametrize("y_index", [1, np.int64(1), np.uint8(1)])
+    def test_integer_label_accepted(self, square_model, y_index):
+        xi = smnn.xi(square_model.space, [0.75, 0.6])
+        expected = smnn.gradient(square_model.weights, xi, 1).block
+        assert np.array_equal(smnn.gradient(square_model.weights, xi, y_index).block, expected)
+
+
 class TestPrecompute:
     def test_counts_and_labels(self, square_space):
         y = np.array([0, 0, 1, 1])
@@ -572,6 +604,13 @@ class TestPrecompute:
     def test_length_mismatch(self, square_space):
         with pytest.raises(ValueError):
             precompute_embeddings(square_space, SQUARE_POINTS, np.array([0, 1]))
+
+    def test_training_on_an_empty_cache_raises_invalid_count(self, square_space):
+        cached = precompute_embeddings(square_space, np.zeros((0, 2)), [])
+        assert len(cached) == 0 and cached.y.dtype == np.int64
+        encoding = smnn.LabelEncoding.from_labels(SQUARE_LABELS)
+        with pytest.raises(smnn.InvalidCount, match="no rows"):
+            smnn.train_cached(square_space, cached, [0, 0, 1, 1], encoding, smnn.TrainConfig(epochs=2))
 
 
 def _two_blob_model():
