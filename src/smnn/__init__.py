@@ -9,7 +9,15 @@ contributions.
 """
 
 from .datagen import LabeledDataset, gen_clusters, gen_spiral, load_csv, load_iris, save_csv, split
-from .embedding import EmbeddingSpace, SparseXi, fit_space, project_to_sphere, xi, xi_batch
+from .embedding import (
+    EmbeddingBatch,
+    EmbeddingSpace,
+    SparseXi,
+    fit_space,
+    project_to_sphere,
+    xi,
+    xi_batch,
+)
 from .errors import (
     DegenerateSupport,
     DimensionMismatch,
@@ -67,6 +75,7 @@ __all__ = [
     "DegenerateSupport",
     "DimensionMismatch",
     "DimensionTooSmall",
+    "EmbeddingBatch",
     "EmbeddingSpace",
     "EvalReport",
     "Explanation",

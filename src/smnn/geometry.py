@@ -451,11 +451,15 @@ def build_delaunay(cloud):
 
 
 def clamp_coords(coords):
-    """Zero out entries below TAU in magnitude and renormalize to sum 1."""
+    """Zero out entries below TAU in magnitude and renormalize to sum 1:
+    one coordinate vector, or each row of an array of them.  A row sums
+    as the vector alone does, so the two give the same bits."""
     out = np.where(np.abs(coords) < TAU, 0.0, coords)
-    total = out.sum()
-    if total <= 0.0:
-        raise SingularSimplex("cannot renormalize barycentric coordinates summing to %g" % total)
+    total = out.sum(axis=-1, keepdims=True)
+    if total.min(initial=1.0) <= 0.0:
+        raise SingularSimplex(
+            "cannot renormalize barycentric coordinates summing to %g" % total.min()
+        )
     return out / total
 
 

@@ -66,7 +66,7 @@ class SmnnModel:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.support_labels = np.asarray(self.support_labels, dtype=np.int64)
+        self.support_labels = integer_indices(self.support_labels, "support_labels")
         k, m = self.weights.shape
         if k != self.encoding.k:
             raise ValueError("weight rows %d != number of classes %d" % (k, self.encoding.k))
@@ -74,6 +74,8 @@ class SmnnModel:
             raise ValueError("weight columns %d != support size %d" % (m, self.space.support.size))
         if self.support_labels.shape != (m,):
             raise ValueError("support_labels must have shape (%d,)" % m)
+        if self.support_labels.min() < 0 or self.support_labels.max() >= k:
+            raise ValueError("support label index out of range for k=%d" % k)
 
 
 def softmax(z):

@@ -14,13 +14,13 @@ column sees the updates of the sequential order (_kernel_epoch).
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .embedding import embed_translated, fit_space, integer_indices, translate_queries, xi_batch
+from .embedding import embed_batch, embed_translated, fit_space, integer_indices, translate_queries
 from .errors import InvalidCount
-from .model import LabelEncoding, SmnnModel, cross_entropy, init_weights, logits, softmax
+from .model import LabelEncoding, SmnnModel, cross_entropy, init_weights, softmax
 
 INIT_MODES = ("uniform01", "one_hot")
 
@@ -50,13 +50,10 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch running mean loss and accuracy, wall time in seconds, the
-    number of SGD steps (epochs times rows) and the number of batches
-    they ran in: kernel calls, or level batches of the level schedule.
-
-    Epoch metrics are accumulated sample by sample as the weights move,
-    so they reflect the state of the model during that epoch.
-    """
+    """Per-epoch running mean loss and accuracy, accumulated sample by
+    sample as the weights move; wall time in seconds; the number of SGD
+    steps (epochs times rows) and of the batches they ran in: kernel
+    calls, or level batches of the level schedule."""
 
     history: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -78,13 +75,18 @@ class TrainReport:
 
 @dataclass
 class CachedEmbedding:
-    """Embeddings and encoded labels of the training set, fixed for a space."""
+    """The EmbeddingBatch and label indices of a training set."""
 
-    xis: list
+    batch: object
     y: np.ndarray
 
     def __len__(self):
-        return len(self.xis)
+        return len(self.batch)
+
+    @property
+    def xis(self):
+        """The rows as SparseXi views, built on each read."""
+        return self.batch.rows()
 
 
 @dataclass
@@ -101,16 +103,17 @@ class SparseGradient:
         return dense
 
 
+def _points(points):
+    return np.asarray(getattr(points, "points", points), dtype=np.float64)
+
+
 def precompute_embeddings(space, train_points, y_encoded):
     """Embed every training point once; y_encoded are label indices."""
-    pts = np.asarray(
-        train_points.points if hasattr(train_points, "points") else train_points,
-        dtype=np.float64,
-    )
+    pts = _points(train_points)
     y = integer_indices(y_encoded, "label indices")
     if y.shape != (pts.shape[0],):
         raise ValueError("labels and points disagree: %d vs %d" % (y.size, pts.shape[0]))
-    return CachedEmbedding(xis=xi_batch(space, pts), y=y)
+    return CachedEmbedding(batch=embed_batch(space, pts), y=y)
 
 
 def _positive_rate(rate):
@@ -120,17 +123,15 @@ def _positive_rate(rate):
     return float(rate)
 
 
-def _pack(xis, k, m):
-    """The embeddings as the kernel reads them.  Per row: the indices of
-    its columns in the flattened C-ordered (k, m) weights, shape (c, k);
-    its values; and each value repeated k times, in the order of those
-    indices."""
-    vals = [np.asarray(xi.values, dtype=np.float64) for xi in xis]
-    ends = np.cumsum([v.size for v in vals]).tolist()
-    cols = np.concatenate([np.asarray(xi.indices, dtype=np.int64) for xi in xis])
-    fidx = cols[:, None] + np.arange(k) * m
-    vrep = np.concatenate(vals).repeat(k).tolist()
-    return [(fidx[a:b], v, vrep[a * k:b * k]) for a, b, v in zip([0] + ends, ends, vals)]
+def _pack(batch, k, m):
+    """The rows of an EmbeddingBatch as the kernel reads them: per row, the
+    indices of its columns in the flattened C-ordered (k, m) weights, shape
+    (c, k), its values, and each value repeated k times in that order."""
+    ends = batch.indptr.tolist()
+    fidx = batch.indices[:, None] + np.arange(k) * m
+    vals = batch.values
+    vrep = vals.repeat(k).tolist()
+    return [(fidx[a:b], vals[a:b], vrep[a * k:b * k]) for a, b in zip(ends, ends[1:])]
 
 
 def _kernel(flat, fidx, vals, vrep, y_index, eta):
@@ -192,10 +193,12 @@ def sgd_step(weights, xi, y_index, eta):
     eta = _positive_rate(eta)
     if weights.dtype.kind != "f":
         raise TypeError("weights must be a floating-point array, got %s" % weights.dtype)
-    y = _label_index(weights.shape[0], y_index)
-    packed = _pack([xi], *weights.shape)[0]
+    k, m = weights.shape
+    y = _label_index(k, y_index)
+    cols = np.asarray(xi.indices, dtype=np.int64)
+    vals = np.asarray(xi.values, dtype=np.float64)
     work = np.ascontiguousarray(weights)
-    _kernel(work.reshape(-1), *packed, y, eta)
+    _kernel(work.reshape(-1), cols[:, None] + np.arange(k) * m, vals, vals.repeat(k).tolist(), y, eta)
     if work is not weights:
         weights[...] = work
     return weights
@@ -217,10 +220,7 @@ def train(train_points, train_labels, support_indices, config, radius_margin=1.0
     Returns the trained model and a report.  Two calls with identical
     inputs and config produce bit-identical weight matrices.
     """
-    pts = np.asarray(
-        train_points.points if hasattr(train_points, "points") else train_points,
-        dtype=np.float64,
-    )
+    pts = _points(train_points)
     labels = [str(v) for v in train_labels]
     if len(labels) != pts.shape[0]:
         raise ValueError("labels and points disagree: %d vs %d" % (len(labels), pts.shape[0]))
@@ -266,13 +266,10 @@ def _kernel_epoch(flat, rows, order, eta):
 
 @dataclass
 class _LevelRows:
-    """The rows as _level_epoch reads them, grouped by embedding width c.
-
-    cols   : per row, its weight columns, for the level scan.
-    group  : per row, the index of its width group; slot, its place in it.
-    groups : per width, the flattened (k, m) indices of each row's
-             columns, shape (rows, c, k); its values, (rows, c); its labels.
-    """
+    """The rows as _level_epoch reads them: per row, its weight columns
+    (cols), the index of its width group (group) and its place in that
+    group (slot); per group, the columns and values of _width_groups and
+    the labels of its rows."""
 
     m: int
     cols: list
@@ -281,19 +278,27 @@ class _LevelRows:
     groups: list
 
 
-def _level_rows(xis, y, k, m):
-    cols = [np.asarray(xi.indices, dtype=np.int64).tolist() for xi in xis]
-    widths = np.array([len(c) for c in cols], dtype=np.int64)
-    group = np.zeros(len(cols), dtype=np.int64)
-    slot = np.zeros(len(cols), dtype=np.int64)
-    groups = []
-    for g, c in enumerate(np.unique(widths).tolist()):
+def _width_groups(batch, k, m):
+    """Per embedding width c of an EmbeddingBatch: its rows of width c,
+    their columns as indices into the flattened C-ordered (k, m) weights,
+    shape (rows, c, k), and their values, (rows, c)."""
+    widths = np.diff(batch.indptr)
+    for c in np.unique(widths).tolist():
         members = np.flatnonzero(widths == c)
+        at = batch.indptr[members, None] + np.arange(c)
+        yield members, batch.indices[at][:, :, None] + np.arange(k) * m, batch.values[at]
+
+
+def _level_rows(batch, y, k, m):
+    ends = batch.indptr.tolist()
+    cols = batch.indices.tolist()
+    group, slot = np.zeros((2, len(batch)), dtype=np.int64)
+    groups = []
+    for g, (members, fidx, vals) in enumerate(_width_groups(batch, k, m)):
         group[members] = g
         slot[members] = np.arange(members.size)
-        fidx = np.array([cols[i] for i in members.tolist()])[:, :, None] + np.arange(k) * m
-        vals = np.array([np.asarray(xis[i].values, dtype=np.float64) for i in members.tolist()])
         groups.append((fidx, vals, y[members]))
+    cols = [cols[a:b] for a, b in zip(ends, ends[1:])]
     return _LevelRows(m=m, cols=cols, group=group, slot=slot, groups=groups)
 
 
@@ -353,6 +358,7 @@ def train_cached(space, cached, support_labels, encoding, config):
         _label_index(k, int(bad[0]))
     rng = np.random.default_rng(config.seed)
     weights = init_weights(config.init_mode, rng, k, m, support_labels)
+    model = SmnnModel(space, encoding, weights, support_labels)
 
     flat = weights.reshape(-1)
     n_rows = len(cached)
@@ -362,9 +368,9 @@ def train_cached(space, cached, support_labels, encoding, config):
         return rng.permutation(n_rows) if config.shuffle else np.arange(n_rows)
 
     order = draw()
-    epoch, rows = _level_epoch, _level_rows(cached.xis, y, k, m)
+    epoch, rows = _level_epoch, _level_rows(cached.batch, y, k, m)
     if n_rows < BATCH_MIN_WIDTH * max(_levels(order.tolist(), rows.cols, m)):
-        epoch, rows = _kernel_epoch, (_pack(cached.xis, k, m), y.tolist())
+        epoch, rows = _kernel_epoch, (_pack(cached.batch, k, m), y.tolist())
 
     history = []
     n_batches = 0
@@ -376,20 +382,8 @@ def train_cached(space, cached, support_labels, encoding, config):
         n_batches += batches
         total = _sum_in_order(cross_entropy(kept))
         history.append((total / n_rows, hits / n_rows))
-    report = TrainReport(
-        history=history,
-        wall_time=time.perf_counter() - started,
-        n_steps=config.epochs * n_rows,
-        n_batches=n_batches,
-    )
-
-    model = SmnnModel(
-        space=space,
-        encoding=encoding,
-        weights=weights,
-        support_labels=np.asarray(support_labels, dtype=np.int64),
-    )
-    return model, report
+    wall_time = time.perf_counter() - started
+    return model, TrainReport(history, wall_time, config.epochs * n_rows, n_batches)
 
 
 @dataclass
@@ -398,9 +392,8 @@ class EvalReport:
 
     n_out_of_hull        : rows embedded through a virtual simplex.
     n_outside_ball       : rows outside the bounding ball.
-    n_no_virtual_simplex : rows in the ball but behind a support hull that
-                           misses the centroid, where no virtual simplex
-                           contains them.
+    n_no_virtual_simplex : rows in the ball that no virtual simplex
+                           contains, behind a hull that misses the centroid.
     Rows of the last two kinds count as misses with loss log(k) in
     accuracy and mean_loss, but not in the confusion.
     """
@@ -413,14 +406,8 @@ class EvalReport:
     n_no_virtual_simplex: int
 
     def to_dict(self, encoding=None):
-        out = {
-            "accuracy": self.accuracy,
-            "mean_loss": self.mean_loss,
-            "confusion": self.confusion.tolist(),
-            "n_out_of_hull": self.n_out_of_hull,
-            "n_outside_ball": self.n_outside_ball,
-            "n_no_virtual_simplex": self.n_no_virtual_simplex,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["confusion"] = self.confusion.tolist()
         if encoding is not None:
             out["labels"] = list(encoding.labels)
         return out
@@ -436,9 +423,7 @@ def evaluate(model, points, labels):
     wrong shape or with a non-finite coordinate raise, as in xi_batch.  A
     set with no rows raises InvalidCount.
     """
-    pts = np.asarray(
-        points.points if hasattr(points, "points") else points, dtype=np.float64
-    )
+    pts = _points(points)
     translated, in_ball = translate_queries(model.space, pts)
     if not in_ball.size:
         raise InvalidCount("cannot evaluate a set with no rows")
@@ -449,16 +434,17 @@ def evaluate(model, points, labels):
     y = np.array([model.encoding.index(v) for v in labels], dtype=np.int64)
     k = model.encoding.k
 
-    embedded = embed_translated(model.space, translated[inside])
-    xis = [x for x in embedded if x is not None]
-    y = y[inside[[x is not None for x in embedded]]]
-    # Logits stay one gemv per row: a batched elementwise product would
-    # round without the fused multiply-adds that forward's gemv uses.
-    probs = softmax(np.array([logits(model, x) for x in xis]).reshape(-1, k))
+    batch, found = embed_translated(model.space, translated[inside])
+    flat = model.weights.reshape(-1)
+    z = np.empty((len(batch), k))
+    for members, fidx, vals in _width_groups(batch, k, model.weights.shape[1]):
+        z[members] = np.matmul(vals[:, None, :], flat[fidx])[:, 0]
+    probs = softmax(z[found])
+    y = y[inside[found]]
     pred = probs.argmax(axis=1)
     n_rows = pts.shape[0]
     n_outside = n_rows - inside.size
-    n_missing = inside.size - len(xis)
+    n_missing = inside.size - y.size
     total_loss = _sum_in_order(cross_entropy(probs[np.arange(y.size), y]))
     total_loss += (n_outside + n_missing) * np.log(k)
 
@@ -466,7 +452,7 @@ def evaluate(model, points, labels):
         accuracy=int((pred == y).sum()) / n_rows,
         mean_loss=float(total_loss / n_rows),
         confusion=np.bincount(y * k + pred, minlength=k * k).reshape(k, k),
-        n_out_of_hull=sum(x.facet_used is not None for x in xis),
+        n_out_of_hull=int(np.count_nonzero(batch.facet[:, 0] >= 0)),
         n_outside_ball=n_outside,
         n_no_virtual_simplex=n_missing,
     )

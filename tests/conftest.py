@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 import smnn
-from smnn.embedding import embed_translated, translate_queries
+from smnn.embedding import EmbeddingBatch, translate_queries
 from smnn.errors import InvalidCount
 from smnn.geometry import COND_LIMIT
 from smnn.model import LOSS_FLOOR, init_weights, logits
@@ -156,8 +156,32 @@ def numpy_train(space, cached, support_labels, encoding, config):
     return weights, history
 
 
+def batch_of(xis):
+    """The EmbeddingBatch of a list of SparseXi rows, facets left at -1:
+    the record that _pack and _level_rows read."""
+    return EmbeddingBatch(
+        indptr=np.concatenate([[0], np.cumsum([len(x.indices) for x in xis])]).astype(np.int64),
+        indices=np.concatenate([np.asarray(x.indices, dtype=np.int64) for x in xis]),
+        values=np.concatenate([np.asarray(x.values, dtype=np.float64) for x in xis]),
+        sphere_mass=np.array([x.sphere_mass for x in xis], dtype=np.float64),
+        facet=np.full((len(xis), 1), -1),
+    )
+
+
+def same_bits(a, b):
+    """Whether two SparseXi have the same field bits."""
+    return (
+        np.asarray(a.indices).tobytes() == np.asarray(b.indices).tobytes()
+        and np.asarray(a.values).tobytes() == np.asarray(b.values).tobytes()
+        and np.float64(a.sphere_mass).tobytes() == np.float64(b.sphere_mass).tobytes()
+        and a.facet_used == b.facet_used
+    )
+
+
 def reference_evaluate(model, points, labels):
-    """EvalReport of evaluate, scoring one row at a time."""
+    """EvalReport of evaluate, scoring one row at a time.  Each row in the
+    ball is embedded by xi, which builds no EmbeddingBatch; a row that no
+    virtual simplex contains is a miss."""
     pts = np.asarray(
         points.points if hasattr(points, "points") else points, dtype=np.float64
     )
@@ -176,8 +200,10 @@ def reference_evaluate(model, points, labels):
     hits = 0
     n_virtual = 0
     n_missing = 0
-    for row, x in zip(inside, embed_translated(model.space, translated[inside])):
-        if x is None:
+    for row in inside:
+        try:
+            x = smnn.xi(model.space, pts[row])
+        except smnn.NoContainingVirtualSimplex:
             n_missing += 1
             continue
         probs = reference_softmax(logits(model, x))

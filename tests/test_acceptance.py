@@ -259,7 +259,8 @@ class TestEmbeddingProperties:
                 partition_dev = max(partition_dev, abs(total - 1.0))
                 rebuilt = sparse.to_dense(m) @ support
                 if sparse.sphere_mass:
-                    rebuilt = rebuilt + sparse.sphere_mass * sparse.sphere_point
+                    w = smnn.project_to_sphere(space, x - space.centroid)
+                    rebuilt = rebuilt + sparse.sphere_mass * w
                 recon_dev = max(
                     recon_dev, float(np.abs(rebuilt - (x - space.centroid)).max())
                 )

@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import smnn
+from smnn.embedding import embed_translated
 from smnn.geometry import TAU, clamp_coords
 
-from conftest import SQUARE_MARGIN, SQUARE_POINTS, jittered_grid, random_cloud
+from conftest import SQUARE_MARGIN, SQUARE_POINTS, jittered_grid, random_cloud, same_bits
 
 
 class TestFitSpace:
@@ -133,7 +134,8 @@ class TestXi:
         assert sparse.indices.tolist() == [1, 3]
         assert np.abs(sparse.values - 1.0 / 3.0).max() < 1e-12
         assert abs(sparse.sphere_mass - 1.0 / 3.0) < 1e-12
-        assert np.abs(sparse.sphere_point - [0.0, 1.0]).max() < 1e-12
+        w = smnn.project_to_sphere(square_space, [0.0, 0.5])
+        assert np.abs(w - [0.0, 1.0]).max() < 1e-12
         assert sparse.facet_used == (1, 3)
 
     def test_support_point_indicator(self, square_space):
@@ -164,8 +166,8 @@ class TestXi:
             total = sum(sparse.values.tolist()) + sparse.sphere_mass
             assert abs(total - 1.0) < 1e-7
             recon = sparse.values @ support[sparse.indices]
-            if sparse.sphere_point is not None:
-                recon = recon + sparse.sphere_mass * sparse.sphere_point
+            if sparse.facet_used is not None:
+                recon = recon + sparse.sphere_mass * smnn.project_to_sphere(space, x_t)
             assert np.abs(recon - x_t).max() < 1e-6
             assert len(sparse.indices) <= 3
             assert all(v > 0.0 for v in sparse.values.tolist())
@@ -260,6 +262,69 @@ class TestXi:
                 smnn.xi_batch(space, [space.centroid + np.array(t)])
         with pytest.raises(smnn.ZeroNorm):
             smnn.project_to_sphere(space, np.zeros(2))
+
+
+class TestEmbeddingBatch:
+    """The CSR record of embed_translated, row by row against the
+    brute-force oracle and against xi."""
+
+    def test_rows_match_oracle(self):
+        # Blob a of the two-blob cloud supports the space, so the ball
+        # holds interior, vertex and exterior rows, and rows behind the
+        # hull, as seen from the centroid, with no virtual simplex.
+        rng = np.random.default_rng(2)
+        blob_a = random_cloud(rng, 10, 2) + 10.0
+        pts = np.vstack([blob_a, random_cloud(rng, 10, 2) - 10.0])
+        with pytest.warns(UserWarning, match="NoContainingVirtualSimplex"):
+            space = smnn.fit_space(pts, list(range(10)), radius_margin=1.0)
+        cells = space.support.points[space.tri.simplices] + space.centroid
+        inner = np.einsum("cj,cjn->cn", rng.dirichlet(np.ones(3), len(cells)), cells)
+        rows = np.vstack([inner, blob_a, _ball_queries(rng, space, 60), space.centroid])
+        batch, found = embed_translated(space, rows - space.centroid)
+        assert len(batch) == len(rows) and batch.indptr[0] == 0
+        assert batch.indptr[-1] == batch.indices.size == batch.values.size
+        kinds = []
+        for r, (q, view) in enumerate(zip(rows, batch.rows())):
+            a, b = batch.indptr[r : r + 2]
+            if not found[r]:
+                assert a == b and batch.sphere_mass[r] == 0.0 and (batch.facet[r] == -1).all()
+                with pytest.raises(smnn.NoContainingVirtualSimplex):
+                    smnn.xi(space, q)
+                kinds.append("missing")
+                continue
+            indices, values, sphere_mass, facet_used, simplex = _oracle_xi(space, q)
+            assert batch.indices[a:b].tolist() == indices.tolist()
+            assert np.abs(batch.values[a:b] - values).max(initial=0.0) <= 1e-12
+            assert abs(batch.sphere_mass[r] - sphere_mass) <= 1e-12
+            assert view.facet_used == facet_used
+            assert (batch.facet[r] >= 0).all() == (facet_used is not None)
+            assert same_bits(view, smnn.xi(space, q))
+            if simplex is None:
+                kinds.append("exterior")
+            else:
+                kinds.append("vertex" if b - a == 1 else "interior")
+        assert set(kinds) == {"interior", "vertex", "exterior", "missing"}
+        assert kinds[-1] == "missing"
+
+    def test_zero_rows(self, square_space):
+        batch, found = embed_translated(square_space, np.zeros((0, 2)))
+        assert batch.indptr.tolist() == [0] and len(batch) == 0
+        assert batch.indices.size == batch.values.size == 0
+        assert batch.sphere_mass.shape == (0,) and batch.facet.shape == (0, 2)
+        assert found.shape == (0,) and batch.rows() == []
+        assert smnn.xi_batch(square_space, np.zeros((0, 2))) == []
+
+    def test_square_record(self, square_space):
+        # Interior, exterior and vertex rows of the worked example.
+        batch, found = embed_translated(
+            square_space, np.array([[0.75, 0.6], [0.75, 1.25], [1.0, 1.0]]) - 0.75
+        )
+        assert found.tolist() == [True, True, True]
+        assert batch.indptr.tolist() == [0, 3, 5, 6]
+        assert batch.indices.tolist() == [0, 1, 2, 1, 3, 3]
+        assert np.abs(batch.values - [0.3, 0.2, 0.5, 1 / 3, 1 / 3, 1.0]).max() < 1e-12
+        assert np.abs(batch.sphere_mass - [0.0, 1 / 3, 0.0]).max() < 1e-12
+        assert batch.facet.tolist() == [[-1, -1], [1, 3], [-1, -1]]
 
 
 class TestMemory:

@@ -73,12 +73,11 @@ class TestInitWeights:
             smnn.init_weights("one_hot", 0, 2, 4, labels)
 
 
-def _sparse(indices, values, mass=0.0, point=None, facet=None):
+def _sparse(indices, values, mass=0.0, facet=None):
     return SparseXi(
         indices=np.asarray(indices, dtype=np.int64),
         values=np.asarray(values, dtype=np.float64),
         sphere_mass=mass,
-        sphere_point=point,
         facet_used=facet,
     )
 
@@ -200,6 +199,30 @@ class TestLoss:
 
 
 class TestSmnnModelValidation:
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.7, True, 0],
+        [0.0, 1.0, 1.0, 0.0],
+        [True, False, True, False],
+        np.array([0.0, 1.0, 1.0, 0.0]),
+    ])
+    def test_non_integer_support_labels_rejected(self, square_model, labels):
+        # A cast to int64 would store [0, 1, 1, 0], and explain would
+        # report those as the support points' labels.
+        with pytest.raises(ValueError, match="integers"):
+            smnn.SmnnModel(square_model.space, square_model.encoding, square_model.weights, labels)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2, 0], [0, -1, 1, 1]])
+    def test_out_of_range_support_labels_rejected(self, square_model, labels):
+        # Label 2 of k = 2 made explain raise a bare IndexError.
+        with pytest.raises(ValueError, match="out of range for k=2"):
+            smnn.SmnnModel(square_model.space, square_model.encoding, square_model.weights, labels)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 1], np.array([0, 0, 1, 1], dtype=np.int32)])
+    def test_integer_support_labels_stored_as_int64(self, square_model, labels):
+        model = smnn.SmnnModel(square_model.space, square_model.encoding, square_model.weights, labels)
+        assert model.support_labels.dtype == np.int64
+        assert model.support_labels.tolist() == [0, 0, 1, 1]
+
     def test_shape_mismatches(self, square_space):
         enc = smnn.LabelEncoding(("0", "1"))
         with pytest.raises(ValueError):

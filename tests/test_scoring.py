@@ -1,7 +1,8 @@
 """The one scoring rule: the softmax of W[:, idx] @ xi, its argmax and the
 floored cross-entropy, read alike by forward, predict, loss, gradient and
-evaluate.  evaluate scores its rows as one array and must give the report
-of the per-row oracle (reference_evaluate in conftest) bit for bit."""
+evaluate.  evaluate scores the rows of its EmbeddingBatch by width group
+and must give the report of the per-row oracle (reference_evaluate in
+conftest, which embeds through xi) bit for bit."""
 
 import warnings
 
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 import smnn
+from smnn.embedding import embed_translated, translate_queries
 from smnn.model import logits
 from smnn.training import _kernel, _pack
 
-from conftest import reference_evaluate, reference_softmax
+from conftest import batch_of, reference_evaluate, reference_softmax
 
 
 def _sized_support(pts, size):
@@ -24,23 +26,32 @@ def _trained(train, support, epochs):
     return smnn.train(train.points.points, train.labels, support, config)[0]
 
 
-def _with_exterior_rows(model, test):
+def _support_rows(train, support):
+    """Up to 20 support points, exactly as given to fit_space, with their
+    labels: each embeds as one support index, a group of width 1."""
+    picked = np.asarray(support)[:20]
+    return train.points.points[picked], [train.labels[i] for i in picked]
+
+
+def _with_exterior_rows(model, test, train, support):
     """The held-out rows, the same rows pushed radially to halfway between
     the largest support norm and the ball radius (outside the hull, inside
-    the ball), and one row outside the ball."""
+    the ball), support points, and one row outside the ball."""
     space = model.space
     pts = test.points.points
     reach = 0.5 * (np.linalg.norm(space.support.points, axis=1).max() + space.radius)
     t = pts - space.centroid
     pushed = space.centroid + t * (reach / np.linalg.norm(t, axis=1)[:, None])
     far = space.centroid + 2.0 * space.radius * np.eye(space.dim)[0]
-    return model, np.vstack([pts, pushed, far]), test.labels * 2 + test.labels[:1]
+    at, at_labels = _support_rows(train, support)
+    rows = np.vstack([pts, pushed, at, far])
+    return model, rows, test.labels * 2 + at_labels + test.labels[:1]
 
 
 def _spiral():
     train, test = smnn.split(smnn.gen_spiral(400, seed=0), 0.75, seed=0)
-    model = _trained(train, _sized_support(train.points.points, 95), 20)
-    return _with_exterior_rows(model, test)
+    support = _sized_support(train.points.points, 95)
+    return _with_exterior_rows(_trained(train, support, 20), test, train, support)
 
 
 def _clusters_3d():
@@ -48,15 +59,15 @@ def _clusters_3d():
     # enough for the cell index.
     data = smnn.gen_clusters(1400, n_features=3, class_sep=1.5, seed=0)
     train, test = smnn.split(data, 0.75, seed=0)
-    model = _trained(train, _sized_support(train.points.points, 1000), 3)
-    return _with_exterior_rows(model, test)
+    support = _sized_support(train.points.points, 1000)
+    return _with_exterior_rows(_trained(train, support, 3), test, train, support)
 
 
 def _iris():
     train, test = smnn.split(smnn.load_iris(), 0.75, seed=0)
     pts = train.points.points
     support = np.sort(np.unique(pts, axis=0, return_index=True)[1])
-    return _with_exterior_rows(_trained(train, support, 20), test)
+    return _with_exterior_rows(_trained(train, support, 20), test, train, support)
 
 
 def _ten_class_ring():
@@ -79,8 +90,9 @@ def _ten_class_ring():
     weights = smnn.init_weights("uniform01", 0, encoding.k, support.size)
     model = smnn.SmnnModel(space, encoding, weights, y[support])
     far = space.centroid + 2.0 * space.radius * np.eye(2)[0]
-    rows = np.vstack([test.points.points, space.centroid, far])
-    return model, rows, test.labels + ["0", "1"]
+    at, at_labels = _support_rows(train, support)
+    rows = np.vstack([test.points.points, at, space.centroid, far])
+    return model, rows, test.labels + at_labels + ["0", "1"]
 
 
 CASES = {
@@ -105,6 +117,9 @@ class TestEvaluateExactness:
         model, rows, labels = case
         report = smnn.evaluate(model, rows, labels)
         expected = reference_evaluate(model, rows, labels)
+        translated, in_ball = translate_queries(model.space, rows)
+        batch, found = embed_translated(model.space, translated[in_ball])
+        assert (np.diff(batch.indptr)[found] == 1).sum() >= 20
         assert _bytes(report.accuracy) == _bytes(expected.accuracy)
         assert _bytes(report.mean_loss) == _bytes(expected.mean_loss)
         assert report.confusion.dtype == expected.confusion.dtype
@@ -174,7 +189,8 @@ class TestGradientProbabilities:
             xi = smnn.SparseXi(indices=cols, values=rng.dirichlet(np.ones(c)))
             y_index = int(rng.integers(k))
 
-            g = np.array(_kernel(weights.copy().reshape(-1), *_pack([xi], k, m)[0], y_index, 0.1))
+            packed = _pack(batch_of([xi]), k, m)[0]
+            g = np.array(_kernel(weights.copy().reshape(-1), *packed, y_index, 0.1))
             g[y_index] -= 1.0
             grad = smnn.gradient(weights, xi, y_index)
             assert grad.block.tobytes() == np.outer(g, xi.values).tobytes()

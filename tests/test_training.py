@@ -7,6 +7,7 @@ import smnn
 from smnn.model import cross_entropy
 from smnn.training import (
     BATCH_MIN_WIDTH,
+    INIT_MODES,
     _kernel,
     _kernel_epoch,
     _level_epoch,
@@ -21,9 +22,11 @@ from conftest import (
     SQUARE_LABELS,
     SQUARE_MARGIN,
     SQUARE_POINTS,
+    batch_of,
     numpy_step,
     numpy_train,
     random_cloud,
+    same_bits,
 )
 
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
@@ -208,7 +211,7 @@ class TestSgdStep:
         vals = np.asarray(xi.values)
         expected = _dense_loss(square_model.weights, cols, vals, 1)
         before = square_model.weights.copy()
-        probs = _kernel(square_model.weights.reshape(-1), *_pack([xi], 2, 4)[0], 1, 0.1)
+        probs = _kernel(square_model.weights.reshape(-1), *_pack(batch_of([xi]), 2, 4)[0], 1, 0.1)
         assert abs(-np.log(probs[1]) - expected) < 1e-12
         assert not np.array_equal(square_model.weights, before)
 
@@ -424,9 +427,9 @@ def _run_epochs(epoch, inputs, config):
     rng = np.random.default_rng(config.seed)
     weights = smnn.init_weights(config.init_mode, rng, k, m, support_labels)
     if epoch is _level_epoch:
-        rows = _level_rows(cached.xis, y, k, m)
+        rows = _level_rows(cached.batch, y, k, m)
     else:
-        rows = (_pack(cached.xis, k, m), y.tolist())
+        rows = (_pack(cached.batch, k, m), y.tolist())
     history, n_batches = [], 0
     for _ in range(config.epochs):
         order = rng.permutation(n_rows) if config.shuffle else np.arange(n_rows)
@@ -560,6 +563,34 @@ class TestLabelRange:
             smnn.train_cached(square_space, cached, [0, 0, 1, 1], encoding, smnn.TrainConfig(epochs=2))
 
 
+class TestSupportLabels:
+    """train_cached passes support labels to SmnnModel, which checks them
+    before any step, in both init modes."""
+
+    @pytest.mark.parametrize("init_mode", INIT_MODES)
+    @pytest.mark.parametrize("labels, match", [
+        ([0.5, 1.7, True, 0], "integers"),
+        (np.array([0.0, 1.0, 1.0, 0.0]), "integers"),
+        ([0, 1, 2, 0], "out of range"),
+        ([-1, 0, 1, 1], "out of range"),
+    ])
+    def test_rejected(self, square_space, init_mode, labels, match):
+        encoding = smnn.LabelEncoding.from_labels(SQUARE_LABELS)
+        cached = precompute_embeddings(square_space, SQUARE_POINTS, [0, 0, 1, 1])
+        config = smnn.TrainConfig(epochs=2, init_mode=init_mode)
+        with pytest.raises(ValueError, match=match):
+            smnn.train_cached(square_space, cached, labels, encoding, config)
+
+    def test_accepted_labels_reach_the_model(self, square_space):
+        encoding = smnn.LabelEncoding.from_labels(SQUARE_LABELS)
+        cached = precompute_embeddings(square_space, SQUARE_POINTS, [0, 0, 1, 1])
+        model, _ = smnn.train_cached(
+            square_space, cached, (0, 0, 1, 1), encoding, smnn.TrainConfig(epochs=2)
+        )
+        assert model.support_labels.dtype == np.int64
+        assert model.support_labels.tolist() == [0, 0, 1, 1]
+
+
 class TestIntegerLabels:
     """Label indices are integers; a cast would truncate 1.7 to class 1
     and read True as class 1, so floats and booleans are rejected."""
@@ -608,9 +639,51 @@ class TestPrecompute:
     def test_training_on_an_empty_cache_raises_invalid_count(self, square_space):
         cached = precompute_embeddings(square_space, np.zeros((0, 2)), [])
         assert len(cached) == 0 and cached.y.dtype == np.int64
+        assert cached.batch.indptr.tolist() == [0] and cached.xis == []
         encoding = smnn.LabelEncoding.from_labels(SQUARE_LABELS)
         with pytest.raises(smnn.InvalidCount, match="no rows"):
             smnn.train_cached(square_space, cached, [0, 0, 1, 1], encoding, smnn.TrainConfig(epochs=2))
+
+
+class TestBatchPathsBuildNoViews:
+    """precompute_embeddings, train_cached and evaluate read the
+    EmbeddingBatch arrays and build no SparseXi."""
+
+    @pytest.mark.parametrize("case", ["spiral-9", "iris"])
+    def test_no_sparse_xi_built(self, monkeypatch, case):
+        if case == "iris":
+            data, size = smnn.load_iris(), None
+        else:
+            data, size = smnn.gen_spiral(400, seed=0), 9
+        pts = data.points.points
+        support = (
+            np.sort(np.unique(pts, axis=0, return_index=True)[1])
+            if size is None else _sized_support(pts, size)
+        )
+        encoding = smnn.LabelEncoding.from_labels(data.labels)
+        y = np.array([encoding.index(v) for v in data.labels])
+        space = smnn.fit_space(pts, support)
+        views = smnn.xi_batch(space, pts)
+        singles = [smnn.xi(space, q) for q in pts[::7]]
+        assert any(x.facet_used is not None for x in views) == (case == "spiral-9")
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a SparseXi was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(smnn.SparseXi, "__init__", refuse)
+            with pytest.raises(AssertionError, match="SparseXi"):
+                smnn.xi(space, pts[0])
+            cached = precompute_embeddings(space, pts, y)
+            model, report = smnn.train_cached(
+                space, cached, y[support], encoding, smnn.TrainConfig(epochs=3)
+            )
+            smnn.evaluate(model, pts, data.labels)
+        # The spiral runs one kernel call per step, Iris the level schedule.
+        assert (report.n_batches < report.n_steps) == (case == "iris")
+        assert all(same_bits(a, b) for a, b in zip(cached.xis, views))
+        assert all(same_bits(a, b) for a, b in zip(smnn.xi_batch(space, pts), views))
+        assert all(same_bits(smnn.xi(space, q), x) for q, x in zip(pts[::7], singles))
 
 
 def _two_blob_model():
