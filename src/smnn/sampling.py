@@ -5,6 +5,14 @@ centroid, always adding the point farthest from everything selected so
 far, and stops once the cover radius drops below epsilon.  The selected
 prefix is therefore independent of epsilon, which makes it easy to pick
 an epsilon that yields an exact support size.
+
+Each step of the traversal measures one new point against all m points.
+It works on a coordinate-major copy of the points, so every array
+operation of the step runs over m values rather than over the n
+coordinates of one point, and it sums the squared coordinates in the
+order NumPy's `np.linalg.norm(pts - x, axis=1)` sums each row: the
+distances, and so the order and the cover radii, are bit for bit those
+of the row-major norm in every dimension.
 """
 
 import itertools
@@ -50,9 +58,9 @@ def _positive(value):
 
 
 def _points_of(obj):
-    if isinstance(obj, PointCloud):
-        return obj.points
-    return np.asarray(obj, dtype=np.float64)
+    """The (m, n) points of a PointCloud or array-like; ValueError unless
+    they form a non-empty 2-d array of finite values."""
+    return (obj if isinstance(obj, PointCloud) else PointCloud(obj)).points
 
 
 def epsilon_from_kappa(train_points, kappa):
@@ -66,12 +74,49 @@ def epsilon_from_kappa(train_points, kappa):
 
 def _tie_argmax(values, rng):
     """Index of the maximum; exact ties are broken by the seeded rng."""
-    values = np.asarray(values)
-    top = values.max()
-    ties = np.nonzero(values == top)[0]
-    if ties.size == 1:
-        return int(ties[0])
-    return int(rng.choice(ties))
+    best = int(values.argmax())
+    # argmax returns the first maximum, so every tie lies at or after it.
+    ties = values[best:] == values[best]
+    if np.count_nonzero(ties) == 1:
+        return best
+    return int(rng.choice(best + np.flatnonzero(ties)))
+
+
+def _pairwise_rows(sq):
+    """Sum the rows of sq in place, in the order NumPy's pairwise summation
+    adds the n terms of one contiguous row; returns the sum (a view of sq).
+
+    Below 8 terms that is one running sum; up to 128 it is eight running
+    sums over blocks of 8, joined as a balanced tree, plus the remainder
+    one by one; above 128 the two halves (cut at a multiple of 8) are
+    summed alike and added.
+    """
+    n = len(sq)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_rows(sq[:half])
+        total += _pairwise_rows(sq[half:])
+        return total
+    rest = n - n % 8 if n >= 8 else 1
+    for i in range(8, rest, 8):
+        sq[:8] += sq[i:i + 8]
+    if n >= 8:
+        sq[0:8:2] += sq[1:8:2]
+        sq[0:8:4] += sq[2:8:4]
+        sq[0] += sq[4]
+    for i in range(rest, n):
+        sq[0] += sq[i]
+    return sq[0]
+
+
+def _distances(cols, x, buf):
+    """Distances from x to the m points whose (n, m) coordinate-major copy
+    is cols, bit for bit `np.linalg.norm(pts - x, axis=1)`; the result is
+    a view of the (n, m) scratch array buf."""
+    np.subtract(cols, x[:, None], out=buf)
+    np.multiply(buf, buf, out=buf)
+    total = _pairwise_rows(buf)
+    return np.sqrt(total, out=total)
 
 
 def _farthest_points(pts, seed):
@@ -80,13 +125,14 @@ def _farthest_points(pts, seed):
     Callers that stop early see exactly the prefix of the full order.
     """
     rng = np.random.default_rng(seed)
-    centroid = pts.mean(axis=0)
-    start = _tie_argmax(-np.linalg.norm(pts - centroid, axis=1), rng)
-    dists = np.linalg.norm(pts - pts[start], axis=1)
+    cols = np.ascontiguousarray(pts.T)
+    buf = np.empty_like(cols)
+    start = _tie_argmax(-_distances(cols, pts.mean(axis=0), buf), rng)
+    dists = _distances(cols, pts[start], buf).copy()
     yield start, float(dists.max())
     for _ in range(pts.shape[0] - 1):
         nxt = _tie_argmax(dists, rng)
-        np.minimum(dists, np.linalg.norm(pts - pts[nxt], axis=1), out=dists)
+        np.minimum(dists, _distances(cols, pts[nxt], buf), out=dists)
         yield nxt, float(dists.max())
 
 
@@ -125,6 +171,8 @@ def epsilon_for_size(train_points, size, seed=0):
     """
     pts = _points_of(train_points)
     m = pts.shape[0]
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ValueError("size must be an integer, got %r" % (size,))
     if not 1 <= size <= m:
         raise ValueError("size must be in [1, %d], got %d" % (m, size))
     radii = [r for _, r in itertools.islice(_farthest_points(pts, seed), size)]

@@ -100,6 +100,33 @@ def circumsphere_contains(vertices, q, tol=1e-7):
     return dist_sq < radius_sq * (1.0 - tol)
 
 
+# The row-major farthest-point traversal that the coordinate-major step of
+# sampling._farthest_points must reproduce bit for bit.
+
+
+def _reference_tie_argmax(values, rng):
+    """Index of the maximum; exact ties are broken by the seeded rng."""
+    ties = np.nonzero(values == values.max())[0]
+    if ties.size == 1:
+        return int(ties[0])
+    return int(rng.choice(ties))
+
+
+def reference_order(points, seed=0):
+    """(order, radii) of the greedy traversal, one row-major norm per step."""
+    pts = np.asarray(points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    start = _reference_tie_argmax(-np.linalg.norm(pts - pts.mean(axis=0), axis=1), rng)
+    dists = np.linalg.norm(pts - pts[start], axis=1)
+    order, radii = [start], [float(dists.max())]
+    for _ in range(pts.shape[0] - 1):
+        nxt = _reference_tie_argmax(dists, rng)
+        np.minimum(dists, np.linalg.norm(pts - pts[nxt], axis=1), out=dists)
+        order.append(nxt)
+        radii.append(float(dists.max()))
+    return np.array(order, dtype=np.int64), np.array(radii)
+
+
 # The one-vector softmax, the NumPy SGD step that the training kernel must
 # reproduce bit for bit, the training loop of train_cached around it, and
 # the per-row evaluate that the array scoring of evaluate must reproduce.

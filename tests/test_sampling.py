@@ -5,7 +5,7 @@ import pytest
 
 import smnn
 
-from conftest import random_cloud
+from conftest import random_cloud, reference_order
 
 # Start point 3 is nearest the centroid; the traversal then walks the far
 # corners in decreasing cover radius.  Worked out by hand.
@@ -103,6 +103,86 @@ class TestFarthestPointOrder:
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         starts = {int(smnn.farthest_point_order(corners, seed=s)[0][0]) for s in range(30)}
         assert len(starts) > 1
+
+
+def _assert_reference_traversal(pts, seed):
+    order, radii = smnn.farthest_point_order(pts, seed=seed)
+    ref_order, ref_radii = reference_order(pts, seed=seed)
+    assert order.tolist() == ref_order.tolist()
+    assert radii.tobytes() == ref_radii.tobytes()
+
+
+def _training_points(name, seed):
+    data = {
+        "spiral": lambda: smnn.gen_spiral(400, seed=seed),
+        "clusters": lambda: smnn.gen_clusters(4000, n_features=3, class_sep=1.5, seed=seed),
+        "iris": smnn.load_iris,
+    }[name]()
+    return smnn.split(data, 0.75, seed=seed)[0].points.points
+
+
+class TestReferenceTraversal:
+    """Orders and radii are bit for bit those of the row-major oracle."""
+
+    # Up to 7 coordinates NumPy's norm sums each row in one running sum;
+    # from 8 on it sums pairwise in blocks of 8, and above 128 by halves.
+    @pytest.mark.parametrize("n", list(range(1, 13)) + [130])
+    def test_random_clouds(self, n):
+        rng = np.random.default_rng(20 + n)
+        for m in (1, 2, 7, 60):
+            pts = random_cloud(rng, m, n) * rng.uniform(0.01, 100.0, size=n)
+            for seed in (0, 1):
+                _assert_reference_traversal(pts, seed)
+
+    def test_grid_clouds(self):
+        cube = np.array([[i, j, k] for i in range(4) for j in range(4) for k in range(4)], dtype=float)
+        for pts in (TestEarlyStop.CLOUDS["grid"], cube):
+            for seed in range(6):
+                _assert_reference_traversal(pts, seed)
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(11)
+        base = random_cloud(rng, 12, 3)
+        pts = base[rng.integers(0, 12, size=40)]
+        for seed in range(4):
+            _assert_reference_traversal(pts, seed)
+
+    @pytest.mark.parametrize("name", ["spiral", "clusters", "iris"])
+    def test_training_sets(self, name):
+        for seed in range(4):
+            _assert_reference_traversal(_training_points(name, seed), seed)
+
+
+class TestPointValidation:
+    """Points are read through PointCloud: 2-d, non-empty and finite."""
+
+    CALLS = {
+        "order": lambda pts: smnn.farthest_point_order(pts),
+        "size": lambda pts: smnn.epsilon_for_size(pts, 2),
+        "representative": lambda pts: smnn.epsilon_representative(pts, 0.5),
+        "kappa": lambda pts: smnn.epsilon_from_kappa(pts, 2.0),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_non_finite_point(self, call):
+        for value in NON_FINITE:
+            pts = FOUR_POINTS.copy()
+            pts[2, 1] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                self.CALLS[call](pts)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_not_a_2d_cloud(self, call):
+        with pytest.raises(ValueError, match="2-d"):
+            self.CALLS[call](np.arange(4.0))
+        with pytest.raises(ValueError, match="at least one point"):
+            self.CALLS[call](np.zeros((0, 2)))
+
+    def test_size_must_be_an_integer(self):
+        for size in (True, False, np.True_, 2.5, 2.0, np.float64(2.0), "2"):
+            with pytest.raises(ValueError, match="size must be an integer"):
+                smnn.epsilon_for_size(FOUR_POINTS, size)
+        assert smnn.epsilon_for_size(FOUR_POINTS, np.int64(2)) == smnn.epsilon_for_size(FOUR_POINTS, 2)
 
 
 class TestEpsilonRepresentative:
