@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import datagen, persist, sampling
-from .errors import ParseError, SmnnError
+from .errors import ParseError, SmnnError, indices
 from .explain import explain as _explain
 from .explain import render_explanation_svg
 from .model import forward as _forward
@@ -181,10 +181,9 @@ def _cmd_train(args):
     if args.support is not None:
         with open(args.support) as fh:
             support = json.load(fh)
-        if not isinstance(support, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in support
-        ):
-            raise ParseError("support file %s must be a JSON array of integers" % args.support)
+        what = "support file %s" % args.support
+        if not isinstance(support, list) or indices(support, what, error=ParseError).ndim != 1:
+            raise ParseError("%s must be a JSON array of integers" % what)
     elif args.epsilon is not None or args.kappa is not None:
         support, sampler_record = _select_support(pts, args.epsilon, args.kappa, args.seed)
     else:

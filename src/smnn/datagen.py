@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCount, ParseError, TooManyClusters
+from .errors import DimensionMismatch, InvalidCount, ParseError, TooManyClusters, integer
 from .geometry import PointCloud
 
 
@@ -48,8 +48,8 @@ def gen_spiral(n_samples, noise_sd=0.02, turns=0.65, seed=0):
     Arm a places points at parameter s evenly spaced in [0, 1] with
     radius s and angle turns*2*pi*s + a*pi, plus Gaussian noise.
     """
-    if n_samples % 2 != 0 or n_samples < 4:
-        raise InvalidCount("n_samples must be even and >= 4, got %d" % n_samples)
+    if integer(n_samples, "n_samples", low=4, error=InvalidCount) % 2:
+        raise InvalidCount("n_samples must be even, got %d" % n_samples)
     if noise_sd < 0.0:
         raise InvalidCount("noise_sd must be nonnegative, got %g" % noise_sd)
     per_arm = n_samples // 2
@@ -104,10 +104,9 @@ def gen_clusters(
     centered on distinct hypercube vertices scaled by class_sep; a seeded
     fraction of labels is then flipped.
     """
-    if n_samples < 10:
-        raise InvalidCount("n_samples must be >= 10, got %d" % n_samples)
-    if n_features < 2:
-        raise InvalidCount("n_features must be >= 2, got %d" % n_features)
+    integer(n_samples, "n_samples", low=10, error=InvalidCount)
+    integer(n_features, "n_features", low=2, error=InvalidCount)
+    integer(clusters_per_class, "clusters_per_class", low=1, error=InvalidCount)
     if not 0.0 <= flip_fraction < 1.0:
         raise InvalidCount("flip_fraction must be in [0, 1), got %g" % flip_fraction)
     n_clusters = 2 * clusters_per_class

@@ -17,7 +17,6 @@ vertex queries come back as clean indicators.  A batch of embeddings is
 one CSR record, an EmbeddingBatch; xi builds its single row directly.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,10 +29,13 @@ from .errors import (
     NonFiniteQuery,
     OutsideBall,
     ZeroNorm,
+    indices,
+    positive,
 )
 from .geometry import (
     TAU,
     PointCloud,
+    as_cloud,
     build_delaunay,
     clamp_coords,
     locate,
@@ -111,18 +113,6 @@ class EmbeddingBatch:
         ]
 
 
-def integer_indices(values, what):
-    """values as an int64 array; ValueError when any of them is a float or
-    a boolean, which casting would silently read as an index (1.7 and
-    True as 1)."""
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if arr.dtype.kind not in "iu" and not all(
-        isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in arr.reshape(-1)
-    ):
-        raise ValueError("%s must be integers, not floats or booleans" % what)
-    return arr.astype(np.int64, copy=False)
-
-
 def fit_space(train_points, support_indices, radius_margin=1.0):
     """Build the embedding space for a training set and support subset.
 
@@ -131,16 +121,11 @@ def fit_space(train_points, support_indices, radius_margin=1.0):
     the origin falls outside the support hull: queries behind that hull,
     as seen from the origin, then have no containing virtual simplex.
     """
-    if not (math.isfinite(radius_margin) and radius_margin > 0.0):
-        raise InvalidMargin("radius margin must be finite and positive, got %r" % (radius_margin,))
-    pts = train_points.points if isinstance(train_points, PointCloud) else None
-    if pts is None:
-        pts = PointCloud(np.asarray(train_points)).points
-    support_indices = integer_indices(support_indices, "support_indices")
+    radius_margin = positive(radius_margin, "radius margin", error=InvalidMargin)
+    pts = as_cloud(train_points).points
+    support_indices = indices(support_indices, "support index", stop=pts.shape[0])
     if support_indices.ndim != 1 or support_indices.size == 0:
         raise ValueError("support_indices must be a nonempty 1-d sequence")
-    if support_indices.min() < 0 or support_indices.max() >= pts.shape[0]:
-        raise ValueError("support index out of range")
     if np.unique(support_indices).size != support_indices.size:
         raise ValueError("support_indices contains duplicates")
 

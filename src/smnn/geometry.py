@@ -199,7 +199,10 @@ class Triangulation:
         return [BoundaryFacet(tuple(ids), opp, nrm, c) for ids, opp, nrm, c in planes]
 
 
-def _as_cloud(obj):
+def as_cloud(obj):
+    """obj itself when it is a PointCloud, else a PointCloud of it; the one
+    coercion of a point set, which raises ValueError unless the points form
+    a non-empty 2-d array of finite values."""
     return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
 
 
@@ -342,7 +345,7 @@ def build_triangulation(cloud, simplices):
     co-hyperplanar) are kept: they carry no interior but preserve the
     face counts.
     """
-    cloud = _as_cloud(cloud)
+    cloud = as_cloud(cloud)
     points = cloud.points
     m, n = points.shape
     simp = _check_simplices(simplices, m, n)
@@ -418,7 +421,7 @@ def build_delaunay(cloud):
     # Imported here so that loading a model and inference need only NumPy.
     from scipy.spatial import Delaunay, cKDTree
 
-    cloud = _as_cloud(cloud)
+    cloud = as_cloud(cloud)
     points = cloud.points
     m, n = points.shape
     if m < n + 1:

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import integer_indices
 from .embedding import xi as _xi
-from .errors import UnknownLabel
+from .errors import UnknownLabel, indices, integer
 
 # Probabilities are floored at this value inside log-loss.
 LOSS_FLOOR = 1e-12
@@ -66,16 +65,22 @@ class SmnnModel:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.support_labels = integer_indices(self.support_labels, "support_labels")
         k, m = self.weights.shape
         if k != self.encoding.k:
             raise ValueError("weight rows %d != number of classes %d" % (k, self.encoding.k))
         if m != self.space.support.size:
             raise ValueError("weight columns %d != support size %d" % (m, self.space.support.size))
-        if self.support_labels.shape != (m,):
-            raise ValueError("support_labels must have shape (%d,)" % m)
-        if self.support_labels.min() < 0 or self.support_labels.max() >= k:
-            raise ValueError("support label index out of range for k=%d" % k)
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights hold a non-finite number")
+        self.support_labels = _support_labels(self.support_labels, k, m)
+
+
+def _support_labels(labels, k, m):
+    """The encoded label of each of m support points, as int64 in [0, k)."""
+    labels = indices(labels, "support label", stop=k)
+    if labels.shape != (m,):
+        raise ValueError("support_labels must have shape (%d,)" % m)
+    return labels
 
 
 def softmax(z):
@@ -102,16 +107,13 @@ def init_weights(mode, seed, k, m, support_labels=None):
     reproduce the support labelling exactly before any training.
     """
     if mode == "uniform01":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        return rng.random((k, m))
+        if not isinstance(seed, np.random.Generator):
+            seed = np.random.default_rng(integer(seed, "seed"))
+        return seed.random((k, m))
     if mode == "one_hot":
         if support_labels is None:
             raise ValueError("one_hot initialization requires support_labels")
-        support_labels = integer_indices(support_labels, "support_labels")
-        if support_labels.shape != (m,):
-            raise ValueError("support_labels must have shape (%d,)" % m)
-        if support_labels.min() < 0 or support_labels.max() >= k:
-            raise ValueError("support label index out of range for k=%d" % k)
+        support_labels = _support_labels(support_labels, k, m)
         weights = np.zeros((k, m))
         weights[support_labels, np.arange(m)] = 1.0
         return weights

@@ -19,7 +19,7 @@ import json
 import numpy as np
 
 from .embedding import EmbeddingSpace
-from .errors import ModelFileError, SingularSimplex
+from .errors import ModelFileError, SingularSimplex, indices, integer
 from .geometry import PointCloud, build_triangulation
 from .model import LabelEncoding, SmnnModel
 
@@ -60,13 +60,6 @@ def save_model(model, path, provenance=None):
     with open(path, "w") as fh:
         json.dump(model_to_dict(model, provenance), fh, indent=1)
         fh.write("\n")
-
-
-def _integer(doc, key):
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelFileError("%s must be an integer, got %r" % (key, value))
-    return value
 
 
 def _array(doc, key, shape, integer=False):
@@ -110,9 +103,7 @@ def model_from_dict(doc):
     if missing:
         raise ModelFileError("model document lacks %s" % ", ".join(missing))
 
-    dim = _integer(doc, "dim")
-    if dim < 1:
-        raise ModelFileError("dim must be positive, got %d" % dim)
+    dim = integer(doc["dim"], "dim", low=1, error=ModelFileError)
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
         raise ModelFileError("labels must be a list of strings")
@@ -121,7 +112,7 @@ def model_from_dict(doc):
     except ValueError as exc:
         raise ModelFileError("labels: %s" % exc) from None
     k = encoding.k
-    if _integer(doc, "n_classes") != k:
+    if integer(doc["n_classes"], "n_classes", error=ModelFileError) != k:
         raise ModelFileError("n_classes %r != %d labels" % (doc["n_classes"], k))
 
     points = _array(doc, "support_points", (None, dim))
@@ -132,8 +123,7 @@ def model_from_dict(doc):
         raise ModelFileError("radius %r does not exceed the largest support norm" % radius)
     weights = _array(doc, "weights", (k, m))
     support_labels = _array(doc, "support_labels", (m,), integer=True)
-    if support_labels.min() < 0 or support_labels.max() >= k:
-        raise ModelFileError("support_labels must lie in [0, %d)" % k)
+    support_labels = indices(support_labels, "support label", stop=k, error=ModelFileError)
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ModelFileError("provenance must be a JSON object")

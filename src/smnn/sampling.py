@@ -16,12 +16,12 @@ of the row-major norm in every dimension.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud
+from .errors import integer, positive
+from .geometry import as_cloud
 
 
 @dataclass
@@ -36,12 +36,11 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in ("epsilon", "kappa"):
             raise ValueError("mode must be 'epsilon' or 'kappa', got %r" % (self.mode,))
-        if self.mode == "epsilon":
-            if not _positive(self.epsilon) or self.kappa is not None:
-                raise ValueError("mode 'epsilon' needs a finite epsilon > 0 and no kappa")
-        else:
-            if not _positive(self.kappa) or self.epsilon is not None:
-                raise ValueError("mode 'kappa' needs a finite kappa > 0 and no epsilon")
+        value, other = ("epsilon", "kappa") if self.mode == "epsilon" else ("kappa", "epsilon")
+        positive(getattr(self, value), value)
+        if getattr(self, other) is not None:
+            raise ValueError("mode %r takes no %s" % (self.mode, other))
+        integer(self.seed, "seed")
 
     def to_dict(self):
         return {
@@ -52,22 +51,10 @@ class SamplerConfig:
         }
 
 
-def _positive(value):
-    """True for a finite number above zero; False for None, NaN and infinity."""
-    return value is not None and math.isfinite(value) and value > 0.0
-
-
-def _points_of(obj):
-    """The (m, n) points of a PointCloud or array-like; ValueError unless
-    they form a non-empty 2-d array of finite values."""
-    return (obj if isinstance(obj, PointCloud) else PointCloud(obj)).points
-
-
 def epsilon_from_kappa(train_points, kappa):
     """epsilon = (max point norm + 1/2) / kappa, for centroid-centered points."""
-    if not _positive(kappa):
-        raise ValueError("kappa must be finite and positive, got %r" % (kappa,))
-    pts = _points_of(train_points)
+    positive(kappa, "kappa")
+    pts = as_cloud(train_points).points
     max_norm = float(np.linalg.norm(pts, axis=1).max())
     return (max_norm + 0.5) / kappa
 
@@ -124,7 +111,7 @@ def _farthest_points(pts, seed):
 
     Callers that stop early see exactly the prefix of the full order.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed"))
     cols = np.ascontiguousarray(pts.T)
     buf = np.empty_like(cols)
     start = _tie_argmax(-_distances(cols, pts.mean(axis=0), buf), rng)
@@ -143,7 +130,7 @@ def farthest_point_order(train_points, seed=0):
     radii[j] is the cover radius once the first j+1 points are selected.
     Any epsilon-representative prefix is a prefix of this order.
     """
-    order, radii = zip(*_farthest_points(_points_of(train_points), seed))
+    order, radii = zip(*_farthest_points(as_cloud(train_points).points, seed))
     return np.array(order, dtype=np.int64), np.array(radii)
 
 
@@ -152,10 +139,9 @@ def epsilon_representative(train_points, epsilon, seed=0):
 
     Every training point ends up within epsilon of a selected point.
     """
-    if not _positive(epsilon):
-        raise ValueError("epsilon must be finite and positive, got %r" % (epsilon,))
+    positive(epsilon, "epsilon")
     selected = []
-    for index, radius in _farthest_points(_points_of(train_points), seed):
+    for index, radius in _farthest_points(as_cloud(train_points).points, seed):
         selected.append(index)
         if radius < epsilon:
             break
@@ -169,11 +155,9 @@ def epsilon_for_size(train_points, size, seed=0):
     strictly decreases into the half-open interval between radii[k-1] and
     radii[k-2].  Raises when ties make the size unreachable.
     """
-    pts = _points_of(train_points)
+    pts = as_cloud(train_points).points
     m = pts.shape[0]
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-        raise ValueError("size must be an integer, got %r" % (size,))
-    if not 1 <= size <= m:
+    if integer(size, "size", low=1) > m:
         raise ValueError("size must be in [1, %d], got %d" % (m, size))
     radii = [r for _, r in itertools.islice(_farthest_points(pts, seed), size)]
     if size == m and m >= 2:

@@ -12,14 +12,13 @@ a set of steps sharing no column, done as one NumPy batch, and every
 column sees the updates of the sequential order (_kernel_epoch).
 """
 
-import math
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .embedding import embed_batch, embed_translated, fit_space, integer_indices, translate_queries
-from .errors import InvalidCount
+from .embedding import embed_batch, embed_translated, fit_space, translate_queries
+from .errors import InvalidCount, indices, integer, positive
 from .model import LabelEncoding, SmnnModel, cross_entropy, init_weights, softmax
 
 INIT_MODES = ("uniform01", "one_hot")
@@ -40,10 +39,9 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        _positive_rate(self.learning_rate)
-        if int(self.epochs) != self.epochs or self.epochs < 1:
-            raise ValueError("epochs must be a positive integer, got %r" % (self.epochs,))
-        self.epochs = int(self.epochs)
+        positive(self.learning_rate, "learning rate")
+        self.epochs = integer(self.epochs, "epochs", low=1)
+        integer(self.seed, "seed")
         if self.init_mode not in INIT_MODES:
             raise ValueError("init_mode must be one of %r" % (INIT_MODES,))
 
@@ -110,17 +108,12 @@ def _points(points):
 def precompute_embeddings(space, train_points, y_encoded):
     """Embed every training point once; y_encoded are label indices."""
     pts = _points(train_points)
-    y = integer_indices(y_encoded, "label indices")
+    y = indices(y_encoded, "label index")
     if y.shape != (pts.shape[0],):
-        raise ValueError("labels and points disagree: %d vs %d" % (y.size, pts.shape[0]))
+        raise ValueError(
+            "labels and points disagree: label shape %s, point shape %s" % (y.shape, pts.shape)
+        )
     return CachedEmbedding(batch=embed_batch(space, pts), y=y)
-
-
-def _positive_rate(rate):
-    """The learning rate as a float; it must be finite and positive."""
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError("learning rate must be finite and positive, got %r" % (rate,))
-    return float(rate)
 
 
 def _pack(batch, k, m):
@@ -170,31 +163,23 @@ def _kernel(flat, fidx, vals, vrep, y_index, eta):
     return s
 
 
-def _label_index(k, y_index):
-    """The caller's label index, checked against the k classes."""
-    y_index = int(integer_indices(y_index, "label indices"))
-    if not 0 <= y_index < k:
-        raise ValueError("label index %d out of range for %d classes" % (y_index, k))
-    return y_index
-
-
 def gradient(weights, xi, y_index):
     """Cross-entropy gradient for one sample, restricted to touched columns."""
-    y = _label_index(weights.shape[0], y_index)
-    indices = np.asarray(xi.indices, dtype=np.int64)
+    y = int(indices(y_index, "label index", stop=weights.shape[0]))
+    cols = np.asarray(xi.indices, dtype=np.int64)
     vals = np.asarray(xi.values, dtype=np.float64)
-    g = softmax(weights[:, indices] @ vals)
+    g = softmax(weights[:, cols] @ vals)
     g[y] -= 1.0
-    return SparseGradient(indices=indices, block=np.outer(g, vals))
+    return SparseGradient(indices=cols, block=np.outer(g, vals))
 
 
 def sgd_step(weights, xi, y_index, eta):
     """Apply one closed-form SGD update in place and return the weights."""
-    eta = _positive_rate(eta)
+    eta = positive(eta, "learning rate")
     if weights.dtype.kind != "f":
         raise TypeError("weights must be a floating-point array, got %s" % weights.dtype)
     k, m = weights.shape
-    y = _label_index(k, y_index)
+    y = int(indices(y_index, "label index", stop=k))
     cols = np.asarray(xi.indices, dtype=np.int64)
     vals = np.asarray(xi.values, dtype=np.float64)
     work = np.ascontiguousarray(weights)
@@ -329,9 +314,7 @@ def _level_epoch(flat, rows, order, eta):
         sub = rows.slot[picked]
         fidx, vals, y = fidx[sub], vals[sub], y[sub]
         block = flat[fidx]
-        z = np.matmul(vals[:, None, :], block)[:, 0]
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        s = e / e.sum(axis=1, keepdims=True)
+        s = softmax(np.matmul(vals[:, None, :], block)[:, 0])
         true = (np.arange(y.size), y)
         kept[at] = s[true]
         hits += int(np.count_nonzero(s.argmax(axis=1) == y))
@@ -352,10 +335,7 @@ def train_cached(space, cached, support_labels, encoding, config):
         raise InvalidCount("cannot train on an embedding cache with no rows")
     k = encoding.k
     m = space.support.size
-    y = np.asarray(cached.y, dtype=np.int64)
-    bad = y[(y < 0) | (y >= k)]
-    if bad.size:
-        _label_index(k, int(bad[0]))
+    y = indices(cached.y, "label index", stop=k)
     rng = np.random.default_rng(config.seed)
     weights = init_weights(config.init_mode, rng, k, m, support_labels)
     model = SmnnModel(space, encoding, weights, support_labels)

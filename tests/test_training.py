@@ -559,7 +559,7 @@ class TestLabelRange:
         # -1 would wrap to the last class, 2 (= k) would overrun it.
         encoding = smnn.LabelEncoding.from_labels(SQUARE_LABELS)
         cached = precompute_embeddings(square_space, SQUARE_POINTS, [0, bad, bad, 1])
-        with pytest.raises(ValueError, match="label index %d out of range for 2 classes" % bad):
+        with pytest.raises(ValueError, match="label index %d out of range for k=2" % bad):
             smnn.train_cached(square_space, cached, [0, 0, 1, 1], encoding, smnn.TrainConfig(epochs=2))
 
 
