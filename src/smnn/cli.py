@@ -226,6 +226,9 @@ def _cmd_train(args):
                 "n_steps": report.n_steps,
                 "n_batches": report.n_batches,
                 "us_per_step": round(report.us_per_step, 3),
+                "n_exterior": report.n_exterior,
+                "sphere_mass_mean": report.sphere_mass_mean,
+                "sphere_mass_max": report.sphere_mass_max,
             }
         )
     )

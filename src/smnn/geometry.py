@@ -16,7 +16,9 @@ vertices, planes (one stacked SVD; dots by a stacked matmul, which rounds
 as the 1-d product) and the inverted vertex systems all follow from
 those two, so build_delaunay (after Qhull) and a model file load (from
 the stored simplices) produce the same complex from the same bits.  Its
-Simplex and BoundaryFacet lists are views built on each read.
+slack, how far the stored facet planes miss a convex hull, bounds the
+rounding band of the exterior embedding route.  Its Simplex and
+BoundaryFacet lists are views built on each read.
 
 Point location (locate_batch) accepts a cell when every barycentric
 coordinate is at least -TAU, and the lowest cell index wins on shared
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSupport, DimensionTooSmall, SingularSimplex
+from .errors import DegenerateSupport, DimensionTooSmall, SingularSimplex, indices
 
 # Tolerance for barycentric feasibility and clamping.
 TAU = 1e-9
@@ -174,6 +176,9 @@ class Triangulation:
     opposite  : (F,) id of the vertex of each facet's cell off the facet.
     normals   : (F, n) outward unit normals of the facets.
     offsets   : (F,) hyperplane offsets of the facets.
+    slack     : how far the stored planes miss a convex hull: the largest
+                computed N.v + c over cloud points v and facets, and
+                |N.u + c| over the vertices u of each facet.
     index     : CellIndex of the usable cells, or None below INDEX_MIN_CELLS.
     The complex is these arrays; maximal and boundary are views of them.
     """
@@ -185,6 +190,7 @@ class Triangulation:
     opposite: np.ndarray = field(repr=False)
     normals: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
+    slack: float = field(repr=False)
     index: CellIndex = field(repr=False)
 
     @property
@@ -229,14 +235,11 @@ def _dots(a, b):
 def _check_simplices(simplices, m, n):
     """The simplex ids as int64, or ValueError when they are malformed."""
     simp = np.asarray(simplices)
-    if simp.dtype.kind not in "iu" or simp.ndim != 2 or simp.shape[1] != n + 1 or not simp.size:
+    if simp.ndim != 2 or simp.shape[1] != n + 1 or not simp.size:
         raise ValueError(
-            "simplices must be a nonempty integer array of shape (S, %d), got %s of shape %s"
-            % (n + 1, simp.dtype, simp.shape)
+            "simplices must be a nonempty array of shape (S, %d), got shape %s" % (n + 1, simp.shape)
         )
-    simp = simp.astype(np.int64)
-    if simp.min() < 0 or simp.max() >= m:
-        raise ValueError("simplex vertex ids must lie in [0, %d)" % m)
+    simp = indices(simp, "simplex vertex id", stop=m)
     if not (np.diff(simp, axis=1) > 0).all():
         raise ValueError("simplex vertex ids must be sorted and distinct within each cell")
     step = np.diff(simp, axis=0)
@@ -380,6 +383,13 @@ def build_triangulation(cloud, simplices):
     side = np.where(flat, _dots(normals, centroid) + offsets, side)
     sign = np.where(side > 0.0, -1.0, 1.0)
     normals, offsets = normals * sign[:, None], offsets * sign
+    # The planes at their own vertices and, in blocks of about 2**20
+    # values, at every cloud point.
+    own = np.matmul(corners, normals[:, :, None])[..., 0] + offsets[:, None]
+    step = max(1, (1 << 20) // m)
+    slack = float(np.abs(own).max())
+    for a in range(0, len(offsets), step):
+        slack = max(slack, float((points @ normals[a : a + step].T + offsets[a : a + step]).max()))
 
     # Flat cells get NaN inverse blocks: their coordinates never pass a
     # feasibility test, so point location simply ignores them.
@@ -407,6 +417,7 @@ def build_triangulation(cloud, simplices):
         opposite=opposite,
         normals=normals,
         offsets=offsets,
+        slack=slack,
         index=index,
     )
 
@@ -530,7 +541,3 @@ def locate(tri, x):
         return None
     return Simplex(tuple(tri.simplices[index].tolist())), clamp_coords(coords[0])
 
-
-def visible_facet_indices(tri, x):
-    """Ascending positions in tri.facets of the facets with N.x + c > 0."""
-    return np.nonzero(tri.normals @ x + tri.offsets > 0.0)[0]

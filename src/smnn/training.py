@@ -44,6 +44,8 @@ class TrainConfig:
         integer(self.seed, "seed")
         if self.init_mode not in INIT_MODES:
             raise ValueError("init_mode must be one of %r" % (INIT_MODES,))
+        if not isinstance(self.shuffle, (bool, np.bool_)):
+            raise ValueError("shuffle must be a bool, got %r" % (self.shuffle,))
 
 
 @dataclass
@@ -51,12 +53,18 @@ class TrainReport:
     """Per-epoch running mean loss and accuracy, accumulated sample by
     sample as the weights move; wall time in seconds; the number of SGD
     steps (epochs times rows) and of the batches they ran in: kernel
-    calls, or level batches of the level schedule."""
+    calls, or level batches of the level schedule.  n_exterior counts the
+    training rows embedded through a virtual simplex; sphere_mass_mean
+    and sphere_mass_max are their mean and largest weight on the sphere
+    point, 0 when there are none."""
 
     history: list = field(default_factory=list)
     wall_time: float = 0.0
     n_steps: int = 0
     n_batches: int = 0
+    n_exterior: int = 0
+    sphere_mass_mean: float = 0.0
+    sphere_mass_max: float = 0.0
 
     @property
     def us_per_step(self):
@@ -363,7 +371,16 @@ def train_cached(space, cached, support_labels, encoding, config):
         total = _sum_in_order(cross_entropy(kept))
         history.append((total / n_rows, hits / n_rows))
     wall_time = time.perf_counter() - started
-    return model, TrainReport(history, wall_time, config.epochs * n_rows, n_batches)
+    mass = cached.batch.sphere_mass[cached.batch.facet[:, 0] >= 0]
+    return model, TrainReport(
+        history,
+        wall_time,
+        config.epochs * n_rows,
+        n_batches,
+        n_exterior=mass.size,
+        sphere_mass_mean=float(mass.mean()) if mass.size else 0.0,
+        sphere_mass_max=float(mass.max(initial=0.0)),
+    )
 
 
 @dataclass

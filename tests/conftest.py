@@ -11,7 +11,7 @@ from hypothesis import settings
 import smnn
 from smnn.embedding import EmbeddingBatch, translate_queries
 from smnn.errors import InvalidCount
-from smnn.geometry import COND_LIMIT
+from smnn.geometry import COND_LIMIT, TAU
 from smnn.model import LOSS_FLOOR, init_weights, logits
 from smnn.training import EvalReport
 
@@ -251,6 +251,36 @@ def reference_evaluate(model, points, labels):
         n_outside_ball=n_outside,
         n_no_virtual_simplex=n_missing,
     )
+
+
+# The one-row exterior route that embedding._virtual_simplices replaced: a
+# solve for every visible facet, with the winner and tie rules spelled out.
+
+
+def reference_xi_outside(space, x):
+    """Raw coordinates on (w, facet vertices) and the facet ids of the
+    virtual simplex of a translated point x outside the hull, or None when
+    none contains x within TAU or x has no sphere point.  Every facet with
+    N.x + c > 0 is solved; the largest minimum coordinate wins, ties going
+    to the lowest facet."""
+    x = np.asarray(x, dtype=np.float64)
+    norm = float(np.linalg.norm(x))
+    if norm < 1e-12:
+        return None
+    w = space.radius * x / norm
+    visible = np.nonzero(space.tri.normals @ x + space.tri.offsets > 0.0)[0]
+    ids = space.tri.facets[visible]
+    n = x.size
+    tmat = np.ones((visible.size, n + 1, n + 1))
+    tmat[:, :n, 0] = w
+    tmat[:, :n, 1:] = np.transpose(space.support.points[ids], (0, 2, 1))
+    rhs = np.broadcast_to(np.append(x, 1.0), (visible.size, n + 1))
+    coords = np.linalg.solve(tmat, rhs[..., None])[..., 0]
+    low = coords.min(axis=1, initial=np.inf)
+    if not (low >= -TAU).any():
+        return None
+    best = int(np.argmax(low))
+    return coords[best], ids[best]
 
 
 def _acceptance_lines():

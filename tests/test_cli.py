@@ -8,6 +8,7 @@ import pytest
 
 import smnn
 from smnn.cli import main
+from smnn.embedding import embed_batch
 
 
 def _run(capsys, *argv):
@@ -152,6 +153,16 @@ class TestTrainEvalPredictExplain:
         # step time to 1 ns.
         expected = summary["wall_time"] / summary["n_steps"] * 1e6
         assert abs(summary["us_per_step"] - expected) <= 500.0 / summary["n_steps"] + 5e-4
+
+    def test_train_reports_exterior_rows(self, pipeline):
+        tmp_path, summary = pipeline
+        model, _ = smnn.load_model(tmp_path / "model.json")
+        data = smnn.load_csv(tmp_path / "spiral.csv")
+        batch = embed_batch(model.space, data.points.points)
+        mass = batch.sphere_mass[batch.facet[:, 0] >= 0]
+        assert summary["n_exterior"] == mass.size > 0
+        assert summary["sphere_mass_max"] == float(mass.max())
+        assert summary["sphere_mass_mean"] == pytest.approx(float(mass.mean()), rel=1e-12)
 
     def test_eval_report(self, pipeline, tmp_path, capsys):
         tmp_dir, _ = pipeline

@@ -8,10 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import smnn
+from smnn import embedding
 from smnn.embedding import embed_translated
 from smnn.geometry import TAU, clamp_coords
 
-from conftest import SQUARE_MARGIN, SQUARE_POINTS, jittered_grid, random_cloud, same_bits
+from conftest import (
+    SQUARE_MARGIN,
+    SQUARE_POINTS,
+    jittered_grid,
+    random_cloud,
+    reference_xi_outside,
+    same_bits,
+)
 
 
 class TestFitSpace:
@@ -325,6 +333,113 @@ class TestEmbeddingBatch:
         assert np.abs(batch.values - [0.3, 0.2, 0.5, 1 / 3, 1 / 3, 1.0]).max() < 1e-12
         assert np.abs(batch.sphere_mass - [0.0, 1 / 3, 0.0]).max() < 1e-12
         assert batch.facet.tolist() == [[-1, -1], [1, 3], [-1, -1]]
+
+
+def _hull_rays(space):
+    """Translated rows on the rays from the centroid through the hull's
+    vertices, ridge centres and facet centres: just past the hull, well
+    past it, and at distances from the sphere from 0.1 R down to 0 and
+    TAU/2 beyond it.  Past a ridge or a vertex, several virtual simplices
+    hold the row on a shared face, so the tie rule decides."""
+    pts, facets, radius = space.support.points, space.tri.facets, space.radius
+    n = space.dim
+    base = [pts[np.unique(facets)], pts[facets].mean(axis=1)]
+    base += [np.delete(pts[facets], d, axis=1).mean(axis=1) for d in range(n)]
+    base = np.unique(np.vstack(base), axis=0)
+    norms = np.linalg.norm(base, axis=1)
+    base, norms = base[norms > 1e-6], norms[norms > 1e-6]
+    rows = [base * scale for scale in (1.0 + 1e-12, 1.0 + 1e-7, 1.05, 1.3)]
+    rows += [base * (radius * (1.0 - gap) / norms)[:, None] for gap in (0.1, 1e-4, 1e-8, 1e-13, 0.0)]
+    rows.append(base * ((radius + 0.5 * TAU) / norms)[:, None])
+    rows = np.vstack(rows)
+    return rows[np.einsum("ij,ij->i", rows, rows) <= (radius + TAU) ** 2]
+
+
+@pytest.fixture(params=["band", "every-visible-facet"])
+def band(request, monkeypatch):
+    """Run a test with _beyond_band applied to every batch, and with it
+    never applied, so that every visible facet is solved."""
+    monkeypatch.setattr(embedding, "_BAND_MIN", -(2**62) if request.param == "band" else 2**62)
+    return request.param
+
+
+class TestExteriorRoute:
+    """_virtual_simplices against reference_xi_outside, the one-row route
+    it replaced, bit for bit: coordinate bytes, facet ids and the rows
+    with no virtual simplex."""
+
+    @staticmethod
+    def assert_matches_reference(space, xs):
+        found, hit, ids = embedding._virtual_simplices(space, xs)
+        assert found.shape == (len(xs),) and hit.shape == (len(xs), space.dim + 1)
+        for k, x in enumerate(xs):
+            ref = reference_xi_outside(space, x)
+            assert found[k] == (ref is not None)
+            if ref is not None:
+                assert hit[k].tobytes() == ref[0].tobytes()
+                assert ids[k].tolist() == ref[1].tolist()
+        return found
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_clouds(self, band, n, seed):
+        rng = np.random.default_rng(50 + 10 * n + seed)
+        m = (12, 20, 30, 30)[n - 2]
+        space = smnn.fit_space(random_cloud(rng, m, n), list(range(m)), radius_margin=0.3)
+        xs = _ball_queries(rng, space, 200) - space.centroid
+        cells, _ = smnn.geometry.locate_batch(space.tri, xs)
+        xs = xs[np.array(cells) < 0]
+        assert len(xs) >= 50
+        assert self.assert_matches_reference(space, xs).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ridges_vertices_and_sphere(self, band, n):
+        rng = np.random.default_rng(70 + n)
+        m = (10, 14, 16, 18)[n - 2]
+        space = smnn.fit_space(random_cloud(rng, m, n), list(range(m)), radius_margin=0.2)
+        xs = _hull_rays(space)
+        assert len(xs) >= 100
+        self.assert_matches_reference(space, xs)
+
+    def test_grid_hull_with_coplanar_facets(self, band):
+        # A jittered grid's hull has nearly coplanar neighbouring facets,
+        # whose rays are nearly tied.
+        rng = np.random.default_rng(9)
+        pts = jittered_grid(rng, 4, 3, jitter=1e-6)
+        space = smnn.fit_space(pts, list(range(len(pts))), radius_margin=0.5)
+        self.assert_matches_reference(space, _hull_rays(space))
+
+    def test_hull_that_misses_the_centroid(self, band):
+        rng = np.random.default_rng(2)
+        pts = np.vstack([random_cloud(rng, 10, 2) + 10.0, random_cloud(rng, 10, 2) - 10.0])
+        with pytest.warns(UserWarning, match="NoContainingVirtualSimplex"):
+            space = smnn.fit_space(pts, list(range(10)), radius_margin=1.0)
+        xs = np.vstack([_ball_queries(rng, space, 300) - space.centroid, _hull_rays(space), np.zeros((1, 2))])
+        found = self.assert_matches_reference(space, xs)
+        assert found.any() and not found.all() and not found[-1]
+
+    def test_no_rows(self, square_space):
+        found, hit, ids = embedding._virtual_simplices(square_space, np.zeros((0, 2)))
+        assert found.shape == (0,) and hit.shape == (0, 3) and ids.shape == (0, 2)
+
+    def test_chunks_with_and_without_exterior_rows(self, band, square_space):
+        # Interior, exterior and vertex rows of the worked example.  One
+        # 512-row location chunk holds no exterior row, another several,
+        # and the last one row; each row is xi's.
+        interior, exterior = [0.75, 0.6], [0.75, 1.25]
+        rng = np.random.default_rng(4)
+        mixed = _ball_queries(rng, square_space, 100)
+        for rows in (
+            np.array([interior] * 600 + [exterior] * 3 + [[1.0, 1.0]] * 2),
+            np.vstack([mixed, [interior] * 500, [exterior]]),
+            np.vstack([[interior] * 512, mixed, [interior] * 460, [exterior]]),
+        ):
+            got = smnn.xi_batch(square_space, rows)
+            assert len(got) == len(rows)
+            assert any(x.facet_used is not None for x in got)
+            for x, q in zip(got, rows):
+                assert same_bits(x, smnn.xi(square_space, q))
+        assert smnn.xi_batch(square_space, np.zeros((0, 2))) == []
 
 
 class TestMemory:

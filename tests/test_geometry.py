@@ -10,7 +10,6 @@ from smnn.geometry import (
     build_triangulation,
     clamp_coords,
     locate_batch,
-    visible_facet_indices,
 )
 
 from conftest import (
@@ -245,6 +244,22 @@ class TestBuildTriangulation:
             a, b = getattr(tri, name), getattr(again, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert again.maximal == tri.maximal
+        assert again.slack == tri.slack
+
+    def test_slack_of_a_convex_hull_is_rounding(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4):
+            tri = smnn.build_delaunay(random_cloud(rng, 30, n))
+            assert 0.0 < tri.slack < 1e-14
+
+    def test_slack_measures_a_dent(self):
+        # Two triangles meeting at the reflex vertex 2: vertex 3 lies
+        # 4/sqrt(10) beyond the plane of the hull edge (1, 2), and vertex 1
+        # as far beyond that of (2, 3).
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 0.5], [0.0, 2.0]])
+        tri = build_triangulation(pts, [[0, 1, 2], [0, 2, 3]])
+        assert [tuple(f) for f in tri.facets.tolist()] == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert tri.slack == pytest.approx(4.0 / np.sqrt(10.0), rel=1e-12)
 
     @pytest.mark.parametrize(
         "simplices",
@@ -274,6 +289,11 @@ class TestBuildTriangulation:
     def test_rejects_malformed_simplices(self, simplices):
         with pytest.raises(ValueError):
             build_triangulation(SQ, simplices)
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_range_error_names_the_bad_id(self, bad):
+        with pytest.raises(ValueError, match=r"^simplex vertex id %d out of range for k=4$" % bad):
+            build_triangulation(SQ, [[0, 1, 2], sorted([1, 3, bad])])
 
     def test_face_of_three_cells_raises(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
@@ -593,9 +613,14 @@ class TestCellIndex:
 
 
 class TestVisibleFacets:
+    """A query sees the facets with N.x + c > 0, read off the plane arrays."""
+
     @staticmethod
-    def visible(tri, x):
-        return [tri.boundary[i].facet_ids for i in visible_facet_indices(tri, np.asarray(x))]
+    def indices(tri, x):
+        return np.flatnonzero(tri.normals @ np.asarray(x, dtype=np.float64) + tri.offsets > 0.0)
+
+    def visible(self, tri, x):
+        return [tuple(ids) for ids in tri.facets[self.indices(tri, x)].tolist()]
 
     def test_top_facet_from_above(self):
         assert self.visible(square_tri(), [0.0, 0.5]) == [(1, 3)]
@@ -608,7 +633,7 @@ class TestVisibleFacets:
         assert self.visible(square_tri(), [0.6, 0.6]) == [(1, 3), (2, 3)]
 
     def test_interior_sees_none(self):
-        indices = visible_facet_indices(square_tri(), np.array([0.0, -0.15]))
+        indices = self.indices(square_tri(), np.array([0.0, -0.15]))
         assert indices.size == 0
 
 

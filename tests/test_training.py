@@ -58,6 +58,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="finite"):
             smnn.TrainConfig(learning_rate=rate)
 
+    @pytest.mark.parametrize("shuffle", ["no", "", 0, 1, 1.0, None, [True]])
+    def test_rejects_non_bool_shuffle(self, shuffle):
+        with pytest.raises(ValueError, match="shuffle must be a bool"):
+            smnn.TrainConfig(shuffle=shuffle)
+
+    @pytest.mark.parametrize("shuffle", [True, False, np.True_, np.False_])
+    def test_accepts_bool_shuffle(self, shuffle):
+        assert smnn.TrainConfig(shuffle=shuffle).shuffle == shuffle
+
 
 class TestGradient:
     def test_matches_probability_form(self, square_model):
@@ -268,6 +277,26 @@ class TestTrain:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             smnn.train(SQUARE_POINTS, ["0", "1"], [0, 1, 2, 3], smnn.TrainConfig())
+
+
+class TestTrainReportRoutes:
+    def test_spiral_support_5_exterior_rows(self):
+        # At support 5, 160 of the 300 spiral training rows lie outside the
+        # support hull; the report reads them off the embedding record.
+        train_ds, _ = smnn.split(smnn.gen_spiral(400, seed=0), 0.75, seed=0)
+        pts = train_ds.points.points
+        support = smnn.epsilon_representative(pts, smnn.epsilon_for_size(pts, 5, seed=0), seed=0)
+        _, report = smnn.train(pts, train_ds.labels, support, smnn.TrainConfig(epochs=1))
+        space = smnn.fit_space(pts, support)
+        mass = [x.sphere_mass for x in (smnn.xi(space, p) for p in pts) if x.facet_used is not None]
+        assert report.n_exterior == len(mass) == 160
+        assert report.sphere_mass_max == max(mass)
+        assert report.sphere_mass_mean == pytest.approx(np.mean(mass), rel=1e-12)
+        assert 0.0 < report.sphere_mass_mean < report.sphere_mass_max < 1.0
+
+    def test_no_exterior_rows(self):
+        _, report = smnn.train(SQUARE_POINTS, SQUARE_LABELS, [0, 1, 2, 3], smnn.TrainConfig(epochs=1))
+        assert (report.n_exterior, report.sphere_mass_mean, report.sphere_mass_max) == (0, 0.0, 0.0)
 
 
 class TestTrainCached:
