@@ -14,14 +14,14 @@ maps any query x inside the ball to a sparse vector of convex weights:
 
 Of the visible facets, the one whose virtual simplex has the largest
 minimum coordinate wins, ties going to the lowest facet.  The exterior
-rows of each location chunk go through one call of _virtual_simplices,
-and xi passes its one row to the same call.  It follows the ray from the
-origin through x: the facet where that ray leaves the hull, when the
-centroid lies inside it, is the winner in exact arithmetic, and a
-proven rounding band around it (_beyond_band) rules most other visible
-facets out.  Every (row, remaining facet) system is solved in one
-stacked np.linalg.solve.  The results are the bits of solving every
-visible facet of every row on its own.
+rows of a location chunk that has any go through one call of
+_virtual_simplices, and xi passes its one row to the same call.  It
+follows the ray from the origin through x: the facet where that ray
+leaves the hull, when the centroid lies inside it, is the winner in
+exact arithmetic, and a proven rounding band around it (_beyond_band)
+rules most other visible facets out.  Every (row, remaining facet)
+system is solved in one stacked np.linalg.solve.  The results are the
+bits of solving every visible facet of every row on its own.
 
 Entries below 1e-9 in magnitude are zeroed and the rest renormalized, so
 vertex queries come back as clean indicators.  A batch of embeddings is
@@ -290,7 +290,7 @@ def _virtual_simplices(space, xs):
 
 def xi(space, x_raw):
     """Sparse embedding of one raw-coordinate query, bit for bit row 0 of
-    xi_batch; built directly, as a batch record costs one query 17-28 µs."""
+    xi_batch; built directly, as a batch record costs one query 50-60 µs."""
     x = np.asarray(x_raw, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatch(
@@ -333,25 +333,24 @@ def translate_queries(space, xs_raw):
 def embed_translated(space, translated):
     """The EmbeddingBatch of translated queries known to lie in the ball,
     and the mask of its rows that have an embedding; a row that no virtual
-    simplex contains is left empty.  Rows are located _CHUNK at a time
-    through locate_batch, the exterior rows of each chunk go to one
-    _virtual_simplices call, and all rows are clamped as one array."""
+    simplex contains is left empty.  One pass locates _CHUNK rows at a
+    time and sends a chunk's exterior rows, if any, to _virtual_simplices."""
     rows, n = translated.shape
-    located = [locate_batch(space.tri, translated[a : a + _CHUNK]) for a in range(0, rows or 1, _CHUNK)]
-    index = np.array([s for cells, _ in located for s in cells], dtype=np.int64)
-    coords = np.concatenate([np.reshape(c, (-1, n + 1)) for _, c in located])
-    ids = space.tri.simplices[index]
+    ids = np.empty((rows, n + 1), dtype=space.tri.simplices.dtype)
+    coords = np.empty((rows, n + 1))
     facet = np.full((rows, n), -1)
-    # Id -1 marks the sphere point's coordinate of an exterior row, and
-    # every coordinate of a row with no virtual simplex; such a row holds
-    # ones, so that it clamps.  Each chunk's exterior rows go to one call.
-    out = np.flatnonzero(index < 0)
-    for q in np.split(out, np.searchsorted(out, np.arange(_CHUNK, rows, _CHUNK))):
-        found, hit, fids = _virtual_simplices(space, translated[q])
-        coords[q] = np.where(found[:, None], hit, 1.0)
-        facet[q] = np.where(found[:, None], fids, -1)
-        ids[q, 0] = -1
-        ids[q, 1:] = facet[q]
+    for a in range(0, rows, _CHUNK):
+        cells, coords[a : a + _CHUNK] = locate_batch(space.tri, translated[a : a + _CHUNK])
+        ids[a : a + _CHUNK] = space.tri.simplices[cells]
+        q = a + np.flatnonzero(np.asarray(cells) < 0)
+        if q.size:
+            # Id -1 marks the sphere point's coordinate of an exterior
+            # row, and every coordinate of a row with no virtual simplex;
+            # such a row holds ones, so that it clamps.
+            found, hit, fids = _virtual_simplices(space, translated[q])
+            coords[q] = np.where(found[:, None], hit, 1.0)
+            facet[q] = ids[q, 1:] = np.where(found[:, None], fids, -1)
+            ids[q, 0] = -1
     coef = clamp_coords(coords)
     keep = (coef > 0.0) & (ids >= 0)
     mass = np.where(facet[:, 0] >= 0, coef[:, 0], 0.0)

@@ -72,18 +72,16 @@ def explain(model, x_raw):
     probs = softmax(z)
     predicted = model.encoding.labels[int(np.argmax(probs))]
 
-    support_raw = model.space.support.points + model.space.centroid
-    contributors = []
-    for t, value in zip(sparse.indices.tolist(), sparse.values.tolist()):
-        contributors.append(
-            Contributor(
-                support_index=t,
-                coordinates=support_raw[t].copy(),
-                label=model.encoding.labels[int(model.support_labels[t])],
-                xi_value=value,
-                contributions=model.weights[:, t] * value,
-            )
+    contributors = [
+        Contributor(
+            support_index=t,
+            coordinates=model.space.support.points[t] + model.space.centroid,
+            label=model.encoding.labels[int(model.support_labels[t])],
+            xi_value=value,
+            contributions=model.weights[:, t] * value,
         )
+        for t, value in zip(sparse.indices.tolist(), sparse.values.tolist())
+    ]
     return Explanation(
         query=x,
         predicted_label=predicted,

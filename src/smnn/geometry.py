@@ -221,8 +221,6 @@ def _cloud_diameter(points):
 def _degeneracy_shift(points):
     """Deterministic index-scaled shift that breaks co-spherical ties."""
     zeta = 1e-10 * _cloud_diameter(points)
-    if zeta == 0.0:
-        zeta = 1e-10
     idx = np.arange(points.shape[0], dtype=np.float64)
     return zeta * idx[:, None] * np.ones((1, points.shape[1]))
 

@@ -47,6 +47,14 @@ class LabelEncoding:
         except ValueError:
             raise UnknownLabel("unknown label %r, expected one of %r" % (label, self.labels))
 
+    def encode(self, labels, rows):
+        """The int64 index of each of labels, one per point of rows points:
+        ValueError when the counts differ, UnknownLabel on an unknown name."""
+        labels = [str(v) for v in labels]
+        if len(labels) != rows:
+            raise ValueError("labels and points disagree: %d labels, %d points" % (len(labels), rows))
+        return np.array([self.index(v) for v in labels], dtype=np.int64)
+
 
 @dataclass
 class SmnnModel:

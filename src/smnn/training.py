@@ -215,10 +215,8 @@ def train(train_points, train_labels, support_indices, config, radius_margin=1.0
     """
     pts = _points(train_points)
     labels = [str(v) for v in train_labels]
-    if len(labels) != pts.shape[0]:
-        raise ValueError("labels and points disagree: %d vs %d" % (len(labels), pts.shape[0]))
     encoding = LabelEncoding.from_labels(labels)
-    y = np.array([encoding.index(v) for v in labels], dtype=np.int64)
+    y = encoding.encode(labels, pts.shape[0])
 
     space = fit_space(pts, support_indices, radius_margin=radius_margin)
     support_labels = y[np.asarray(support_indices, dtype=np.int64)]
@@ -425,10 +423,7 @@ def evaluate(model, points, labels):
     if not in_ball.size:
         raise InvalidCount("cannot evaluate a set with no rows")
     inside = np.nonzero(in_ball)[0]
-    labels = [str(v) for v in labels]
-    if len(labels) != pts.shape[0]:
-        raise ValueError("labels and points disagree")
-    y = np.array([model.encoding.index(v) for v in labels], dtype=np.int64)
+    y = model.encoding.encode(labels, pts.shape[0])
     k = model.encoding.k
 
     batch, found = embed_translated(model.space, translated[inside])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import smnn
+from smnn.datagen import _hypercube_vertices
 
 
 class TestLabeledDataset:
@@ -102,6 +103,26 @@ class TestGenClusters:
         la = np.array(clean.labels)[order_a]
         lb = np.array(noisy.labels)[order_b]
         assert int(np.count_nonzero(la != lb)) == 10
+
+    def test_high_dimensional_centroids_by_rejection(self):
+        # Above 4096 vertices the centroids are drawn one at a time and a
+        # repeat is redrawn.  Far apart blobs show four distinct centroids.
+        a = smnn.gen_clusters(40, n_features=13, class_sep=100.0, flip_fraction=0.0, seed=4)
+        b = smnn.gen_clusters(40, n_features=13, class_sep=100.0, flip_fraction=0.0, seed=4)
+        assert a.points.points.tobytes() == b.points.points.tobytes() and a.labels == b.labels
+        _, counts = np.unique(np.sign(a.points.points), axis=0, return_counts=True)
+        assert counts.tolist() == [10] * 4
+
+    def test_rejection_skips_repeated_draws(self):
+        # 300 draws from 8192 vertices repeat some vertex; the result is
+        # the distinct draws in first-seen order.
+        got = _hypercube_vertices(13, 300, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        draws = []
+        while len({tuple(v) for v in draws}) < 300:
+            draws.append(tuple(np.where(rng.random(13) < 0.5, -1.0, 1.0)))
+        assert len(draws) > 300
+        assert [tuple(v) for v in got] == list(dict.fromkeys(draws))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(smnn.InvalidCount):
@@ -205,6 +226,24 @@ class TestSplit:
             for name in ("0", "1"):
                 assert name in train.labels
                 assert name in test.labels
+
+    @pytest.mark.parametrize(
+        "counts, fraction, train_counts",
+        [
+            # floor(102 * 0.3) = 30 goes to A alone; B keeps a train row,
+            # which A gives back.
+            ((100, 2), 0.3, (29, 1)),
+            # floor(20 * 0.95) = 19 would leave one class no test row; no
+            # class can take the row back, so the train side holds 18.
+            ((10, 10), 0.95, (9, 9)),
+        ],
+    )
+    def test_both_sides_kept_over_the_total(self, counts, fraction, train_counts):
+        labels = ["A"] * counts[0] + ["B"] * counts[1]
+        ds = smnn.LabeledDataset(points=np.arange(2.0 * len(labels)).reshape(-1, 2), labels=labels)
+        train, test = smnn.split(ds, fraction, seed=0)
+        assert (train.labels.count("A"), train.labels.count("B")) == train_counts
+        assert train.size + test.size == len(labels)
 
     def test_seed_changes_membership(self):
         ds = smnn.gen_spiral(100, seed=0)

@@ -334,6 +334,33 @@ class TestEmbeddingBatch:
         assert np.abs(batch.sphere_mass - [0.0, 1 / 3, 0.0]).max() < 1e-12
         assert batch.facet.tolist() == [[-1, -1], [1, 3], [-1, -1]]
 
+    def test_exterior_route_only_for_chunks_with_exterior_rows(self, monkeypatch, square_space):
+        # A chunk with no exterior row makes no _virtual_simplices call,
+        # so a batch whose exterior rows all lie in its second chunk makes
+        # one.  The record is the same as without the count.
+        interior, exterior, vertex = [0.75, 0.6], [0.75, 1.25], [1.0, 1.0]
+        second = [interior] * 300 + [exterior, vertex] * 106
+        batches = [
+            (np.array([interior]), 0),
+            (np.array([interior] * 300 + [vertex] * 300), 0),
+            (np.array([interior] * 512 + second + [vertex, interior] * 38), 1),
+        ]
+        expected = [embedding.embed_batch(square_space, rows) for rows, _ in batches]
+        calls = []
+        real = embedding._virtual_simplices
+
+        def counted(space, xs):
+            calls.append(len(xs))
+            return real(space, xs)
+
+        monkeypatch.setattr(embedding, "_virtual_simplices", counted)
+        for (rows, count), want in zip(batches, expected):
+            calls.clear()
+            got = embedding.embed_batch(square_space, rows)
+            assert len(calls) == count and sum(calls) == 106 * count
+            for name in ("indptr", "indices", "values", "sphere_mass", "facet"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
 
 def _hull_rays(space):
     """Translated rows on the rays from the centroid through the hull's

@@ -1,5 +1,6 @@
 """Per-vertex prediction explanations and their SVG rendering."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -44,6 +45,31 @@ class TestExplain:
             total = np.sum([c.contributions for c in exp.contributors], axis=0)
             assert np.abs(total - z).max() < 1e-9
             assert np.abs(smnn.softmax(z) - exp.probabilities).max() < 1e-9
+
+    def test_coordinates_have_the_bits_of_the_translated_support(self):
+        # A contributor's coordinates are its support row plus the
+        # centroid, with the bits of moving every support row back.
+        rng = np.random.default_rng(3)
+        pts = random_cloud(rng, 40, 3, spread=2.0)
+        labels = [str(int(v)) for v in rng.integers(0, 2, size=40)]
+        model, _ = smnn.train(pts, labels, list(range(0, 40, 2)), smnn.TrainConfig(epochs=2))
+        raw = model.space.support.points + model.space.centroid
+        routes = set()
+        for x in np.vstack([pts, pts.mean(axis=0) + 1.2 * rng.standard_normal((20, 3))]):
+            try:
+                exp = smnn.explain(model, x)
+            except (smnn.OutsideBall, smnn.NoContainingVirtualSimplex):
+                continue
+            routes.add(exp.out_of_hull)
+            whole = dataclasses.replace(
+                exp,
+                contributors=[
+                    dataclasses.replace(c, coordinates=raw[c.support_index].copy())
+                    for c in exp.contributors
+                ],
+            )
+            assert exp.to_json().encode() == whole.to_json().encode()
+        assert routes == {False, True}
 
     def test_contributor_locality(self):
         rng = np.random.default_rng(1)

@@ -34,6 +34,16 @@ class TestLabelEncoding:
             enc.index("z")
         assert isinstance(err.value, smnn.SmnnError)
 
+    def test_encode(self):
+        enc = smnn.LabelEncoding(("a", "b"))
+        y = enc.encode(["b", "a", "b"], 3)
+        assert y.dtype == np.int64 and y.tolist() == [1, 0, 1]
+        assert smnn.LabelEncoding(("0", "1")).encode([1, 0], 2).tolist() == [1, 0]
+        with pytest.raises(ValueError, match="labels and points disagree: 2 labels, 3 points"):
+            enc.encode(["a", "b"], 3)
+        with pytest.raises(smnn.UnknownLabel, match="unknown label 'z'"):
+            enc.encode(["a", "z"], 2)
+
 
 class TestInitWeights:
     def test_one_hot_square_example(self):

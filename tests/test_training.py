@@ -275,7 +275,7 @@ class TestTrain:
         assert model.weights.shape == (2, 6)
 
     def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="labels and points disagree: 2 labels, 4 points"):
             smnn.train(SQUARE_POINTS, ["0", "1"], [0, 1, 2, 3], smnn.TrainConfig())
 
 
@@ -810,3 +810,7 @@ class TestEvaluate:
     def test_unknown_label_rejected(self, square_model):
         with pytest.raises(KeyError):
             smnn.evaluate(square_model, SQUARE_POINTS, ["0", "0", "1", "9"])
+
+    def test_mismatched_lengths(self, square_model):
+        with pytest.raises(ValueError, match="labels and points disagree: 3 labels, 4 points"):
+            smnn.evaluate(square_model, SQUARE_POINTS, ["0", "0", "1"])
