@@ -47,7 +47,6 @@ from .geometry import (
 from .model import LabelEncoding, SmnnModel, forward, init_weights, logits, loss, predict, softmax
 from .persist import load_model, model_from_dict, model_to_dict, save_model
 from .sampling import (
-    SamplerConfig,
     epsilon_for_size,
     epsilon_from_kappa,
     epsilon_representative,
@@ -89,7 +88,6 @@ __all__ = [
     "OutsideBall",
     "ParseError",
     "PointCloud",
-    "SamplerConfig",
     "Simplex",
     "SingularSimplex",
     "SmnnError",

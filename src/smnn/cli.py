@@ -135,16 +135,14 @@ def _cmd_gen(args):
 
 
 def _select_support(points, epsilon, kappa, seed):
-    """Support indices plus the sampler record for provenance."""
+    """Support indices plus the sampler record for provenance.  Exactly one
+    of epsilon and kappa is given; the sampling functions check the values."""
     if epsilon is not None:
-        config = sampling.SamplerConfig(mode="epsilon", epsilon=epsilon, seed=seed)
-        eps = epsilon
+        mode, eps = "epsilon", epsilon
     else:
-        config = sampling.SamplerConfig(mode="kappa", kappa=kappa, seed=seed)
-        eps = sampling.epsilon_from_kappa(points - points.mean(axis=0), kappa)
+        mode, eps = "kappa", sampling.epsilon_from_kappa(points - points.mean(axis=0), kappa)
     indices = sampling.epsilon_representative(points, eps, seed=seed)
-    record = config.to_dict()
-    record["epsilon_effective"] = eps
+    record = {"mode": mode, "epsilon": epsilon, "kappa": kappa, "seed": seed, "epsilon_effective": eps}
     return indices, record
 
 

@@ -12,26 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCount, ParseError, TooManyClusters, integer
-from .geometry import PointCloud
+from .geometry import PointCloud, as_cloud
+from .model import LabelEncoding
 
 
 @dataclass
 class LabeledDataset:
-    """Point cloud plus one label name per point."""
+    """Point cloud plus one label name per point, of at least two classes."""
 
     points: PointCloud
     labels: list
 
     def __post_init__(self):
-        if not isinstance(self.points, PointCloud):
-            self.points = PointCloud(np.asarray(self.points))
+        self.points = as_cloud(self.points)
         self.labels = [str(v) for v in self.labels]
-        if len(self.labels) != self.points.size:
-            raise ValueError(
-                "got %d labels for %d points" % (len(self.labels), self.points.size)
-            )
-        if len(set(self.labels)) < 2:
-            raise ValueError("dataset must contain at least two distinct labels")
+        LabelEncoding.from_labels(self.labels).encode(self.labels, self.points.size)
 
     @property
     def size(self):
@@ -53,7 +48,7 @@ def gen_spiral(n_samples, noise_sd=0.02, turns=0.65, seed=0):
     if noise_sd < 0.0:
         raise InvalidCount("noise_sd must be nonnegative, got %g" % noise_sd)
     per_arm = n_samples // 2
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed"))
     s = np.linspace(0.0, 1.0, per_arm)
     points = []
     labels = []
@@ -110,7 +105,7 @@ def gen_clusters(
     if not 0.0 <= flip_fraction < 1.0:
         raise InvalidCount("flip_fraction must be in [0, 1), got %g" % flip_fraction)
     n_clusters = 2 * clusters_per_class
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed"))
     centroids = _hypercube_vertices(n_features, n_clusters, rng) * class_sep
 
     base, extra = divmod(n_samples, n_clusters)
@@ -190,6 +185,33 @@ def load_iris():
         return load_csv(path)
 
 
+def _train_counts(counts, train_fraction):
+    """The train rows of each class of split, from the row counts of the
+    classes in sorted order."""
+    target = int(sum(counts) * train_fraction)
+    raw = [n * train_fraction for n in counts]
+    alloc = [int(r) for r in raw]
+    deficit = target - sum(alloc)
+    by_remainder = sorted(range(len(counts)), key=lambda c: (-(raw[c] - alloc[c]), c))
+    for c in by_remainder[:deficit]:
+        alloc[c] += 1
+
+    # Keep both sides populated for every class that can afford it, then
+    # restore the total as far as those bounds allow, the largest classes
+    # first: each gives (drift > 0) or takes (drift < 0) as much of the
+    # drift as it can.
+    for c, n in enumerate(counts):
+        if n >= 2:
+            alloc[c] = min(max(alloc[c], 1), n - 1)
+    drift = sum(alloc) - target
+    for c in sorted(range(len(counts)), key=lambda c: (-counts[c], c)):
+        low, high = (1, counts[c] - 1) if counts[c] >= 2 else (0, counts[c])
+        move = max(min(drift, alloc[c] - low), alloc[c] - high)
+        alloc[c] -= move
+        drift -= move
+    return alloc
+
+
 def split(dataset, train_fraction, seed=0):
     """Stratified seeded split into (train, test).
 
@@ -202,51 +224,16 @@ def split(dataset, train_fraction, seed=0):
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1), got %g" % train_fraction)
     labels = np.array(dataset.labels)
-    classes = sorted(set(dataset.labels))
-    n_total = dataset.size
-    target = int(n_total * train_fraction)
+    members = [np.nonzero(labels == c)[0] for c in sorted(set(dataset.labels))]
+    alloc = _train_counts([idx.size for idx in members], train_fraction)
 
-    counts = {c: int(np.count_nonzero(labels == c)) for c in classes}
-    raw = {c: counts[c] * train_fraction for c in classes}
-    alloc = {c: int(raw[c]) for c in classes}
-    deficit = target - sum(alloc.values())
-    by_remainder = sorted(classes, key=lambda c: (-(raw[c] - alloc[c]), classes.index(c)))
-    for c in by_remainder[:deficit]:
-        alloc[c] += 1
-
-    # Keep both sides populated for every class that can afford it.
-    for c in classes:
-        if counts[c] >= 2:
-            alloc[c] = min(max(alloc[c], 1), counts[c] - 1)
-    drift = sum(alloc.values()) - target
-    adjustable = sorted(classes, key=lambda c: (-counts[c], classes.index(c)))
-    while drift > 0:
-        for c in adjustable:
-            low = 1 if counts[c] >= 2 else 0
-            if alloc[c] > low:
-                alloc[c] -= 1
-                drift -= 1
-                break
-        else:
-            break
-    while drift < 0:
-        for c in adjustable:
-            high = counts[c] - 1 if counts[c] >= 2 else counts[c]
-            if alloc[c] < high:
-                alloc[c] += 1
-                drift += 1
-                break
-        else:
-            break
-
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed"))
     train_idx = []
     test_idx = []
-    for c in classes:
-        members = np.nonzero(labels == c)[0]
-        perm = members[rng.permutation(members.size)]
-        train_idx.extend(perm[: alloc[c]].tolist())
-        test_idx.extend(perm[alloc[c] :].tolist())
+    for idx, n_train in zip(members, alloc):
+        perm = idx[rng.permutation(idx.size)]
+        train_idx.extend(perm[:n_train].tolist())
+        test_idx.extend(perm[n_train:].tolist())
     train_idx = sorted(train_idx)
     test_idx = sorted(test_idx)
 

@@ -312,10 +312,13 @@ def xi(space, x_raw):
 
 
 def translate_queries(space, xs_raw):
-    """Validated (Q, n) queries moved to centroid-at-origin, and the mask
-    of the rows inside the closed bounding ball.  Raises DimensionMismatch
-    and NonFiniteQuery; a non-finite coordinate leaves its row outside the
+    """Validated (Q, n) queries, an array or a PointCloud, moved to
+    centroid-at-origin, and the mask of the rows inside the closed bounding
+    ball; the one rule on queries.  Raises DimensionMismatch and
+    NonFiniteQuery; a non-finite coordinate leaves its row outside the
     ball, so only those rows are checked."""
+    if isinstance(xs_raw, PointCloud):
+        xs_raw = xs_raw.points
     xs = np.asarray(xs_raw, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != space.dim:
         raise DimensionMismatch(

@@ -16,39 +16,11 @@ of the row-major norm in every dimension.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import integer, positive
 from .geometry import as_cloud
-
-
-@dataclass
-class SamplerConfig:
-    """How the support set was chosen; stored in model provenance."""
-
-    mode: str
-    epsilon: float = None
-    kappa: float = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("epsilon", "kappa"):
-            raise ValueError("mode must be 'epsilon' or 'kappa', got %r" % (self.mode,))
-        value, other = ("epsilon", "kappa") if self.mode == "epsilon" else ("kappa", "epsilon")
-        positive(getattr(self, value), value)
-        if getattr(self, other) is not None:
-            raise ValueError("mode %r takes no %s" % (self.mode, other))
-        integer(self.seed, "seed")
-
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "epsilon": self.epsilon,
-            "kappa": self.kappa,
-            "seed": self.seed,
-        }
 
 
 def epsilon_from_kappa(train_points, kappa):

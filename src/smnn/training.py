@@ -19,6 +19,7 @@ import numpy as np
 
 from .embedding import embed_batch, embed_translated, fit_space, translate_queries
 from .errors import InvalidCount, indices, integer, positive
+from .geometry import as_cloud
 from .model import LabelEncoding, SmnnModel, cross_entropy, init_weights, softmax
 
 INIT_MODES = ("uniform01", "one_hot")
@@ -109,19 +110,16 @@ class SparseGradient:
         return dense
 
 
-def _points(points):
-    return np.asarray(getattr(points, "points", points), dtype=np.float64)
-
-
 def precompute_embeddings(space, train_points, y_encoded):
     """Embed every training point once; y_encoded are label indices."""
-    pts = _points(train_points)
     y = indices(y_encoded, "label index")
-    if y.shape != (pts.shape[0],):
+    batch = embed_batch(space, train_points)
+    if y.shape != (len(batch),):
         raise ValueError(
-            "labels and points disagree: label shape %s, point shape %s" % (y.shape, pts.shape)
+            "labels and points disagree: label shape %s, point shape %s"
+            % (y.shape, (len(batch), space.dim))
         )
-    return CachedEmbedding(batch=embed_batch(space, pts), y=y)
+    return CachedEmbedding(batch=batch, y=y)
 
 
 def _pack(batch, k, m):
@@ -213,14 +211,14 @@ def train(train_points, train_labels, support_indices, config, radius_margin=1.0
     Returns the trained model and a report.  Two calls with identical
     inputs and config produce bit-identical weight matrices.
     """
-    pts = _points(train_points)
+    cloud = as_cloud(train_points)
     labels = [str(v) for v in train_labels]
     encoding = LabelEncoding.from_labels(labels)
-    y = encoding.encode(labels, pts.shape[0])
+    y = encoding.encode(labels, cloud.size)
 
-    space = fit_space(pts, support_indices, radius_margin=radius_margin)
+    space = fit_space(cloud, support_indices, radius_margin=radius_margin)
     support_labels = y[np.asarray(support_indices, dtype=np.int64)]
-    cached = precompute_embeddings(space, pts, y)
+    cached = precompute_embeddings(space, cloud, y)
     return train_cached(space, cached, support_labels, encoding, config)
 
 
@@ -418,12 +416,12 @@ def evaluate(model, points, labels):
     wrong shape or with a non-finite coordinate raise, as in xi_batch.  A
     set with no rows raises InvalidCount.
     """
-    pts = _points(points)
-    translated, in_ball = translate_queries(model.space, pts)
-    if not in_ball.size:
+    translated, in_ball = translate_queries(model.space, points)
+    n_rows = in_ball.size
+    if not n_rows:
         raise InvalidCount("cannot evaluate a set with no rows")
     inside = np.nonzero(in_ball)[0]
-    y = model.encoding.encode(labels, pts.shape[0])
+    y = model.encoding.encode(labels, n_rows)
     k = model.encoding.k
 
     batch, found = embed_translated(model.space, translated[inside])
@@ -434,7 +432,6 @@ def evaluate(model, points, labels):
     probs = softmax(z[found])
     y = y[inside[found]]
     pred = probs.argmax(axis=1)
-    n_rows = pts.shape[0]
     n_outside = n_rows - inside.size
     n_missing = inside.size - y.size
     total_loss = _sum_in_order(cross_entropy(probs[np.arange(y.size), y]))

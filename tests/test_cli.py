@@ -217,9 +217,35 @@ class TestTrainEvalPredictExplain:
         )
         assert code == 0
         sampler = json.loads(model.read_text())["provenance"]["sampler"]
-        assert sampler["mode"] == "kappa"
-        assert sampler["kappa"] == 10.0
-        assert sampler["epsilon_effective"] > 0.0
+        pts = smnn.load_csv(data).points.points
+        assert list(sampler.items()) == [
+            ("mode", "kappa"),
+            ("epsilon", None),
+            ("kappa", 10.0),
+            ("seed", 4),
+            ("epsilon_effective", smnn.epsilon_from_kappa(pts - pts.mean(axis=0), 10.0)),
+        ]
+
+    def test_epsilon_train_records_provenance(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "160", "--seed", "4",
+             "--out", str(data), "--train-fraction", "1")
+        model = tmp_path / "m.json"
+        code, _, _ = _run(
+            capsys, "train", "--data", str(data), "--epsilon", "0.15",
+            "--epochs", "20", "--seed", "3", "--out", str(model),
+        )
+        assert code == 0
+        doc = json.loads(model.read_text())
+        assert list(doc["provenance"]["sampler"].items()) == [
+            ("mode", "epsilon"),
+            ("epsilon", 0.15),
+            ("kappa", None),
+            ("seed", 3),
+            ("epsilon_effective", 0.15),
+        ]
+        pts = smnn.load_csv(data).points.points
+        assert doc["provenance"]["support_size"] == len(smnn.epsilon_representative(pts, 0.15, seed=3))
 
     def test_default_support_dedups(self, tmp_path, capsys):
         data = tmp_path / "dup.csv"

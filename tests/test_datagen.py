@@ -1,10 +1,45 @@
 """Dataset generators, CSV round trips and stratified splitting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import smnn
-from smnn.datagen import _hypercube_vertices
+from smnn.datagen import _hypercube_vertices, _train_counts
+
+
+def _train_counts_by_steps(counts, train_fraction):
+    """split's allocation moving one row at a time, as it once did: the
+    oracle of the closed-form drift correction in _train_counts."""
+    target = int(sum(counts) * train_fraction)
+    raw = [n * train_fraction for n in counts]
+    alloc = [int(r) for r in raw]
+    by_remainder = sorted(range(len(counts)), key=lambda c: (-(raw[c] - alloc[c]), c))
+    for c in by_remainder[: target - sum(alloc)]:
+        alloc[c] += 1
+    for c, n in enumerate(counts):
+        if n >= 2:
+            alloc[c] = min(max(alloc[c], 1), n - 1)
+    drift = sum(alloc) - target
+    adjustable = sorted(range(len(counts)), key=lambda c: (-counts[c], c))
+    while drift > 0:
+        for c in adjustable:
+            if alloc[c] > (1 if counts[c] >= 2 else 0):
+                alloc[c] -= 1
+                drift -= 1
+                break
+        else:
+            break
+    while drift < 0:
+        for c in adjustable:
+            if alloc[c] < (counts[c] - 1 if counts[c] >= 2 else counts[c]):
+                alloc[c] += 1
+                drift += 1
+                break
+        else:
+            break
+    return alloc
 
 
 class TestLabeledDataset:
@@ -244,6 +279,32 @@ class TestSplit:
         train, test = smnn.split(ds, fraction, seed=0)
         assert (train.labels.count("A"), train.labels.count("B")) == train_counts
         assert train.size + test.size == len(labels)
+
+    @pytest.mark.parametrize(
+        "counts, fraction, train_counts",
+        [
+            # floor(106 * 0.9) = 95, but A and B each keep a test row (94);
+            # C, the largest class, takes the missing row.
+            ((3, 3, 100), 0.9, (2, 2, 91)),
+            # floor(10 * 0.1) = 1, but each class keeps a train row and no
+            # class can give one back, so the train side holds 5.
+            ((2, 2, 2, 2, 2), 0.1, (1, 1, 1, 1, 1)),
+        ],
+    )
+    def test_drift_restored_by_the_largest_classes(self, counts, fraction, train_counts):
+        labels = [name for name, n in zip("ABCDE", counts) for _ in range(n)]
+        ds = smnn.LabeledDataset(points=np.arange(2.0 * len(labels)).reshape(-1, 2), labels=labels)
+        train, test = smnn.split(ds, fraction, seed=0)
+        assert tuple(train.labels.count(name) for name in "ABCDE"[: len(counts)]) == train_counts
+        assert train.size + test.size == len(labels)
+
+    def test_train_counts_match_the_step_by_step_rule(self):
+        for k in (1, 2, 3):
+            for counts in itertools.product(range(1, 9), repeat=k):
+                for fraction in np.linspace(0.05, 0.95, 10).tolist():
+                    assert _train_counts(list(counts), fraction) == _train_counts_by_steps(
+                        list(counts), fraction
+                    ), (counts, fraction)
 
     def test_seed_changes_membership(self):
         ds = smnn.gen_spiral(100, seed=0)

@@ -178,14 +178,6 @@ def _cached(c, y):
 # (entry point and argument, call on the ctx fixture, error, message match)
 ENTRY_POINTS = [
     # sampling
-    ("SamplerConfig epsilon=True",
-     lambda c: smnn.SamplerConfig("epsilon", epsilon=True), ValueError, "epsilon"),
-    ("SamplerConfig kappa=True",
-     lambda c: smnn.SamplerConfig("kappa", kappa=True), ValueError, "kappa"),
-    ("SamplerConfig seed=1.5",
-     lambda c: smnn.SamplerConfig("epsilon", epsilon=0.5, seed=1.5), ValueError, "seed"),
-    ("SamplerConfig seed=True",
-     lambda c: smnn.SamplerConfig("kappa", kappa=2.0, seed=True), ValueError, "seed"),
     ("epsilon_from_kappa kappa=True",
      lambda c: smnn.epsilon_from_kappa(SQUARE_POINTS, True), ValueError, "kappa"),
     ("epsilon_representative epsilon=True",
@@ -297,6 +289,18 @@ ENTRY_POINTS = [
      lambda c: smnn.gen_spiral(40.0), smnn.InvalidCount, "n_samples"),
     ("gen_spiral n_samples=2", lambda c: smnn.gen_spiral(2), smnn.InvalidCount, "n_samples"),
     ("gen_spiral n_samples=41", lambda c: smnn.gen_spiral(41), smnn.InvalidCount, "even"),
+    ("gen_spiral seed=True", lambda c: smnn.gen_spiral(40, seed=True), ValueError, "seed"),
+    ("gen_spiral seed=1.5", lambda c: smnn.gen_spiral(40, seed=1.5), ValueError, "seed"),
+    ("gen_spiral seed=None", lambda c: smnn.gen_spiral(40, seed=None), ValueError, "seed"),
+    ("gen_clusters seed=True", lambda c: smnn.gen_clusters(40, seed=True), ValueError, "seed"),
+    ("gen_clusters seed=1.5", lambda c: smnn.gen_clusters(40, seed=1.5), ValueError, "seed"),
+    ("gen_clusters seed=None", lambda c: smnn.gen_clusters(40, seed=None), ValueError, "seed"),
+    ("split seed=True",
+     lambda c: smnn.split(smnn.gen_spiral(40), 0.5, seed=True), ValueError, "seed"),
+    ("split seed=1.5",
+     lambda c: smnn.split(smnn.gen_spiral(40), 0.5, seed=1.5), ValueError, "seed"),
+    ("split seed=None",
+     lambda c: smnn.split(smnn.gen_spiral(40), 0.5, seed=None), ValueError, "seed"),
     # cli
     ("train --support [true, ...]",
      lambda c: _train_cli(c, [True, 1, 2, 3]), smnn.ParseError, "integers"),
@@ -344,3 +348,49 @@ class TestValidInputs:
         a = smnn.gen_clusters(np.int64(40), n_features=np.int64(3), clusters_per_class=np.int64(1))
         b = smnn.gen_clusters(40, n_features=3, clusters_per_class=1)
         assert np.array_equal(a.points.points, b.points.points) and a.labels == b.labels
+
+    def test_generator_and_split_seeds(self):
+        for seed in (np.int64(3), np.uint8(3)):
+            for make in (smnn.gen_spiral, smnn.gen_clusters):
+                a, b = make(40, seed=seed), make(40, seed=3)
+                assert np.array_equal(a.points.points, b.points.points) and a.labels == b.labels
+            a, b = smnn.split(smnn.gen_spiral(40), 0.5, seed=seed)
+            c, d = smnn.split(smnn.gen_spiral(40), 0.5, seed=3)
+            assert np.array_equal(a.points.points, c.points.points) and b.labels == d.labels
+
+
+class TestPointCloudQueries:
+    """A PointCloud of queries takes the path of its array, bit for bit:
+    translate_queries is the one query rule of every batch entry point."""
+
+    # Two rows inside the square's hull and two outside it.
+    ROWS = np.array([[0.6, 0.7], [0.9, 0.55], [0.3, 0.75], [1.2, 1.0]])
+
+    @staticmethod
+    def _bits(batch):
+        return [a.tobytes() for a in (batch.indptr, batch.indices, batch.values,
+                                      batch.sphere_mass, batch.facet)]
+
+    def test_embed_batch(self, ctx):
+        cloud = smnn.PointCloud(self.ROWS)
+        assert self._bits(smnn.embedding.embed_batch(ctx.space, cloud)) == self._bits(
+            smnn.embedding.embed_batch(ctx.space, self.ROWS)
+        )
+
+    def test_xi_batch(self, ctx):
+        for a, b in zip(smnn.xi_batch(ctx.space, smnn.PointCloud(self.ROWS)),
+                        smnn.xi_batch(ctx.space, self.ROWS)):
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+            assert (a.sphere_mass, a.facet_used) == (b.sphere_mass, b.facet_used)
+
+    def test_evaluate(self, ctx):
+        labels = ["0", "1", "0", "1"]
+        a = smnn.evaluate(ctx.model, smnn.PointCloud(self.ROWS), labels).to_dict()
+        b = smnn.evaluate(ctx.model, self.ROWS, labels).to_dict()
+        assert a == b and a["n_out_of_hull"] == 2
+
+    def test_precompute_embeddings(self, ctx):
+        a = precompute_embeddings(ctx.space, smnn.PointCloud(self.ROWS), [0, 1, 0, 1])
+        b = precompute_embeddings(ctx.space, self.ROWS, [0, 1, 0, 1])
+        assert self._bits(a.batch) == self._bits(b.batch) and a.y.tobytes() == b.y.tobytes()

@@ -16,33 +16,6 @@ FOUR_RADII = [np.sqrt(82.0), np.sqrt(65.0), np.sqrt(2.0), 0.0]
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
-class TestSamplerConfig:
-    def test_valid_modes(self):
-        smnn.SamplerConfig(mode="epsilon", epsilon=0.5)
-        smnn.SamplerConfig(mode="kappa", kappa=10.0, seed=3)
-
-    def test_exactly_one_parameter(self):
-        with pytest.raises(ValueError):
-            smnn.SamplerConfig(mode="epsilon")
-        with pytest.raises(ValueError):
-            smnn.SamplerConfig(mode="epsilon", epsilon=0.5, kappa=2.0)
-        with pytest.raises(ValueError):
-            smnn.SamplerConfig(mode="kappa", epsilon=0.5)
-        with pytest.raises(ValueError):
-            smnn.SamplerConfig(mode="grid", epsilon=0.5)
-
-    def test_positive_values(self):
-        for value in (0.0, -1.0) + NON_FINITE:
-            with pytest.raises(ValueError):
-                smnn.SamplerConfig(mode="epsilon", epsilon=value)
-            with pytest.raises(ValueError):
-                smnn.SamplerConfig(mode="kappa", kappa=value)
-
-    def test_to_dict(self):
-        cfg = smnn.SamplerConfig(mode="kappa", kappa=10.0, seed=7)
-        assert cfg.to_dict() == {"mode": "kappa", "epsilon": None, "kappa": 10.0, "seed": 7}
-
-
 class TestEpsilonFromKappa:
     def test_hand_value(self):
         pts = np.array([[3.0, 4.0], [0.0, 0.0]])
@@ -54,7 +27,7 @@ class TestEpsilonFromKappa:
         assert abs(smnn.epsilon_from_kappa(pts, 20.0) * 2.0 - smnn.epsilon_from_kappa(pts, 10.0)) < 1e-12
 
     def test_positive_kappa_required(self):
-        for kappa in (0.0,) + NON_FINITE:
+        for kappa in (0.0, -1.0) + NON_FINITE:
             with pytest.raises(ValueError):
                 smnn.epsilon_from_kappa(np.zeros((2, 2)), kappa)
 
@@ -220,7 +193,7 @@ class TestEpsilonRepresentative:
         assert len(smnn.epsilon_representative(pts, 1e-12)) == 20
 
     def test_epsilon_must_be_positive(self):
-        for epsilon in (0.0,) + NON_FINITE:
+        for epsilon in (0.0, -1.0) + NON_FINITE:
             with pytest.raises(ValueError):
                 smnn.epsilon_representative(FOUR_POINTS, epsilon)
 
