@@ -227,10 +227,21 @@ def _cmd_train(args):
                 "n_exterior": report.n_exterior,
                 "sphere_mass_mean": report.sphere_mass_mean,
                 "sphere_mass_max": report.sphere_mass_max,
+                "triangulation": _health(model.space.tri),
             }
         )
     )
     return 0
+
+
+def _health(tri):
+    """Cell, hull facet and flat cell counts of a complex, and its locator."""
+    return {
+        "cells": int(tri.simplices.shape[0]),
+        "hull_facets": int(tri.facets.shape[0]),
+        "flat_cells": int(np.isnan(tri.inverses[:, 0, 0]).sum()),
+        "locator": tri.locator,
+    }
 
 
 def _cmd_eval(args):

@@ -7,11 +7,12 @@ column.  All generators are bit-deterministic for a fixed seed.
 
 import csv
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCount, ParseError, TooManyClusters, integer
+from .errors import DimensionMismatch, InvalidCount, ParseError, TooManyClusters, integer, positive
 from .geometry import PointCloud, as_cloud
 from .model import LabelEncoding
 
@@ -45,8 +46,8 @@ def gen_spiral(n_samples, noise_sd=0.02, turns=0.65, seed=0):
     """
     if integer(n_samples, "n_samples", low=4, error=InvalidCount) % 2:
         raise InvalidCount("n_samples must be even, got %d" % n_samples)
-    if noise_sd < 0.0:
-        raise InvalidCount("noise_sd must be nonnegative, got %g" % noise_sd)
+    noise_sd = positive(noise_sd, "noise_sd", InvalidCount, strict=False)
+    turns = positive(turns, "turns", low=-math.inf)
     per_arm = n_samples // 2
     rng = np.random.default_rng(integer(seed, "seed"))
     s = np.linspace(0.0, 1.0, per_arm)
@@ -102,7 +103,9 @@ def gen_clusters(
     integer(n_samples, "n_samples", low=10, error=InvalidCount)
     integer(n_features, "n_features", low=2, error=InvalidCount)
     integer(clusters_per_class, "clusters_per_class", low=1, error=InvalidCount)
-    if not 0.0 <= flip_fraction < 1.0:
+    class_sep = positive(class_sep, "class_sep", low=-math.inf)
+    flip_fraction = positive(flip_fraction, "flip_fraction", InvalidCount, strict=False)
+    if flip_fraction >= 1.0:
         raise InvalidCount("flip_fraction must be in [0, 1), got %g" % flip_fraction)
     n_clusters = 2 * clusters_per_class
     rng = np.random.default_rng(integer(seed, "seed"))

@@ -1,9 +1,10 @@
 """Exception hierarchy and input rules shared by all smnn modules.
 
-Each rule on a user input has one definition here: positive, integer and
-indices.  Booleans are never numbers or indices, though Python makes bool
-a subclass of int.  A rule raises ValueError unless its caller names the
-error class it raises for that input.
+Each rule on a user input has one definition here: positive (for real
+numbers, with a lower bound), integer and indices.  Booleans are never
+numbers or indices, though Python makes bool a subclass of int.  A rule
+raises ValueError unless its caller names the error class it raises for
+that input.
 """
 
 import math
@@ -85,12 +86,15 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def positive(value, what, error=ValueError):
-    """value as a float: a finite real number above zero."""
+def positive(value, what, error=ValueError, low=0.0, strict=True):
+    """value as a float: a finite real number above low, or at least low
+    when strict is False; low=-inf admits every finite number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        math.isfinite(value) and value > 0
+        math.isfinite(value) and (value > low if strict else value >= low)
     ):
-        raise error("%s must be a finite number above zero, got %r" % (what, value))
+        bound = "zero" if low == 0 else "%g" % low
+        rule = "" if low == -math.inf else (" above " if strict else " of at least ") + bound
+        raise error("%s must be a finite number%s, got %r" % (what, rule, value))
     return float(value)
 
 

@@ -23,14 +23,21 @@ BoundaryFacet lists are views built on each read.
 Point location (locate_batch) accepts a cell when every barycentric
 coordinate is at least -TAU, and the lowest cell index wins on shared
 faces.  A complex with fewer than INDEX_MIN_CELLS cells tests all its
-cells at once, in (Q, S, n+1) memory.  A larger one carries a CellIndex
-built with it: each usable cell's bounding box, padded by a bound derived
-from TAU and the cell's condition number (see _padded_boxes) so that it
-holds every query the coordinate test can accept, and a uniform grid of
-buckets listing, in ascending order, the cells whose boxes meet them.  A
-query tests only the cells of its bucket whose box holds it, which gives
-the same cell and the same coordinate bits in memory linear in the
-(query, candidate) pairs.
+cells at once, in (Q, S, n+1) memory.  A larger one carries a locator
+built with it, which pairs each query with candidate cells in ascending
+order; the candidates' coordinates and the lowest feasible pick then
+give the same cell and the same coordinate bits as testing every cell.
+Below SCREEN_MIN_DIM dimensions the locator is a CellIndex: each usable
+cell's bounding box, padded by a bound derived from TAU and the cell's
+condition number (see _padded_boxes) so that it holds every query the
+coordinate test can accept, and a uniform grid of buckets listing, in
+ascending order, the cells whose boxes meet them; a query's candidates
+are the cells of its bucket whose box holds it.  From SCREEN_MIN_DIM on,
+where those boxes overlap heavily, it is a LiftScreen: each cell's plane
+under the support lifted to the paraboloid (u, |u|^2), with a proven
+margin (see _lift_screen); one (Q, n+1) @ (n+1, 2S) product gives a
+query's candidates, the cells whose plane comes within that margin of
+the highest, in memory linear in the cells per row.
 
 Degenerate inputs (co-spherical point subsets) are resolved by building
 the triangulation on a deterministically perturbed copy of the cloud:
@@ -56,10 +63,19 @@ COND_LIMIT = 1e12
 COINCIDENCE_TOL = 1e-9
 
 # Complexes with at least this many cells locate queries through a
-# CellIndex; smaller ones test every cell.  On random 2- to 4-D clouds a
-# single query through the index breaks even with the all-cells test at
-# 670-750 cells and is 22-27% cheaper at about 1,050.
+# CellIndex or a LiftScreen; smaller ones test every cell.  On random 2-
+# to 4-D clouds a single query through the index breaks even with the
+# all-cells test at 670-750 cells and is 22-27% cheaper at about 1,050.
 INDEX_MIN_CELLS = 1024
+
+# Complexes of at least INDEX_MIN_CELLS cells in this many dimensions or
+# more locate queries through a LiftScreen, lower ones through a
+# CellIndex.  On random complexes of 1,000 to 3,000 cells a 512-row batch
+# costs 1.8-2.9 us a row through the index in 2-D and 7-10 us in 3-D,
+# against 10-23 us through the screen, but 39 us against 16 us in 4-D and
+# 147 us against 12 us in 5-D; one row costs about the same through
+# either up to 3-D, and 88 against 52 us in 4-D.
+SCREEN_MIN_DIM = 4
 
 
 @dataclass
@@ -149,9 +165,64 @@ class CellIndex:
     start: np.ndarray
     cells: np.ndarray
 
+    kind = "index"
+
     def buckets(self, xs):
         """Flat bucket id of each row of xs."""
         return _grid_coords(xs, self.origin, self.scale, self.top) @ self.stride
+
+    def pairs(self, h):
+        """(query, cell) candidate pairs of the homogeneous queries h: the
+        cells of each query's bucket whose padded box holds it.  A query's
+        pairs follow its bucket's list, so its cells stay in ascending
+        order."""
+        xs = h[:, :-1]
+        bucket = self.buckets(xs)
+        first, stop = self.start[bucket], self.start[bucket + 1]
+        qs = np.repeat(np.arange(h.shape[0]), stop - first)
+        cand = np.concatenate(
+            [self.cells[:0]] + [self.cells[a:b] for a, b in zip(first.tolist(), stop.tolist())]
+        )
+        inside = (np.concatenate([-xs, xs], axis=1)[qs] <= self.bounds[cand]).all(axis=1)
+        return qs[inside], cand[inside]
+
+
+@dataclass(frozen=True, eq=False)
+class LiftScreen:
+    """The cells of a complex as planes under the lifted support points.
+
+    planes : (n+1, 2S) two columns per cell s, so that (x, 1) @ planes
+             gives lo_s in column s and hi_s in column S + s: the plane
+             l_s that interpolates |u|^2 over the cell's vertices u,
+             lowered by the cell's drop and raised by its pad (see
+             _lift_screen); a pad is inf where the cell's coordinate
+             slack is.  A flat cell's columns are (0, ..., 0, -inf), so
+             it never raises the bar and is never kept.
+    slop   : bound on the rounding of the product and of the bar, per
+             unit of max(1, |x|_inf).
+    """
+
+    planes: np.ndarray
+    slop: float
+
+    kind = "lift"
+
+    def pairs(self, h):
+        """(query, cell) candidate pairs of the homogeneous queries h: the
+        cells whose hi reaches the bar, the largest lo less the slop, in
+        blocks of about 2**18 (query, column) values.  np.nonzero lists
+        each query's cells in ascending order."""
+        cells = self.planes.shape[1] // 2
+        slop = np.abs(h).max(axis=1) * self.slop
+        step = max(1, (1 << 17) // cells)
+        qs, cand = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for a in range(0, h.shape[0], step):
+            both = h[a : a + step] @ self.planes
+            bar = both[:, :cells].max(axis=1) - slop[a : a + step]
+            q, s = np.nonzero(both[:, cells:] >= bar[:, None])
+            qs.append(q + a)
+            cand.append(s)
+        return np.concatenate(qs), np.concatenate(cand)
 
 
 def _grid_coords(xs, origin, scale, top):
@@ -179,7 +250,9 @@ class Triangulation:
     slack     : how far the stored planes miss a convex hull: the largest
                 computed N.v + c over cloud points v and facets, and
                 |N.u + c| over the vertices u of each facet.
-    index     : CellIndex of the usable cells, or None below INDEX_MIN_CELLS.
+    index     : the point locator of a complex of at least INDEX_MIN_CELLS
+                cells: a CellIndex below SCREEN_MIN_DIM dimensions, a
+                LiftScreen from there on; None for a smaller complex.
     The complex is these arrays; maximal and boundary are views of them.
     """
 
@@ -191,7 +264,13 @@ class Triangulation:
     normals: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     slack: float = field(repr=False)
-    index: CellIndex = field(repr=False)
+    index: object = field(repr=False)
+
+    @property
+    def locator(self):
+        """How locate_batch searches the complex: "cells" (every cell),
+        "index" (a CellIndex) or "lift" (a LiftScreen)."""
+        return "cells" if self.index is None else self.index.kind
 
     @property
     def maximal(self):
@@ -276,11 +355,20 @@ def _padded_boxes(lo, hi, sv):
     the index never lists, may get NaN corners.
     """
     n = lo.shape[1]
+    with np.errstate(invalid="ignore"):
+        pad = (n * _coordinate_slack(sv))[:, None] * (hi - lo)
+    return np.nextafter(lo - pad, -np.inf), np.nextafter(hi + pad, np.inf)
+
+
+def _coordinate_slack(sv):
+    """delta of _padded_boxes for each cell: every exact coordinate of a
+    query that the TAU test accepts in the cell is at least -delta; inf
+    where n eps >= 1, NaN for flat cells."""
+    n = sv.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         eps = 64 * (n + 1) ** 2 * np.finfo(np.float64).eps * (sv[:, 0] / sv[:, -1])
         bound = np.where(n * eps < 1.0, (1.0 + n * TAU) / (1.0 - n * eps), np.inf)
-        pad = (n * (TAU + eps * bound))[:, None] * (hi - lo)
-    return np.nextafter(lo - pad, -np.inf), np.nextafter(hi + pad, np.inf)
+        return TAU + eps * bound
 
 
 def _cell_index(points, simp, sv, usable):
@@ -332,6 +420,100 @@ def _cell_index(points, simp, sv, usable):
     for arr in (bounds, origin, scale, top, stride, start, cells):
         arr.setflags(write=False)
     return CellIndex(bounds, origin, scale, top, stride, start, cells)
+
+
+def _lift_screen(points, simp, sv, inverses, usable):
+    """The LiftScreen of a complex.
+
+    Lift each support point v to q_v = fl(|v|^2) and give each usable cell
+    s the row P_s = fl(X_s^T q_s), X_s its stored inverse and q_s the lifts
+    of its vertices, so that l_s(x) = P_s.(x, 1), in exact arithmetic, is
+    close to q_u at each vertex u of s.  In a Delaunay complex each l_s is
+    a plane under all the lifted points and through those of its own
+    cell, so the cell that holds x has the largest l_s(x) (Edelsbrunner
+    and Seidel, 1986).  The screen keeps that argument exact in floating
+    point, and for any complex.
+
+    Measured over all support points v, each cell t has
+        above_t >= max_v l_t(v) - q_v,
+        depth_t >= max_v q_v - l_t(v), both at least 0, and
+        own_t   >= max |l_t(u) - q_u| over the vertices u of t,
+    each the computed value plus its rounding bound; A and M are the
+    largest above and depth.  Let the TAU test accept x in cell s.  By
+    _padded_boxes its exact coordinates lam, with x = sum lam_i u_i over
+    the vertices of s and sum lam_i = 1, are all at least -delta_s
+    (_coordinate_slack).  At most n of them are negative, so the negative
+    ones sum to at least -n delta_s and the others to at most
+    1 + n delta_s.  As l_t is affine, for every cell t
+        l_t(x) = sum lam_i l_t(u_i)
+              <= sum lam_i q_i + above_t (1 + n delta_s) + depth_t n delta_s,
+        l_s(x) = sum lam_i q_i + sum lam_i (l_s(u_i) - q_i)
+              >= sum lam_i q_i - own_s (1 + 2 n delta_s).
+    Split delta_s at a typical slack D: above_t (1 + n delta_s) +
+    depth_t n delta_s is at most drop_t + (A + M) n max(delta_s - D, 0).
+    So lo_t(x) <= hi_s(x) for the planes
+        lo_t = l_t - drop_t,  drop_t = above_t (1 + n D) + depth_t n D,
+        hi_s = l_s + pad_s,   pad_s  = own_s (1 + 2 n delta_s)
+                                       + (A + M) n max(delta_s - D, 0).
+    D is the largest slack within a factor 8 of the middle one: the
+    slack grows with the ratio of the coordinates to the cell widths, and
+    this D follows it when the whole support is scaled, while one sliver,
+    whose slack is far above it, widens only its own pad.  A sliver's
+    large depth, or the large above of a cell that is not Delaunay,
+    likewise lowers only its own lo.  drop and pad are rounded up by one
+    part in 1e6, far more than their own arithmetic can lose, and the
+    constant terms of lo and hi are moved one ulp outward.  The computed
+    product is within gamma_{n+1} |c|_1 |h|_inf of h.c for each column c
+    and h = (x, 1), and the bar rounds once more, so
+    slop = 4 (n+2) u max|c|_1 over the lo columns and the finite hi
+    columns bounds all of it with room to spare.  Hence the computed hi
+    of s reaches the computed bar: every cell that accepts x, the lowest
+    one among them too, is a candidate of LiftScreen.pairs.
+    """
+    m, n = points.shape
+    cells = simp.shape[0]
+    unit = np.finfo(np.float64).eps / 2
+    q = _dots(points, points)
+    lift = np.einsum("sij,si->sj", inverses, q[simp])
+
+    # l_t(v) - q_v for every cell t and support point v, in blocks of
+    # about 2**20 values, widened by its rounding bound.
+    h = np.concatenate([points, np.ones((m, 1))], axis=1)
+    norm, scale = np.where(usable, np.abs(lift).sum(axis=1), 0.0), np.abs(h).max(axis=1)
+    above, depth, own = np.zeros(cells), np.zeros(cells), np.zeros(cells)
+    step = max(1, (1 << 20) // m)
+    for a in range(0, cells, step):
+        b = slice(a, a + step)
+        miss = lift[b] @ h.T - q
+        err = 4 * (n + 2) * unit * (norm[b, None] * scale + q)
+        above[b] = (miss + err).max(axis=1)
+        depth[b] = (err - miss).max(axis=1)
+        rows = np.arange(miss.shape[0])[:, None]
+        own[b] = (np.abs(miss) + err)[rows, simp[b]].max(axis=1)
+
+    above, depth = np.maximum(above, 0.0), np.maximum(depth, 0.0)
+    slack = _coordinate_slack(sv)
+    finite = usable & (slack < np.inf)
+    typical = 0.0
+    if finite.any():
+        # The middle slack by sorting: np.median would import numpy.ma,
+        # about 20 ms of a cold model load.
+        middle = np.sort(slack[finite])[np.count_nonzero(finite) // 2]
+        typical = slack[finite & (slack <= 8.0 * middle)].max()
+    room = 1.0 + 1e-6
+    drop = room * (above * (1.0 + n * typical) + depth * n * typical)
+    beyond = (above[usable].max() + depth[usable].max()) * n * np.maximum(slack - typical, 0.0)
+    pad = room * (own * (1.0 + 2 * n * slack) + beyond)
+    lo, hi = lift.copy(), lift.copy()
+    lo[:, n] = np.nextafter(lift[:, n] - drop, -np.inf)
+    hi[:, n] = np.nextafter(lift[:, n] + pad, np.inf)
+    lo[~usable] = hi[~usable] = np.append(np.zeros(n), -np.inf)
+    planes = np.ascontiguousarray(np.concatenate([lo, hi]).T)
+    norm = np.abs(planes).sum(axis=0)
+    bounded = usable & np.isfinite(pad)
+    slop = 4 * (n + 2) * unit * max(norm[:cells][usable].max(), norm[cells:][bounded].max(initial=0.0))
+    planes.setflags(write=False)
+    return LiftScreen(planes, float(slop))
 
 
 def build_triangulation(cloud, simplices):
@@ -403,7 +585,10 @@ def build_triangulation(cloud, simplices):
 
     index = None
     if simp.shape[0] >= INDEX_MIN_CELLS and usable.any():
-        index = _cell_index(points, simp, sv, usable)
+        if n < SCREEN_MIN_DIM:
+            index = _cell_index(points, simp, sv, usable)
+        else:
+            index = _lift_screen(points, simp, sv, inverses, usable)
 
     for arr in (simp, inverses, facets, opposite, normals, offsets):
         arr.setflags(write=False)
@@ -484,45 +669,29 @@ def locate_batch(tri, xs):
     containing simplex of row q, or -1 outside the hull, and coords[q]
     its n+1 unclamped coordinates (meaningless where index[q] is -1).
 
-    A complex with a CellIndex tests only the cells whose padded box holds
-    the query, among those listed for its bucket; a smaller one tests all
-    its cells.  Both give the same index and the same coordinate bits.
+    A complex with a CellIndex or a LiftScreen tests only the candidate
+    cells that it pairs with each query; a smaller one tests all its
+    cells.  All give the same index and the same coordinate bits.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if tri.index is not None:
-        return _locate_indexed(tri, xs)
-    h = np.concatenate([xs, np.ones((xs.shape[0], 1))], axis=1)
-    bary = np.einsum("sij,qj->qsi", tri.inverses, h)
-    feasible = (bary >= -TAU).all(axis=2)
-    first = np.argmax(feasible, axis=1).tolist()
-    index = [s if feasible[q, s] else -1 for q, s in enumerate(first)]
-    return index, [bary[q, s] for q, s in enumerate(first)]
-
-
-def _locate_indexed(tri, xs):
-    """locate_batch through the CellIndex, in memory linear in the number
-    of (query, candidate cell) pairs."""
-    grid = tri.index
     rows, n = xs.shape
-    bucket = grid.buckets(xs)
-    first, stop = grid.start[bucket], grid.start[bucket + 1]
-    # Pair p joins query qs[p] with cell cand[p]; a query's pairs follow
-    # its bucket's list, so its cells stay in ascending order.
-    qs = np.repeat(np.arange(rows), stop - first)
-    cand = np.concatenate(
-        [grid.cells[:0]] + [grid.cells[a:b] for a, b in zip(first.tolist(), stop.tolist())]
-    )
-    inside = (np.concatenate([-xs, xs], axis=1)[qs] <= grid.bounds[cand]).all(axis=1)
-    qs, cand = qs[inside], cand[inside]
     h = np.empty((rows, n + 1))
     h[:, :n] = xs
     h[:, n] = 1.0
+    if tri.index is None:
+        bary = np.einsum("sij,qj->qsi", tri.inverses, h)
+        feasible = (bary >= -TAU).all(axis=2)
+        first = np.argmax(feasible, axis=1).tolist()
+        index = [s if feasible[q, s] else -1 for q, s in enumerate(first)]
+        return index, [bary[q, s] for q, s in enumerate(first)]
+    qs, cand = tri.index.pairs(h)
     coords = np.einsum("pij,pj->pi", tri.inverses[cand], h[qs])
     hit = np.flatnonzero((coords >= -TAU).all(axis=1))
     index = [-1] * rows
     pick = [0] * rows
     # Walk the feasible pairs backwards, so each query keeps its first one:
-    # the lowest cell, as its bucket lists them in ascending order.
+    # the lowest cell, as both locators pair a query's cells in ascending
+    # order.
     for p, q, s in zip(hit[::-1].tolist(), qs[hit[::-1]].tolist(), cand[hit[::-1]].tolist()):
         index[q], pick[q] = s, p
     return index, coords[pick] if coords.size else np.zeros((rows, n + 1))

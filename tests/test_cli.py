@@ -154,6 +154,16 @@ class TestTrainEvalPredictExplain:
         expected = summary["wall_time"] / summary["n_steps"] * 1e6
         assert abs(summary["us_per_step"] - expected) <= 500.0 / summary["n_steps"] + 5e-4
 
+    def test_train_reports_triangulation_health(self, pipeline):
+        tmp_path, summary = pipeline
+        tri = smnn.load_model(tmp_path / "model.json")[0].space.tri
+        assert summary["triangulation"] == {
+            "cells": tri.simplices.shape[0],
+            "hull_facets": tri.facets.shape[0],
+            "flat_cells": 0,
+            "locator": "cells",
+        }
+
     def test_train_reports_exterior_rows(self, pipeline):
         tmp_path, summary = pipeline
         model, _ = smnn.load_model(tmp_path / "model.json")
@@ -314,6 +324,26 @@ class TestTrainEvalPredictExplain:
             "--init", "one_hot", "--out", str(tmp_path / "m.json"),
         )
         assert code == 0
+
+    def test_iris_full_support_reports_the_lift_screen(self, tmp_path, capsys):
+        # The bundled Iris at full support is a 4-D complex of about 1,800
+        # cells, some of them flat: it locates through the lift screen.
+        data = tmp_path / "iris.csv"
+        smnn.save_csv(smnn.load_iris(), data)
+        with pytest.warns(UserWarning, match="dropped 1 duplicate rows"):
+            code, stdout, _ = _run(
+                capsys, "train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "m.json"),
+            )
+        assert code == 0
+        tri = smnn.load_model(tmp_path / "m.json")[0].space.tri
+        health = _last_json(stdout)["triangulation"]
+        assert health == {
+            "cells": tri.simplices.shape[0],
+            "hull_facets": tri.facets.shape[0],
+            "flat_cells": int(np.isnan(tri.inverses).all(axis=(1, 2)).sum()),
+            "locator": "lift",
+        }
+        assert health["cells"] >= smnn.geometry.INDEX_MIN_CELLS and health["flat_cells"] > 0
 
 
 class TestErrorPaths:

@@ -1,12 +1,16 @@
 """Triangulation, barycentric and circumsphere behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import smnn
 from smnn.geometry import (
     INDEX_MIN_CELLS,
+    SCREEN_MIN_DIM,
     TAU,
+    _lift_screen,
     build_triangulation,
     clamp_coords,
     locate_batch,
@@ -488,7 +492,7 @@ def indexed_complex(n, seed=0):
     sits 2.5e-11 above that facet's centroid (condition number about 1e11).
     """
     rng = np.random.default_rng(seed)
-    m = {2: 620, 3: 230, 4: 85}[n]
+    m = {2: 620, 3: 230, 4: 85, 5: 35}[n]
     facet = np.vstack([np.zeros(n), np.eye(n)[: n - 1]])
     near = np.append(facet[:, :-1].mean(axis=0), 2.5e-11)
     cloud = rng.random((m, n))
@@ -512,22 +516,33 @@ def reference_locate(tri, xs):
 
 
 def index_queries(tri, rng):
-    """Queries that probe the bucket index where it could go wrong."""
-    pts, grid = tri.cloud.points, tri.index
+    """Queries that probe a point locator where it could go wrong."""
+    pts = tri.cloud.points
     n = pts.shape[1]
     out = []
-    # On bucket boundaries, and one ulp to either side.
-    x = pts.min(axis=0) + rng.random((150, n)) * np.ptp(pts, axis=0)
-    snapped = grid.origin + np.round((x - grid.origin) * grid.scale) / grid.scale
-    for d in range(n):
-        on = x.copy()
-        on[:, d] = snapped[:, d]
-        out += [on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)]
-    out.append(snapped)
-    # Exactly on shared faces, and at the vertices.
+    if tri.locator == "index":
+        # On bucket boundaries, and one ulp to either side.
+        grid = tri.index
+        x = pts.min(axis=0) + rng.random((150, n)) * np.ptp(pts, axis=0)
+        snapped = grid.origin + np.round((x - grid.origin) * grid.scale) / grid.scale
+        for d in range(n):
+            on = x.copy()
+            on[:, d] = snapped[:, d]
+            out += [on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)]
+        out.append(snapped)
+        # At the edge of the padded global box, and one ulp beyond.
+        usable = np.isfinite(tri.inverses).all(axis=(1, 2))
+        low, high = -grid.bounds[usable, :n].max(axis=0), grid.bounds[usable, n:].max(axis=0)
+        for d in range(n):
+            for edge, beyond in ((low, -np.inf), (high, np.inf)):
+                at = pts[np.argsort(np.abs(pts[:, d] - edge[d]))[:5]].copy()
+                at[:, d] = edge[d]
+                out += [at, np.nextafter(at, beyond)]
+    # Exactly on shared faces, and one ulp to either side; at the vertices.
     for ids in tri.simplices[rng.choice(tri.simplices.shape[0], 200)]:
         w = rng.random(n) + 0.1
-        out.append((w / w.sum() @ pts[np.delete(ids, rng.integers(n + 1))])[None])
+        on = w / w.sum() @ pts[np.delete(ids, rng.integers(n + 1))]
+        out.append(np.stack([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)]))
     out.append(pts)
     # Vertices pushed along each axis by a few TAU-scale distances: inside
     # a neighbouring cell's slack but outside its unpadded box.
@@ -537,14 +552,6 @@ def index_queries(tri, rng):
                 moved = pts[rng.choice(pts.shape[0], 40)].copy()
                 moved[:, d] += sign * t * np.ptp(pts[:, d])
                 out.append(moved)
-    # At the edge of the padded global box, and one ulp beyond.
-    usable = np.isfinite(tri.inverses).all(axis=(1, 2))
-    low, high = -grid.bounds[usable, :n].max(axis=0), grid.bounds[usable, n:].max(axis=0)
-    for d in range(n):
-        for edge, beyond in ((low, -np.inf), (high, np.inf)):
-            at = pts[np.argsort(np.abs(pts[:, d] - edge[d]))[:5]].copy()
-            at[:, d] = edge[d]
-            out += [at, np.nextafter(at, beyond)]
     # Outside the hull.
     out.append(pts.min(axis=0) - 0.5 + 2.0 * rng.random((200, n)))
     # Inside the near-flat cell.
@@ -554,26 +561,36 @@ def index_queries(tri, rng):
     return np.concatenate(out)
 
 
-class TestCellIndex:
-    """locate_batch through the bucket index against the all-cells kernel."""
+def assert_locates_as_all_cells(tri, queries):
+    """locate_batch gives the index and coordinate bits of the all-cells
+    kernel; returns the reference index and feasible-cell counts."""
+    got, coords = locate_batch(tri, queries)
+    want, want_coords, n_feasible = reference_locate(tri, queries)
+    assert got == want.tolist()
+    hit = want >= 0
+    assert np.asarray(coords)[hit].tobytes() == want_coords[hit].tobytes()
+    return want, n_feasible
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+
+class TestCellIndex:
+    """locate_batch through the bucket index (below SCREEN_MIN_DIM) or the
+    lift screen against the all-cells kernel."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_bit_identical_to_all_cells_kernel(self, n):
         tri = indexed_complex(n)
-        assert tri.simplices.shape[0] >= INDEX_MIN_CELLS and tri.index is not None
+        assert tri.simplices.shape[0] >= INDEX_MIN_CELLS
+        assert tri.locator == ("index" if n < SCREEN_MIN_DIM else "lift")
         cond = np.linalg.cond(tri.inverses[0])
         assert 1e10 < cond < 1e12
         queries = index_queries(tri, np.random.default_rng(n))
-        got, coords = locate_batch(tri, queries)
-        want, want_coords, n_feasible = reference_locate(tri, queries)
-        assert got == want.tolist()
-        hit = want >= 0
-        assert coords[hit].tobytes() == want_coords[hit].tobytes()
+        want, n_feasible = assert_locates_as_all_cells(tri, queries)
 
         # The queries reach what exactness depends on: located queries
         # outside the unpadded box of their cell (the padding), queries
         # with several feasible cells (the lowest-index rule), and queries
         # in the near-flat cell 0.
+        hit = want >= 0
         verts = tri.cloud.points[tri.simplices[want[hit]]]
         x = queries[hit]
         outside = ((x < verts.min(axis=1)) | (x > verts.max(axis=1))).any(axis=1)
@@ -602,6 +619,7 @@ class TestCellIndex:
         rng = np.random.default_rng(3)
         tri = smnn.build_delaunay(random_cloud(rng, 40, 2))
         assert tri.simplices.shape[0] < INDEX_MIN_CELLS and tri.index is None
+        assert tri.locator == "cells"
 
     def test_index_lists_usable_cells_in_ascending_order(self):
         tri = indexed_complex(3)
@@ -610,6 +628,91 @@ class TestCellIndex:
         assert set(grid.cells.tolist()) == set(np.flatnonzero(usable).tolist())
         for a, b in zip(grid.start[:-1].tolist(), grid.start[1:].tolist()):
             assert (np.diff(grid.cells[a:b]) > 0).all()
+
+
+class TestLiftScreen:
+    """locate_batch through the lift screen, from SCREEN_MIN_DIM dimensions
+    up, against the all-cells kernel."""
+
+    @staticmethod
+    def lattice(seed=1):
+        # Points of a 5^4 grid scaled by 0.1: every small group of them is
+        # co-spherical, so the complex rests on the degeneracy shift.
+        rng = np.random.default_rng(seed)
+        return smnn.build_delaunay(np.unique(rng.integers(0, 5, (110, 4)), axis=0) * 0.1)
+
+    @pytest.mark.parametrize("cloud", ["iris", "lattice"])
+    def test_quantized_ties_bit_identical(self, cloud, iris_tri):
+        tri = iris_tri[1] if cloud == "iris" else self.lattice()
+        assert tri.simplices.shape[0] >= INDEX_MIN_CELLS and tri.locator == "lift"
+        pts = tri.cloud.points
+        rng = np.random.default_rng(11)
+        # Midpoints of nearby points lie on faces shared by tied cells.
+        near = np.argsort(((pts[:, None] - pts[None]) ** 2).sum(axis=2), axis=1)[:, 1:4]
+        mid = 0.5 * (pts[:, None] + pts[near]).reshape(-1, pts.shape[1])
+        queries = np.concatenate([index_queries(tri, rng), mid])
+        want, n_feasible = assert_locates_as_all_cells(tri, queries)
+        assert (n_feasible > 2).sum() >= 100
+        assert (want >= 0).sum() >= 1000
+
+    def test_screen_keeps_the_cell_of_a_non_delaunay_complex(self):
+        # A kite split along its long diagonal AB: C lies inside the
+        # circumcircle of ABD and D inside that of ABC, so the lifted plane
+        # of the other cell is the higher one over each cell.
+        pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.3], [0.0, -0.3]])
+        tri = build_triangulation(pts, [[0, 1, 2], [0, 1, 3]])
+        tmat = np.concatenate([np.transpose(pts[tri.simplices], (0, 2, 1)), np.ones((2, 1, 3))], axis=1)
+        sv = np.linalg.svd(tmat, compute_uv=False)
+        screened = dataclasses.replace(
+            tri, index=_lift_screen(pts, tri.simplices, sv, tri.inverses, np.ones(2, dtype=bool))
+        )
+        assert screened.locator == "lift"
+        rng = np.random.default_rng(4)
+        w = rng.random((400, 3))
+        cells = pts[tri.simplices[rng.integers(0, 2, 400)]]
+        inside = np.einsum("qi,qid->qd", w / w.sum(axis=1, keepdims=True), cells)
+        edge = rng.random((50, 1)) * pts[0] + (1 - rng.random((50, 1))) * pts[1]
+        queries = np.concatenate([inside, edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf), pts])
+        want, _ = assert_locates_as_all_cells(screened, queries)
+        lift = np.einsum("sij,si->sj", tri.inverses, (pts**2).sum(axis=1)[tri.simplices])
+        top = np.argmax(np.concatenate([queries, np.ones((len(queries), 1))], axis=1) @ lift.T, axis=1)
+        assert ((want >= 0) & (top != want)).sum() >= 300
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_few_candidates_at_any_scale(self, scale, iris_tri):
+        # Points inside random cells of the Iris support keep a median of
+        # one candidate cell.  The coordinate slack grows as the support
+        # is scaled up or down; the margin follows it, so the count does
+        # not.
+        tri = smnn.build_delaunay(iris_tri[0] * scale)
+        cells = tri.simplices.shape[0]
+        rng = np.random.default_rng(0)
+        w = rng.random((300, 5))
+        corners = tri.cloud.points[tri.simplices[rng.choice(cells, 300)]]
+        xs = np.einsum("qi,qid->qd", w / w.sum(axis=1, keepdims=True), corners)
+        qs, _ = tri.index.pairs(np.concatenate([xs, np.ones((300, 1))], axis=1))
+        per_query = np.bincount(qs, minlength=300)
+        assert np.median(per_query) == 1 and per_query.max() <= 20
+        assert_locates_as_all_cells(tri, xs)
+
+
+class TestLocatorChoice:
+    """Each benchmark complex takes the locator it was measured with."""
+
+    @staticmethod
+    def support_tri(data, size):
+        pts = smnn.split(data, 0.75, seed=0)[0].points.points
+        size = size or len(np.unique(pts, axis=0))
+        eps = smnn.epsilon_for_size(pts, size, 0)
+        return smnn.fit_space(pts, smnn.epsilon_representative(pts, eps, 0)).tri
+
+    def test_benchmark_supports(self):
+        spiral = self.support_tri(smnn.gen_spiral(400, seed=0), 95)
+        clusters = self.support_tri(smnn.gen_clusters(4000, n_features=3, class_sep=1.5, seed=0), 1000)
+        iris = self.support_tri(smnn.load_iris(), None)
+        assert spiral.simplices.shape[0] < INDEX_MIN_CELLS and spiral.locator == "cells"
+        assert clusters.cloud.dim < SCREEN_MIN_DIM and clusters.locator == "index"
+        assert iris.cloud.dim >= SCREEN_MIN_DIM and iris.locator == "lift"
 
 
 class TestVisibleFacets:

@@ -82,19 +82,19 @@ class TestRoundTrip:
             x = pts[rng.integers(0, 40)] + 0.1 * rng.standard_normal(4)
             assert np.array_equal(smnn.forward(model, x), smnn.forward(back, x))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_cell_index_rebuilt_bit_identical(self, version):
-        # A complex above the index crossover: loading rebuilds its cell
-        # index from the stored simplices, field for field.
-        rng = np.random.default_rng(6)
-        pts = random_cloud(rng, 250, 3)
-        space = smnn.fit_space(pts, list(range(250)))
-        assert space.tri.index is not None
-        y = rng.integers(0, 2, size=250)
+    @staticmethod
+    def _assert_locator_rebuilt(pts, version, locator, rng):
+        """A model over pts, saved in the given schema version and loaded,
+        rebuilds the point locator of its complex field for field, and
+        forward keeps its bits."""
+        m, n = pts.shape
+        space = smnn.fit_space(pts, list(range(m)))
+        assert space.tri.locator == locator
+        y = rng.integers(0, 2, size=m)
         model = smnn.SmnnModel(
             space=space,
             encoding=smnn.LabelEncoding.from_labels(["0", "1"]),
-            weights=smnn.init_weights("one_hot", 0, 2, 250, y),
+            weights=smnn.init_weights("one_hot", 0, 2, m, y),
             support_labels=y,
         )
         doc = smnn.model_to_dict(model)
@@ -111,12 +111,27 @@ class TestRoundTrip:
             ]
         back, _ = smnn.model_from_dict(json.loads(json.dumps(doc)))
         built, loaded = space.tri.index, back.space.tri.index
+        assert loaded.kind == locator
         for name in built.__dataclass_fields__:
-            a, b = getattr(built, name), getattr(loaded, name)
+            a, b = np.asarray(getattr(built, name)), np.asarray(getattr(loaded, name))
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        queries = pts[:50] + 0.01 * rng.standard_normal((50, 3))
+        queries = pts[:50] + 0.01 * rng.standard_normal((50, n))
         for x in queries:
             assert smnn.forward(model, x).tobytes() == smnn.forward(back, x).tobytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_cell_index_rebuilt_bit_identical(self, version):
+        # A 3-D complex above the index crossover: loading rebuilds its
+        # cell index from the stored simplices.
+        rng = np.random.default_rng(6)
+        self._assert_locator_rebuilt(random_cloud(rng, 250, 3), version, "index", rng)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_lift_screen_rebuilt_bit_identical(self, version):
+        # A 4-D complex above the crossover: loading rebuilds its lift
+        # screen from the stored simplices.
+        rng = np.random.default_rng(6)
+        self._assert_locator_rebuilt(random_cloud(rng, 90, 4), version, "lift", rng)
 
     def test_reloaded_model_evaluates(self, tmp_path):
         model, _ = _train_square()

@@ -289,6 +289,29 @@ ENTRY_POINTS = [
      lambda c: smnn.gen_spiral(40.0), smnn.InvalidCount, "n_samples"),
     ("gen_spiral n_samples=2", lambda c: smnn.gen_spiral(2), smnn.InvalidCount, "n_samples"),
     ("gen_spiral n_samples=41", lambda c: smnn.gen_spiral(41), smnn.InvalidCount, "even"),
+    ("gen_spiral noise_sd=True",
+     lambda c: smnn.gen_spiral(40, noise_sd=True), smnn.InvalidCount, "noise_sd"),
+    ("gen_spiral noise_sd=nan",
+     lambda c: smnn.gen_spiral(40, noise_sd=math.nan), smnn.InvalidCount, "noise_sd"),
+    ("gen_spiral noise_sd=-0.1",
+     lambda c: smnn.gen_spiral(40, noise_sd=-0.1), smnn.InvalidCount,
+     "noise_sd must be a finite number of at least zero, got -0.1"),
+    ("gen_spiral turns=inf",
+     lambda c: smnn.gen_spiral(40, turns=math.inf), ValueError, "turns must be a finite number,"),
+    ("gen_spiral turns=True", lambda c: smnn.gen_spiral(40, turns=True), ValueError, "turns"),
+    ("gen_spiral turns='1'", lambda c: smnn.gen_spiral(40, turns="1"), ValueError, "turns"),
+    ("gen_clusters class_sep=nan",
+     lambda c: smnn.gen_clusters(40, class_sep=math.nan), ValueError, "class_sep"),
+    ("gen_clusters class_sep=True",
+     lambda c: smnn.gen_clusters(40, class_sep=True), ValueError, "class_sep"),
+    ("gen_clusters flip_fraction=True",
+     lambda c: smnn.gen_clusters(40, flip_fraction=True), smnn.InvalidCount, "flip_fraction"),
+    ("gen_clusters flip_fraction=nan",
+     lambda c: smnn.gen_clusters(40, flip_fraction=math.nan), smnn.InvalidCount, "flip_fraction"),
+    ("gen_clusters flip_fraction=-0.1",
+     lambda c: smnn.gen_clusters(40, flip_fraction=-0.1), smnn.InvalidCount, "flip_fraction"),
+    ("gen_clusters flip_fraction=1.0",
+     lambda c: smnn.gen_clusters(40, flip_fraction=1.0), smnn.InvalidCount, r"in \[0, 1\)"),
     ("gen_spiral seed=True", lambda c: smnn.gen_spiral(40, seed=True), ValueError, "seed"),
     ("gen_spiral seed=1.5", lambda c: smnn.gen_spiral(40, seed=1.5), ValueError, "seed"),
     ("gen_spiral seed=None", lambda c: smnn.gen_spiral(40, seed=None), ValueError, "seed"),
@@ -348,6 +371,20 @@ class TestValidInputs:
         a = smnn.gen_clusters(np.int64(40), n_features=np.int64(3), clusters_per_class=np.int64(1))
         b = smnn.gen_clusters(40, n_features=3, clusters_per_class=1)
         assert np.array_equal(a.points.points, b.points.points) and a.labels == b.labels
+
+    def test_generator_real_parameters(self):
+        # Integer and NumPy values of the real-valued parameters, and the
+        # edge values zero and negative, give the bits of the plain float.
+        pairs = [
+            (smnn.gen_spiral(40, noise_sd=np.float64(0.02), turns=np.float32(0.5)),
+             smnn.gen_spiral(40, noise_sd=0.02, turns=0.5)),
+            (smnn.gen_spiral(40, noise_sd=0, turns=-1), smnn.gen_spiral(40, noise_sd=0.0, turns=-1.0)),
+            (smnn.gen_clusters(40, class_sep=2, flip_fraction=0), smnn.gen_clusters(40, class_sep=2.0, flip_fraction=0.0)),
+            (smnn.gen_clusters(40, class_sep=np.float64(-1.5), flip_fraction=np.float64(0.1)),
+             smnn.gen_clusters(40, class_sep=-1.5, flip_fraction=0.1)),
+        ]
+        for a, b in pairs:
+            assert a.points.points.tobytes() == b.points.points.tobytes() and a.labels == b.labels
 
     def test_generator_and_split_seeds(self):
         for seed in (np.int64(3), np.uint8(3)):
