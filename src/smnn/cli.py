@@ -235,12 +235,15 @@ def _cmd_train(args):
 
 
 def _health(tri):
-    """Cell, hull facet and flat cell counts of a complex, and its locator."""
+    """Cell, hull facet and flat cell counts of a complex, its locator, its
+    worst usable condition number and its reach, null unless finite."""
     return {
         "cells": int(tri.simplices.shape[0]),
         "hull_facets": int(tri.facets.shape[0]),
         "flat_cells": int(np.isnan(tri.inverses[:, 0, 0]).sum()),
         "locator": tri.locator,
+        "worst_condition": tri.cond if np.isfinite(tri.cond) else None,
+        "reach": tri.reach if np.isfinite(tri.reach) else None,
     }
 
 

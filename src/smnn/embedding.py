@@ -13,15 +13,13 @@ maps any query x inside the ball to a sparse vector of convex weights:
   NoContainingVirtualSimplex, and training.evaluate scores them as misses.
 
 Of the visible facets, the one whose virtual simplex has the largest
-minimum coordinate wins, ties going to the lowest facet.  The exterior
-rows of a location chunk that has any go through one call of
-_virtual_simplices, and xi passes its one row to the same call.  It
-follows the ray from the origin through x: the facet where that ray
-leaves the hull, when the centroid lies inside it, is the winner in
-exact arithmetic, and a proven rounding band around it (_beyond_band)
-rules most other visible facets out.  Every (row, remaining facet)
-system is solved in one stacked np.linalg.solve.  The results are the
-bits of solving every visible facet of every row on its own.
+minimum coordinate wins, ties going to the lowest facet.  A query beyond
+tri.reach skips point location.  Exterior rows go through one call of
+_virtual_simplices per location chunk, or for xi's one row.  The ray from
+the origin through x leaves the hull through the facet of largest polar
+value N.x/(-c), which wins in exact arithmetic; a proven band below that
+value (_exit_bar) rules the other facets out, so one stacked solve takes
+about one system a row, with the bits of solving every visible facet.
 
 Entries below 1e-9 in magnitude are zeroed and the rest renormalized, so
 vertex queries come back as clean indicators.  A batch of embeddings is
@@ -30,6 +28,7 @@ one CSR record, an EmbeddingBatch; xi builds its single row directly.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,12 +61,6 @@ _CHUNK = 512
 # Unit roundoff of float64.
 _U = np.finfo(np.float64).eps / 2
 
-# _virtual_simplices rules facets out through _beyond_band only when the
-# visible (row, facet) pairs outnumber the rows by more than this: on the
-# 2- to 4-D benchmark supports the band costs about as much as solving 50
-# more systems.
-_BAND_MIN = 48
-
 
 @dataclass
 class EmbeddingSpace:
@@ -84,6 +77,19 @@ class EmbeddingSpace:
     radius: float
     support: PointCloud
     tri: object
+
+    @cached_property
+    def exit_terms(self):
+        """The constants (room, most, base, spread) of _exit_bar."""
+        n, radius, inv_k0 = self.dim, self.radius, float(np.fmax.reduce(self.tri.polar))
+        t, eps = (n + 1) * max(radius, 1.0), 12 * (n + 1) ** 3 * 2.0**n * _U + (n + 5) * _U
+        room, unit = 1 + 8 * (n + 4) * _U, _U * radius * inv_k0
+        e, test = 2 * (n + 4) * unit, (6 * n + 16) * unit
+        if not (eps * t <= 0.25 and test <= 0.25):
+            return 1.0, 0.0, 0.0, 0.0
+        c1 = 4 * (n**0.5 + radius) * eps * t + 2 * (self.tri.slack + 4 * (n + 1) * _U * radius)
+        spread = 2 * (1 + 2 * e) * (2 * c1 + 3 * n * radius * TAU) * radius * inv_k0 * room
+        return room, radius / ((1 + test) * room), 1 - 8 * e * room, spread
 
 
 @dataclass
@@ -172,120 +178,101 @@ def project_to_sphere(space, x):
     return space.radius * x / norm
 
 
-def _beyond_band(space, norms, dots, ahead, visible):
-    """Mask of the visible facets whose virtual simplex can neither win nor
-    tie under the coordinates np.linalg.solve computes for it; all other
-    visible facets stay candidates.  norms are the rows' norms (clipped
-    away from 0), dots and ahead the (rows, facets) N.x and N.x + c, and
-    visible the mask of the facets to consider.
+def _exit_bar(space, norms, polar):
+    """The bar of each row: a visible facet whose polar value lies below it
+    can neither win nor tie under the coordinates np.linalg.solve computes
+    for its virtual simplex.  norms are the rows' norms and polar the
+    (rows, facets) values P = fl(fl(N.x) tri.polar), NaN, and so never
+    below a bar, on the facets without a polar row.
 
-    For a translated row x with sphere point w = R x/|x| = x/rho and a
-    facet plane (N_f, c_f), let a_f = N_f.x + c_f and b_f = N_f.w + c_f
-    (ahead and b below; x sees f when a_f > 0).  In exact arithmetic the
-    coordinate of w in the virtual simplex (w, f) is a_f/b_f, and with
-    x s_f the point where the ray from the origin through x meets the
-    plane of f,
+    For a row x, sigma = R/|x| and a facet plane (N_f, c_f), let a_f =
+    N_f.x + c_f and b_f = sigma N_f.x + c_f: a_f/b_f is the exact
+    coordinate of the sphere point w = sigma x in the virtual simplex
+    (w, f).  A facet f is ruled out by a facet g when b_f > 0, b_g >= 0 and
 
-        a_g b_f - b_g a_f = (N_g.x)(N_f.x)(1/rho - 1)(s_f - s_g).
-
-    The ray leaves the hull through the facet of smallest s_f, which has
-    the largest a/b; call the visible facet of largest computed a/b g.  A
-    facet f is ruled out when
-
-        a_g b_f - b_g (a_f + C1) - b_f C2 > 0,                       (*)
-
-    a band on s_f - s_g that shrinks to nothing as |x| nears R.
+        a_g b_f - b_g (a_f + C1) - b_f C2 > 0.                       (*)
 
     Proof that (*) forces min lam' < -TAU for the computed coordinates
     lam' of (w, f), so that f neither reaches -TAU nor ties a winner.
     Gaussian elimination with partial pivoting gives (T + dT) lam' = (x, 1)
-    with ||dT|| <= eps t in the infinity norm, t = (n+1) max(R, 1) >=
-    ||T||, and eps = 4 gamma_3N N^2 2^(N-1) (N = n+1; Higham, Accuracy and
-    Stability of Numerical Algorithms, theorems 9.3-9.4 with pivot growth
-    at most 2^(N-1); the 4 covers blocked variants) plus (n+5)u for the
-    rounding of w.  Suppose min lam' >= -TAU.  The row of ones gives
-    sum lam' = 1 - (dT lam')_N, so ||lam'||_1 <= (1 + 2N TAU)/(1 - eps t)
-    <= L = 2 while eps t <= 1/4.  The plane (N, c) of a facet, |N| = 1
-    and |c| < R up to rounding, applied to the system then errs by at most
-    (||N||_1 + |c|) eps t L <= E = 2(sqrt n + R) eps t L.
-    Let xi = tri.slack + 4(n+1)uR, the computed slack plus the rounding
-    of computing it, so that exactly |N_f.u + c_f| <= xi at the vertices
-    u of f, and N_g.v + c_g <= xi at every support point v.
-    The plane of f gives lam'_0 b_f <= a_f + xi L + E, so for b_f > 0,
-    lam'_0 <= (a_f + C1)/b_f with C1 = E + xi L.  The plane of g, with
-    e_i = -(N_g.u_i + c_g) <= 3R at the vertices u_i of f, gives
-    sum_i lam'_i e_i = lam'_0 b_g - a_g + (at most E)
-                    <= b_g (a_f + C1)/b_f - a_g + E   for b_g >= 0.
-    The positive lam'_i add at least -xi L to that sum, and each of the
-    at most n negative ones at least 3R min lam'; so with m = min(min
-    lam', 0), 3nR m <= b_g (a_f + C1)/b_f - a_g + C1, and (*), with
-    C2 = C1 + 3nR TAU, makes this less than -3nR TAU: a contradiction.
-    Nothing here assumes that the centroid lies inside the hull.
+    with ||dT||_inf <= eps t, t = (n+1) max(R, 1) >= ||T||, and eps =
+    4 gamma_3N N^2 2^(N-1) (N = n+1; Higham, Accuracy and Stability of
+    Numerical Algorithms, theorems 9.3-9.4, pivot growth at most 2^(N-1),
+    the 4 for blocked variants) plus (n+5)u for the rounding of w.  Let
+    min lam' >= -TAU.  The row of ones gives ||lam'||_1 <= (1 + 2N TAU)/
+    (1 - eps t) <= L = 2 for eps t <= 1/4, and a facet plane (|N| = 1,
+    |c| < R) applied to the system errs by at most E = 2(sqrt n + R) eps t
+    L.  With xi = tri.slack + 4(n+1)uR, |N_f.u + c_f| <= xi at the
+    vertices u of f and N_g.v + c_g <= xi at every support point v.  The
+    plane of f gives lam'_0 <= (a_f + C1)/b_f with C1 = E + xi L.  The
+    plane of g, with e_i = -(N_g.u_i + c_g) <= 3R at the vertices u_i of
+    f, gives sum_i lam'_i e_i = lam'_0 b_g - a_g + (at most E), at most
+    b_g (a_f + C1)/b_f - a_g + E; there the positive lam'_i add at least
+    -xi L and each of the at most n negative ones at least 3R min lam'.
+    So m = min(min lam', 0) has 3nR m <= b_g (a_f + C1)/b_f - a_g + C1,
+    which (*) with C2 = C1 + 3nR TAU makes less than -3nR TAU.
 
-    The test uses the computed a and b, each within beta = 4(n+4)uR of
-    the exact values (u the unit roundoff): with X = a_g - beta - C2 > 0
-    and Y = b_g + beta, (*) holds when b_f X - a_f Y > beta X +
-    Y (beta + C1), which also forces b_f > 0; 64uR^2 more covers the
-    rounding of the test itself, whose terms are below 3R by 3R.  A row
-    with no visible facet of b above beta, a row where eps t > 1/4, and
-    every facet where the test fails keep all their visible facets as
-    candidates: the rule of one solve per visible facet, in the same code.
+    With k_f = -c_f >= k0 > 0 (1/k0 the largest entry of tri.polar) and
+    p_f = N_f.x/k_f, the ray through x meets the plane of f at x/p_f, so it
+    leaves the hull through the facet of largest p.  Then a_f = k_f (p_f -
+    1), b_f = k_f (sigma p_f - 1) and a_g b_f - b_g a_f = k_g k_f (sigma -
+    1)(p_g - p_f); as b_f k_g <= b_g k_f for p_f <= p_g, (*) holds when
+    sigma > 1 and p_g - p_f > (sigma p_g - 1)(C1 + C2)/(k0 (sigma - 1)).
+    Take g of largest P.  N_f.x is computed within e_d = 2nu|x|, and P_f
+    within e_p = 2(n+4)u|x|/k0 <= e = 2(n+4)uR/k0 of p_f; a computed
+    N_f.x + c_f > 0 gives p_f > 1 - e_d/k0.  So on a row with sigma > 1 +
+    (6n + 16)uR/k0 = 1 + sigma (e_d/k0 + 2e_p), every visible f has
+    b_f > 0, and if there is one, sigma p_g >= sigma (p_f - 2e_p) > 1,
+    hence b_g > 0, and P_g >= P_f > 1/2; then as sigma p_g - 1 <= sigma
+    P_g (1 + 2e), f is ruled out when P_f < P_g (1 - q),
+        q = 4e + (1 + 2e)(C1 + C2) R / (k0 (R - |x|)).
+    The bar is P_g (1 - 2q), from |x| and 1/k0 as rounded and 8(n+4)u of
+    room on |x|; the doubling covers the rest of the rounding.  |x| enters
+    no higher than the test allows, so a row that fails it gets q > 10^5
+    and a bar below 0 if P_g > 0, and keeps every visible facet, whose P is
+    positive.  So does every row, under a bar of 0, when eps t > 1/4 or
+    (6n + 16)uR/k0 > 1/4.  Nothing here assumes that the centroid lies
+    inside the hull.
     """
-    rows, n = dots.shape[0], space.dim
-    radius = space.radius
-    t = (n + 1) * max(radius, 1.0)
-    eps = 12 * (n + 1) ** 3 * 2.0 ** n * _U + (n + 5) * _U
-    beta = 4 * (n + 4) * _U * radius
-    c1 = 4 * (n**0.5 + radius) * eps * t + 2 * (space.tri.slack + 4 * (n + 1) * _U * radius)
-    c2 = c1 + 3 * n * radius * TAU
-    b = dots * (radius / norms)[:, None] + space.tri.offsets
-    alpha = np.divide(ahead, b, out=np.full(b.shape, -np.inf), where=visible & (b > beta))
-    g = (np.arange(rows), np.argmax(alpha, axis=1))
-    big_x = ahead[g] - beta - c2
-    big_y = b[g] + beta
-    z = beta * big_x + big_y * (beta + c1) + 64 * _U * radius**2
-    z[(alpha[g] == -np.inf) | (big_x <= 0.0) | (eps * t > 0.25)] = np.inf
-    return b * big_x[:, None] - ahead * big_y[:, None] > z[:, None]
+    room, most, base, spread = space.exit_terms
+    top = np.fmax.reduce(polar, axis=1)
+    return top * (base - spread / (space.radius - room * np.minimum(norms, most)))
 
 
 def _virtual_simplices(space, xs):
     """The virtual simplex of each translated row of xs outside the hull:
     the mask of the rows that have one, raw coordinates on (w, facet
-    vertices) and the facet's ids.
-
-    For each row, every candidate facet is solved; the most interior
-    coordinates (largest minimum) win, ties going to the lowest facet, and
-    a row whose best minimum is below -TAU has none, nor does the centroid,
-    which has no sphere point.  The candidates are the visible facets,
-    N.x + c > 0 with each row's product rounding as tri.normals @ x does,
-    that _beyond_band cannot rule out, or all of them when the band could
-    save few solves (_BAND_MIN); w rounds as project_to_sphere.  All
-    (row, candidate) systems go to one stacked np.linalg.solve, which
-    solves each as it would alone.  Memory is (rows, facets).
+    vertices) and the facet's ids.  The candidates of a row are the visible
+    facets, N.x + c > 0 rounding as tri.normals @ x does, that _exit_bar
+    does not rule out; w rounds as project_to_sphere.  All (row, candidate)
+    systems go to one stacked np.linalg.solve, which solves each as alone.
+    The most interior coordinates (largest minimum) win, ties going to the
+    lowest facet; a row whose best minimum is below -TAU has none, nor does
+    the centroid.  Memory is (rows, facets), then linear in the candidates.
     """
     tri = space.tri
     rows, n = xs.shape
     norms = np.sqrt(_dots(xs, xs))
     dots = np.matmul(tri.normals, xs[:, :, None])[..., 0]
-    ahead = dots + tri.offsets
-    cand = (ahead > 0.0) & (norms >= 1e-12)[:, None]
-    if np.count_nonzero(cand) > rows + _BAND_MIN:
-        cand &= ~_beyond_band(space, np.maximum(norms, 1e-12), dots, ahead, cand)
+    polar = dots * tri.polar
+    bar = _exit_bar(space, norms, polar)
+    cand = (dots + tri.offsets > 0.0) & ~(polar < bar[:, None]) & (norms >= 1e-12)[:, None]
     r, f = np.nonzero(cand)
+    if not r.size:
+        return np.zeros(rows, dtype=bool), np.ones((rows, n + 1)), tri.facets[np.zeros(rows, dtype=np.intp)]
     xr = xs[r]
-    tmat = np.ones((r.size, n + 1, n + 1))
+    tmat = tri.blocks[f]
     tmat[:, :n, 0] = space.radius * xr / norms[r, None]
-    tmat[:, :n, 1:] = np.transpose(space.support.points[tri.facets[f]], (0, 2, 1))
     rhs = np.ones((r.size, n + 1, 1))
     rhs[:, :n, 0] = xr
     coords = np.linalg.solve(tmat, rhs)[..., 0]
-    low = np.full(cand.shape, -np.inf)
-    low[cand] = coords.min(axis=1)
-    pair = np.zeros(cand.shape, dtype=np.intp)
-    pair[cand] = np.arange(r.size)
-    best = (np.arange(rows), np.argmax(low, axis=1))
-    hit = coords[pair[best]] if coords.size else np.ones((rows, n + 1))
-    return low[best] >= -TAU, hit, tri.facets[best[1]]
+    low = coords.min(axis=1)
+    # Each row's pairs, most interior first; the sort is stable, so ties
+    # keep facet order, and a row's first pair, where its run of r starts
+    # (r is sorted), wins.  A row with no pair points at another row's.
+    each = np.arange(rows)
+    win = np.lexsort((-low, r))[np.minimum(np.searchsorted(r, each), r.size - 1)]
+    return (r[win] == each) & (low[win] >= -TAU), coords[win], tri.facets[f[win]]
 
 
 def xi(space, x_raw):
@@ -297,11 +284,12 @@ def xi(space, x_raw):
             "expected one query of dimension %d, got shape %s" % (space.dim, x.shape)
         )
     t = _in_ball(space, x[None])
-    (cell,), coords = locate_batch(space.tri, t)
-    if cell >= 0:
-        coef = clamp_coords(coords[0])
-        keep = coef > 0.0
-        return SparseXi(space.tri.simplices[cell][keep], coef[keep])
+    if np.vdot(t, t) <= space.tri.reach * space.tri.reach:
+        (cell,), coords = locate_batch(space.tri, t)
+        if cell >= 0:
+            coef = clamp_coords(coords[0])
+            keep = coef > 0.0
+            return SparseXi(space.tri.simplices[cell][keep], coef[keep])
     found, hit, ids = _virtual_simplices(space, t)
     if not found[0]:
         raise _no_virtual_simplex(t[0])
@@ -336,16 +324,21 @@ def translate_queries(space, xs_raw):
 def embed_translated(space, translated):
     """The EmbeddingBatch of translated queries known to lie in the ball,
     and the mask of its rows that have an embedding; a row that no virtual
-    simplex contains is left empty.  One pass locates _CHUNK rows at a
-    time and sends a chunk's exterior rows, if any, to _virtual_simplices."""
+    simplex contains is left empty.  One pass takes _CHUNK rows at a time,
+    locates those within tri.reach, and sends the chunk's exterior rows, if
+    any, to _virtual_simplices."""
     rows, n = translated.shape
     ids = np.empty((rows, n + 1), dtype=space.tri.simplices.dtype)
     coords = np.empty((rows, n + 1))
     facet = np.full((rows, n), -1)
+    near = np.einsum("ij,ij->i", translated, translated) <= space.tri.reach * space.tri.reach
     for a in range(0, rows, _CHUNK):
-        cells, coords[a : a + _CHUNK] = locate_batch(space.tri, translated[a : a + _CHUNK])
+        cells = np.full(min(_CHUNK, rows - a), -1)
+        p = np.flatnonzero(near[a : a + _CHUNK])
+        if p.size:
+            cells[p], coords[a + p] = locate_batch(space.tri, translated[a + p])
         ids[a : a + _CHUNK] = space.tri.simplices[cells]
-        q = a + np.flatnonzero(np.asarray(cells) < 0)
+        q = a + np.flatnonzero(cells < 0)
         if q.size:
             # Id -1 marks the sphere point's coordinate of an exterior
             # row, and every coordinate of a row with no virtual simplex;

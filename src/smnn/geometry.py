@@ -11,33 +11,19 @@ Conventions used throughout the package:
   A query x sees the facet exactly when N.x + c > 0.
 
 A Triangulation is its arrays, made only by build_triangulation from a
-cloud and its maximal simplices: the hull facets, their opposite
-vertices, planes (one stacked SVD; dots by a stacked matmul, which rounds
-as the 1-d product) and the inverted vertex systems all follow from
-those two, so build_delaunay (after Qhull) and a model file load (from
-the stored simplices) produce the same complex from the same bits.  Its
-slack, how far the stored facet planes miss a convex hull, bounds the
-rounding band of the exterior embedding route.  Its Simplex and
-BoundaryFacet lists are views built on each read.
+cloud and its maximal simplices, so build_delaunay (after Qhull) and a
+model file load produce the same complex from the same bits.  Its slack,
+how far the stored facet planes miss a convex hull, bounds the rounding
+band of the exterior embedding route, and its reach (_reach) is a norm
+that no query a cell accepts exceeds.
 
 Point location (locate_batch) accepts a cell when every barycentric
 coordinate is at least -TAU, and the lowest cell index wins on shared
 faces.  A complex with fewer than INDEX_MIN_CELLS cells tests all its
-cells at once, in (Q, S, n+1) memory.  A larger one carries a locator
-built with it, which pairs each query with candidate cells in ascending
-order; the candidates' coordinates and the lowest feasible pick then
-give the same cell and the same coordinate bits as testing every cell.
-Below SCREEN_MIN_DIM dimensions the locator is a CellIndex: each usable
-cell's bounding box, padded by a bound derived from TAU and the cell's
-condition number (see _padded_boxes) so that it holds every query the
-coordinate test can accept, and a uniform grid of buckets listing, in
-ascending order, the cells whose boxes meet them; a query's candidates
-are the cells of its bucket whose box holds it.  From SCREEN_MIN_DIM on,
-where those boxes overlap heavily, it is a LiftScreen: each cell's plane
-under the support lifted to the paraboloid (u, |u|^2), with a proven
-margin (see _lift_screen); one (Q, n+1) @ (n+1, 2S) product gives a
-query's candidates, the cells whose plane comes within that margin of
-the highest, in memory linear in the cells per row.
+cells at once; a larger one pairs each query with candidate cells in
+ascending order, through a CellIndex of padded cell boxes below
+SCREEN_MIN_DIM dimensions and a LiftScreen of lifted cell planes from
+there on, and gives the same cell and coordinate bits.
 
 Degenerate inputs (co-spherical point subsets) are resolved by building
 the triangulation on a deterministically perturbed copy of the cloud:
@@ -239,20 +225,22 @@ def _grid_coords(xs, origin, scale, top):
 class Triangulation:
     """Simplicial complex over a point cloud; made by build_triangulation.
 
-    simplices : (S, n+1) vertex ids of the maximal simplices, rows sorted,
-                in lexicographic order.
-    inverses  : (S, n+1, n+1) inverses of the homogeneous vertex matrices;
-                flat cells get NaN blocks.
+    simplices : (S, n+1) sorted vertex ids of the cells, in lexicographic order.
+    inverses  : (S, n+1, n+1) inverse vertex matrices, NaN for flat cells.
     facets    : (F, n) vertex ids of the hull facets, in lexicographic order.
     opposite  : (F,) id of the vertex of each facet's cell off the facet.
     normals   : (F, n) outward unit normals of the facets.
     offsets   : (F,) hyperplane offsets of the facets.
-    slack     : how far the stored planes miss a convex hull: the largest
-                computed N.v + c over cloud points v and facets, and
-                |N.u + c| over the vertices u of each facet.
-    index     : the point locator of a complex of at least INDEX_MIN_CELLS
-                cells: a CellIndex below SCREEN_MIN_DIM dimensions, a
-                LiftScreen from there on; None for a smaller complex.
+    slack     : how far the planes miss a convex hull: the largest computed
+                N.v + c over cloud points v, and |N.u + c| at facet vertices.
+    blocks    : (F, n+1, n+1) facet vertices as columns 1..n over a row
+                of ones: the virtual simplex systems but their column 0.
+    polar     : (F,) 1/(-c), where c is at most a 1024th of the lowest
+                offset, NaN elsewhere: N.x/(-c) is x on the polar row.
+    cond      : the worst condition number of a usable cell, or NaN.
+    reach     : a norm no query that passes a cell's TAU test exceeds.
+    index     : from INDEX_MIN_CELLS cells, the point locator: a CellIndex
+                below SCREEN_MIN_DIM dimensions, then a LiftScreen; or None.
     The complex is these arrays; maximal and boundary are views of them.
     """
 
@@ -264,6 +252,10 @@ class Triangulation:
     normals: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     slack: float = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
+    polar: np.ndarray = field(repr=False)
+    cond: float = field(repr=False)
+    reach: float = field(repr=False)
     index: object = field(repr=False)
 
     @property
@@ -369,6 +361,20 @@ def _coordinate_slack(sv):
         eps = 64 * (n + 1) ** 2 * np.finfo(np.float64).eps * (sv[:, 0] / sv[:, -1])
         bound = np.where(n * eps < 1.0, (1.0 + n * TAU) / (1.0 - n * eps), np.inf)
         return TAU + eps * bound
+
+
+def _reach(points, sv):
+    """A norm beyond which no query passes the TAU test of a cell, from the
+    singular values sv of the usable cells (flat ones accept nothing).  If
+    the test accepts x in s, its exact coordinates in s are at least
+    -delta_s (_coordinate_slack) and sum to 1, so their absolute values
+    sum to at most 1 + 2n delta_s and |x| <= (1 + 2n delta) rho: rho the
+    largest cloud norm, delta the largest slack, inf if any is.  One part
+    in 1e12 more covers its rounding and that of a squared norm, (2n+10)u.
+    """
+    delta = _coordinate_slack(sv).max(initial=0.0)
+    rho = np.sqrt(_dots(points, points).max())
+    return float((1.0 + 1e-12) * (1.0 + 2 * points.shape[1] * delta) * rho)
 
 
 def _cell_index(points, simp, sv, usable):
@@ -583,6 +589,11 @@ def build_triangulation(cloud, simplices):
     if usable.any():
         inverses[usable] = np.linalg.inv(tmat[usable])
 
+    blocks = np.ones((facets.shape[0], n + 1, n + 1))
+    blocks[:, :n, 1:] = np.transpose(corners, (0, 2, 1))
+    kappa = sv[usable, 0] / sv[usable, -1]
+    safe = offsets < min(offsets.min(), 0.0) / 1024
+    polar = np.divide(-1.0, offsets, out=np.full(offsets.shape, np.nan), where=safe)
     index = None
     if simp.shape[0] >= INDEX_MIN_CELLS and usable.any():
         if n < SCREEN_MIN_DIM:
@@ -590,18 +601,12 @@ def build_triangulation(cloud, simplices):
         else:
             index = _lift_screen(points, simp, sv, inverses, usable)
 
-    for arr in (simp, inverses, facets, opposite, normals, offsets):
+    for arr in (simp, inverses, facets, opposite, normals, offsets, blocks, polar):
         arr.setflags(write=False)
     return Triangulation(
-        cloud=cloud,
-        simplices=simp,
-        inverses=inverses,
-        facets=facets,
-        opposite=opposite,
-        normals=normals,
-        offsets=offsets,
-        slack=slack,
-        index=index,
+        cloud=cloud, simplices=simp, inverses=inverses, facets=facets, opposite=opposite,
+        normals=normals, offsets=offsets, slack=slack, blocks=blocks, polar=polar,
+        cond=float(kappa.max()) if kappa.size else np.nan, reach=_reach(points, sv[usable]), index=index,
     )
 
 
@@ -661,18 +666,12 @@ def clamp_coords(coords):
 
 
 def locate_batch(tri, xs):
-    """Containing simplex of each query row, and its raw coordinates.
-
-    The only point-location kernel.  Containment allows a slack of TAU on
-    every coordinate; when a query lies on a shared face the simplex with
-    the lowest index wins.  Returns (index, coords): index[q] is the
-    containing simplex of row q, or -1 outside the hull, and coords[q]
-    its n+1 unclamped coordinates (meaningless where index[q] is -1).
-
-    A complex with a CellIndex or a LiftScreen tests only the candidate
-    cells that it pairs with each query; a smaller one tests all its
-    cells.  All give the same index and the same coordinate bits.
-    """
+    """Containing simplex of each query row, and its raw coordinates: the
+    only point-location kernel.  A cell contains a query when every
+    coordinate is at least -TAU, and the lowest index wins on shared faces.
+    index[q] is the cell of row q, or -1 outside the hull, and coords[q]
+    its n+1 unclamped coordinates (meaningless where index[q] is -1).  A
+    CellIndex or LiftScreen gives the bits of testing every cell."""
     xs = np.asarray(xs, dtype=np.float64)
     rows, n = xs.shape
     h = np.empty((rows, n + 1))

@@ -162,7 +162,10 @@ class TestTrainEvalPredictExplain:
             "hull_facets": tri.facets.shape[0],
             "flat_cells": 0,
             "locator": "cells",
+            "worst_condition": tri.cond,
+            "reach": tri.reach,
         }
+        _assert_condition_and_reach(tri, summary["triangulation"])
 
     def test_train_reports_exterior_rows(self, pipeline):
         tmp_path, summary = pipeline
@@ -342,8 +345,24 @@ class TestTrainEvalPredictExplain:
             "hull_facets": tri.facets.shape[0],
             "flat_cells": int(np.isnan(tri.inverses).all(axis=(1, 2)).sum()),
             "locator": "lift",
+            "worst_condition": tri.cond,
+            "reach": tri.reach,
         }
         assert health["cells"] >= smnn.geometry.INDEX_MIN_CELLS and health["flat_cells"] > 0
+        _assert_condition_and_reach(tri, health)
+
+
+def _assert_condition_and_reach(tri, health):
+    """The reported worst condition number is that of the usable cells'
+    vertex matrices, and the reach lies just past the largest support
+    norm, by the coordinate slack of those cells."""
+    pts = tri.cloud.points
+    usable = ~np.isnan(tri.inverses[:, 0, 0])
+    tmat = np.concatenate([np.transpose(pts[tri.simplices[usable]], (0, 2, 1)), np.ones((usable.sum(), 1, pts.shape[1] + 1))], axis=1)
+    assert health["worst_condition"] == pytest.approx(np.linalg.cond(tmat).max(), rel=1e-9)
+    rho = np.linalg.norm(pts, axis=1).max()
+    assert rho < health["reach"] < rho * (1 + 1e-4)
+    json.dumps(health, allow_nan=False)
 
 
 class TestErrorPaths:

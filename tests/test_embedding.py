@@ -384,16 +384,18 @@ def _hull_rays(space):
 
 @pytest.fixture(params=["band", "every-visible-facet"])
 def band(request, monkeypatch):
-    """Run a test with _beyond_band applied to every batch, and with it
-    never applied, so that every visible facet is solved."""
-    monkeypatch.setattr(embedding, "_BAND_MIN", -(2**62) if request.param == "band" else 2**62)
+    """Run a test with the polar band of _exit_bar, and with every row's
+    bar at -inf, the rule of a row that fails one of its tests, so that
+    every visible facet is solved."""
+    if request.param == "every-visible-facet":
+        monkeypatch.setattr(embedding, "_exit_bar", lambda space, norms, polar: np.full(len(norms), -np.inf))
     return request.param
 
 
 class TestExteriorRoute:
-    """_virtual_simplices against reference_xi_outside, the one-row route
-    it replaced, bit for bit: coordinate bytes, facet ids and the rows
-    with no virtual simplex."""
+    """_virtual_simplices, for many rows and through xi for one, against
+    reference_xi_outside, the one-row route it replaced, bit for bit:
+    coordinate bytes, facet ids and the rows with no virtual simplex."""
 
     @staticmethod
     def assert_matches_reference(space, xs):
@@ -445,6 +447,28 @@ class TestExteriorRoute:
         found = self.assert_matches_reference(space, xs)
         assert found.any() and not found.all() and not found[-1]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_row_through_xi(self, band, n):
+        # xi sends its one exterior row to the same route, past the norm
+        # screen or after a failed location.
+        rng = np.random.default_rng(90 + n)
+        m = (12, 20, 30, 30)[n - 2]
+        space = smnn.fit_space(random_cloud(rng, m, n), list(range(m)), radius_margin=0.3)
+        raw = np.vstack([_ball_queries(rng, space, 100), space.centroid + _hull_rays(space)[::7]])
+        cells, _ = smnn.geometry.locate_batch(space.tri, raw - space.centroid)
+        raw = raw[np.array(cells) < 0]
+        assert len(raw) >= 40
+        for x in raw:
+            ref = reference_xi_outside(space, x - space.centroid)
+            if ref is None:
+                with pytest.raises(smnn.NoContainingVirtualSimplex):
+                    smnn.xi(space, x)
+                continue
+            coef = clamp_coords(ref[0])
+            keep = coef[1:] > 0.0
+            want = embedding.SparseXi(ref[1][keep], coef[1:][keep], float(coef[0]), tuple(ref[1].tolist()))
+            assert same_bits(smnn.xi(space, x), want)
+
     def test_no_rows(self, square_space):
         found, hit, ids = embedding._virtual_simplices(square_space, np.zeros((0, 2)))
         assert found.shape == (0,) and hit.shape == (0, 3) and ids.shape == (0, 2)
@@ -467,6 +491,72 @@ class TestExteriorRoute:
             for x, q in zip(got, rows):
                 assert same_bits(x, smnn.xi(square_space, q))
         assert smnn.xi_batch(square_space, np.zeros((0, 2))) == []
+
+
+class TestNormScreen:
+    """Rows beyond tri.reach go to the exterior route without a call of
+    locate_batch: no cell accepts them."""
+
+    @staticmethod
+    def space_and_rows(n, seed):
+        # Rows at |x| = rho (1 + k TAU) around a support point of largest
+        # norm rho: the smaller k pass the TAU test of a cell of that
+        # vertex, the larger ones lie beyond the reach.
+        rng = np.random.default_rng(120 + 10 * n + seed)
+        m = (12, 20, 30, 30)[n - 2]
+        space = smnn.fit_space(random_cloud(rng, m, n), list(range(m)), radius_margin=0.3)
+        pts = space.support.points
+        top = pts[np.argmax(np.einsum("ij,ij->i", pts, pts))]
+        rho = np.linalg.norm(top)
+        turns = top + rng.standard_normal((40, n)) * (rho * np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))[:, None].repeat(8, 0)
+        turns /= np.linalg.norm(turns, axis=1)[:, None]
+        scales = rho * (1 + TAU * np.array([0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0, 256.0, 1e3, 1e4, 1e6]))
+        return space, (turns[:, None, :] * scales[None, :, None]).reshape(-1, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_screened_rows_lie_outside_every_cell(self, n, seed):
+        space, xs = self.space_and_rows(n, seed)
+        tri = space.tri
+        beyond = np.einsum("ij,ij->i", xs, xs) > tri.reach * tri.reach
+        cells = np.array(smnn.geometry.locate_batch(tri, xs)[0])
+        assert (cells[beyond] < 0).all()
+        rho = np.linalg.norm(space.support.points, axis=1).max()
+        past = np.linalg.norm(xs, axis=1) > rho
+        assert beyond.sum() >= 150 and (past & (cells >= 0)).sum() >= 40
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_screened_rows_are_not_located(self, monkeypatch, n):
+        space, xs = self.space_and_rows(n, 0)
+        raw = xs + space.centroid
+        expected = embedding.embed_batch(space, raw)
+        singles = []
+        for x in raw:
+            try:
+                singles.append(smnn.xi(space, x))
+            except smnn.NoContainingVirtualSimplex:
+                singles.append(None)
+        located = []
+        real = embedding.locate_batch
+
+        def counted(tri, rows):
+            located.append(len(rows))
+            return real(tri, rows)
+
+        monkeypatch.setattr(embedding, "locate_batch", counted)
+        near = np.einsum("ij,ij->i", xs, xs) <= space.tri.reach * space.tri.reach
+        got = embedding.embed_batch(space, raw)
+        assert located == [near.sum()] and 0 < near.sum() < len(xs)
+        for name in ("indptr", "indices", "values", "sphere_mass", "facet"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        for x, inside, want in zip(raw, near, singles):
+            located.clear()
+            if want is None:
+                with pytest.raises(smnn.NoContainingVirtualSimplex):
+                    smnn.xi(space, x)
+            else:
+                assert same_bits(smnn.xi(space, x), want)
+            assert located == ([1] if inside else [])
 
 
 class TestMemory:

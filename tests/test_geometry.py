@@ -678,6 +678,33 @@ class TestLiftScreen:
         top = np.argmax(np.concatenate([queries, np.ones((len(queries), 1))], axis=1) @ lift.T, axis=1)
         assert ((want >= 0) & (top != want)).sum() >= 300
 
+    def test_screen_keeps_a_cell_whose_slack_is_far_above_the_typical(self):
+        # Cell 0 = ABP carries a stored inverse whose coordinates are off
+        # by eta = 1e-6, as its stated condition number of 1e8 allows: the
+        # TAU test accepts it for points up to eta below AB, inside cell 1
+        # = ABQ.  The error leaves its lifted plane alone (the two changed
+        # rows cancel against the equal lifts of A and P), so only the pad
+        # term (A + M) n max(delta_s - D, 0) lifts its plane over that of
+        # ABQ, which rises by 1.5 eta/2 there, far above ABQ's drop of
+        # about 5 TAU.
+        pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -2.0], [2.0, -1.0]])
+        tri = build_triangulation(pts, [[0, 1, 2], [0, 1, 3], [1, 3, 4]])
+        eta = 1e-6
+        inverses = tri.inverses.copy()
+        inverses[0, 0, 2] -= eta
+        inverses[0, 2, 2] += eta
+        tmat = np.concatenate([np.transpose(pts[tri.simplices], (0, 2, 1)), np.ones((3, 1, 3))], axis=1)
+        sv = np.linalg.svd(tmat, compute_uv=False)
+        sv[0] = [1e8, 1.0, 1.0]
+        screened = dataclasses.replace(
+            tri, inverses=inverses, index=_lift_screen(pts, tri.simplices, sv, inverses, np.ones(3, dtype=bool))
+        )
+        rng = np.random.default_rng(8)
+        below = np.stack([rng.uniform(-0.5, 0.5, 300), -eta * rng.uniform(0.05, 1.0, 300)], axis=1)
+        inside = np.einsum("qi,qid->qd", rng.dirichlet(np.ones(3), 300), pts[tri.simplices[rng.integers(0, 3, 300)]])
+        want, _ = assert_locates_as_all_cells(screened, np.concatenate([below, inside]))
+        assert (want[:300] == 0).sum() >= 250
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_few_candidates_at_any_scale(self, scale, iris_tri):
         # Points inside random cells of the Iris support keep a median of
