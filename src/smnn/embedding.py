@@ -88,8 +88,8 @@ class EmbeddingSpace:
         if not (eps * t <= 0.25 and test <= 0.25):
             return 1.0, 0.0, 0.0, 0.0
         c1 = 4 * (n**0.5 + radius) * eps * t + 2 * (self.tri.slack + 4 * (n + 1) * _U * radius)
-        spread = 2 * (1 + 2 * e) * (2 * c1 + 3 * n * radius * TAU) * radius * inv_k0 * room
-        return room, radius / ((1 + test) * room), 1 - 8 * e * room, spread
+        spread = (1 + 1e-6) * (1 + 2 * e) * (2 * c1 + 3 * n * radius * TAU) * radius * inv_k0
+        return room, radius / ((1 + test) * room), 1 - 4 * e * (1 + 1e-6), spread
 
 
 @dataclass
@@ -181,9 +181,8 @@ def project_to_sphere(space, x):
 def _exit_bar(space, norms, polar):
     """The bar of each row: a visible facet whose polar value lies below it
     can neither win nor tie under the coordinates np.linalg.solve computes
-    for its virtual simplex.  norms are the rows' norms and polar the
-    (rows, facets) values P = fl(fl(N.x) tri.polar), NaN, and so never
-    below a bar, on the facets without a polar row.
+    for its virtual simplex.  polar holds P = fl(fl(N.x) tri.polar) for
+    rows of norms norms, NaN (never below a bar) off the polar rows.
 
     For a row x, sigma = R/|x| and a facet plane (N_f, c_f), let a_f =
     N_f.x + c_f and b_f = sigma N_f.x + c_f: a_f/b_f is the exact
@@ -226,13 +225,14 @@ def _exit_bar(space, norms, polar):
     hence b_g > 0, and P_g >= P_f > 1/2; then as sigma p_g - 1 <= sigma
     P_g (1 + 2e), f is ruled out when P_f < P_g (1 - q),
         q = 4e + (1 + 2e)(C1 + C2) R / (k0 (R - |x|)).
-    The bar is P_g (1 - 2q), from |x| and 1/k0 as rounded and 8(n+4)u of
-    room on |x|; the doubling covers the rest of the rounding.  |x| enters
-    no higher than the test allows, so a row that fails it gets q > 10^5
-    and a bar below 0 if P_g > 0, and keeps every visible facet, whose P is
-    positive.  So does every row, under a bar of 0, when eps t > 1/4 or
-    (6n + 16)uR/k0 > 1/4.  Nothing here assumes that the centroid lies
-    inside the hull.
+    The bar is P_g (1 - q (1 + 1e-6)), from |x| (with 8(n+4)u of room)
+    and 1/k0 as rounded.  It matters only while q < 1, when R - |x| >
+    (C1 + C2)R/k0 >= 6e-9 R and q >= 6e-9, so rounding stays far below
+    the 1e-6.  |x| enters no higher than the test allows: a row that fails
+    it gets q > 10^5, a bar below 0 if P_g > 0, and keeps every visible
+    facet, whose P is positive; so does every row, under a bar of 0, when
+    eps t > 1/4 or (6n + 16)uR/k0 > 1/4.  Nothing here assumes that the
+    centroid lies inside the hull.
     """
     room, most, base, spread = space.exit_terms
     top = np.fmax.reduce(polar, axis=1)
