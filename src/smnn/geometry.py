@@ -33,6 +33,7 @@ callers (barycentric coordinates, normals, offsets) is computed from the
 original, unperturbed coordinates.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,17 +51,19 @@ COINCIDENCE_TOL = 1e-9
 
 # Complexes with at least this many cells locate queries through a
 # CellIndex or a LiftScreen; smaller ones test every cell.  On random 2-
-# to 4-D clouds a single query through the index breaks even with the
-# all-cells test at 670-750 cells and is 22-27% cheaper at about 1,050.
+# and 3-D clouds a single query through the index breaks even with the
+# all-cells test at about 850-1,050 cells and is 13-28% cheaper at about
+# 1,250; in 4-D the screen breaks even at about 540.  A 512-row batch
+# costs 30-120 us a row through the all-cells test at 900-3,000 cells.
 INDEX_MIN_CELLS = 1024
 
 # Complexes of at least INDEX_MIN_CELLS cells in this many dimensions or
 # more locate queries through a LiftScreen, lower ones through a
-# CellIndex.  On random complexes of 1,000 to 3,000 cells a 512-row batch
-# costs 1.8-2.9 us a row through the index in 2-D and 7-10 us in 3-D,
-# against 10-23 us through the screen, but 39 us against 16 us in 4-D and
-# 147 us against 12 us in 5-D; one row costs about the same through
-# either up to 3-D, and 88 against 52 us in 4-D.
+# CellIndex.  On random complexes of 900 to 3,000 cells a 512-row batch
+# costs 0.9 us a row through the index in 2-D and 2.1-2.4 us in 3-D,
+# against 7-14 us through the screen, but 8-14 us against 6-13 us in 4-D
+# and 63-96 us against 10-14 us in 5-D; one row costs 33-60 us through
+# either, the screen the cheaper from 5-D.
 SCREEN_MIN_DIM = 4
 
 
@@ -169,7 +172,8 @@ class CellIndex:
         cand = np.concatenate(
             [self.cells[:0]] + [self.cells[a:b] for a, b in zip(first.tolist(), stop.tolist())]
         )
-        inside = (np.concatenate([-xs, xs], axis=1)[qs] <= self.bounds[cand]).all(axis=1)
+        both = np.concatenate([-xs, xs], axis=1)
+        inside = _passes(np.take(both, qs, axis=0) <= np.take(self.bounds, cand, axis=0))
         return qs[inside], cand[inside]
 
 
@@ -208,17 +212,31 @@ class LiftScreen:
             q, s = np.nonzero(both[:, cells:] >= bar[:, None])
             qs.append(q + a)
             cand.append(s)
-        return np.concatenate(qs), np.concatenate(cand)
+        # One block (or none), the usual case, needs no concatenation.
+        return (np.concatenate(qs), np.concatenate(cand)) if len(qs) > 2 else (qs[-1], cand[-1])
 
 
 def _grid_coords(xs, origin, scale, top):
     """Per-axis bucket coordinates of the rows of xs, shape (Q, n).
 
-    Monotone in every coordinate and clipped to the grid, so a point
-    inside a box always falls in a bucket of that box's range, and a
-    point off the grid in the nearest edge bucket.
+    Monotone and clipped to the grid, so a point inside a box falls in a
+    bucket of that box's range, a point off the grid in the nearest edge
+    bucket, and a NaN coordinate (np.fmax) in the lowest.
     """
-    return np.minimum(np.maximum((xs - origin) * scale, 0.0), top).astype(np.int64)
+    return np.fmin(np.fmax((xs - origin) * scale, 0.0), top).astype(np.int64)
+
+
+def _passes(ok):
+    """ok.all(axis=-1) as one boolean product over the failed tests, at a
+    fraction of its cost; ok must come from >= or <=, so a NaN fails."""
+    return ~(~ok @ _trues(ok.shape[-1]))
+
+
+@functools.cache
+def _trues(k):
+    # Read-only, as every call shares it; np.ones would cost a one-row
+    # location about as much as the product it feeds.
+    return np.frombuffer(b"\x01" * k, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,13 +697,13 @@ def locate_batch(tri, xs):
     h[:, n] = 1.0
     if tri.index is None:
         bary = np.einsum("sij,qj->qsi", tri.inverses, h)
-        feasible = (bary >= -TAU).all(axis=2)
+        feasible = _passes(bary >= -TAU)
         first = np.argmax(feasible, axis=1).tolist()
         index = [s if feasible[q, s] else -1 for q, s in enumerate(first)]
         return index, [bary[q, s] for q, s in enumerate(first)]
     qs, cand = tri.index.pairs(h)
-    coords = np.einsum("pij,pj->pi", tri.inverses[cand], h[qs])
-    hit = np.flatnonzero((coords >= -TAU).all(axis=1))
+    coords = np.einsum("pij,pj->pi", np.take(tri.inverses, cand, axis=0), np.take(h, qs, axis=0))
+    hit = np.flatnonzero(_passes(coords >= -TAU))
     index = [-1] * rows
     pick = [0] * rows
     # Walk the feasible pairs backwards, so each query keeps its first one:
@@ -700,7 +718,7 @@ def locate(tri, x):
     """The containing maximal simplex of x and its clamped, renormalized
     barycentric coordinates, or None when x is outside the hull.
 
-    One row of locate_batch.
+    One row of locate_batch, which places a non-finite row in no cell.
     """
     (index,), coords = locate_batch(tri, np.asarray(x, dtype=np.float64)[None])
     if index < 0:

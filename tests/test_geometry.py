@@ -485,6 +485,28 @@ class TestLocate:
             assert coords.min() >= 0.0
             assert abs(coords.sum() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["cells", "index", "lift"])
+    def test_non_finite_coordinate_lies_in_no_cell(self, kind, value):
+        # Each coordinate of a cell centroid in turn, then all of them, set
+        # to the value: every locator finds no cell, and leaves the finite
+        # rows of the batch as they were.  Only the lift screen's bar meets
+        # inf - inf, for an infinite row, and warns.
+        tri = {"cells": square_tri, "index": lambda: indexed_complex(3), "lift": lambda: indexed_complex(4)}[kind]()
+        assert tri.locator == kind
+        n = tri.cloud.dim
+        inside = tri.cloud.points[tri.simplices[-3:]].mean(axis=1)
+        bad = np.repeat(inside[:1], n + 1, axis=0)
+        bad[np.arange(n), np.arange(n)] = value
+        bad[n] = value
+        with np.errstate(invalid="ignore" if kind == "lift" and np.isinf(value) else "warn"):
+            for x in bad:
+                assert smnn.locate(tri, x) is None
+            index, coords = locate_batch(tri, np.concatenate([inside, bad]))
+        want, want_coords = locate_batch(tri, inside)
+        assert index == want + [-1] * (n + 1) and min(want) >= 0
+        assert np.asarray(coords)[: len(inside)].tobytes() == np.asarray(want_coords).tobytes()
+
 
 def indexed_complex(n, seed=0):
     """A Delaunay complex above INDEX_MIN_CELLS in n-D with one near-flat
@@ -561,6 +583,17 @@ def index_queries(tri, rng):
     return np.concatenate(out)
 
 
+def reference_pairs(grid, xs):
+    """The pairs of CellIndex.pairs by fancy-index row gathers and a
+    short-axis .all: the cells of each query's bucket list whose box holds
+    it."""
+    lists = [grid.cells[grid.start[b] : grid.start[b + 1]] for b in grid.buckets(xs).tolist()]
+    qs = np.repeat(np.arange(xs.shape[0]), [cells.size for cells in lists])
+    cand = np.concatenate([grid.cells[:0]] + lists)
+    inside = (np.concatenate([-xs, xs], axis=1)[qs] <= grid.bounds[cand]).all(axis=1)
+    return qs[inside], cand[inside]
+
+
 def assert_locates_as_all_cells(tri, queries):
     """locate_batch gives the index and coordinate bits of the all-cells
     kernel; returns the reference index and feasible-cell counts."""
@@ -598,6 +631,24 @@ class TestCellIndex:
         assert (n_feasible > 1).sum() >= 20
         assert (want == 0).sum() >= 20
         assert (want < 0).sum() >= 50
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairs_match_the_row_gather_reference(self, n):
+        # The probing queries, rows off the grid on every side, and rows
+        # with NaN or infinite coordinates give the same pairs, in the same
+        # order, as the reference.
+        tri = indexed_complex(n)
+        rng = np.random.default_rng(n)
+        pts = tri.cloud.points
+        off = pts.min(axis=0) + (3.0 * rng.random((300, n)) - 1.0) * np.ptp(pts, axis=0)
+        odd = pts[rng.integers(0, pts.shape[0], 90)]
+        odd[np.arange(90), rng.integers(0, n, 90)] = np.repeat([np.nan, np.inf, -np.inf], 30)
+        xs = np.concatenate([index_queries(tri, rng), off, odd, np.full((1, n), np.nan)])
+        qs, cand = tri.index.pairs(np.concatenate([xs, np.ones((xs.shape[0], 1))], axis=1))
+        want_qs, want_cand = reference_pairs(tri.index, xs)
+        assert qs.dtype == want_qs.dtype and np.array_equal(qs, want_qs)
+        assert cand.dtype == want_cand.dtype and np.array_equal(cand, want_cand)
+        assert qs.size >= 1000 and not np.isin(np.flatnonzero(np.isnan(xs).any(axis=1)), qs).any()
 
     def test_thin_support_keeps_index_linear(self):
         # A needle along the x axis: its cells' boxes are long and thin,
