@@ -203,9 +203,16 @@ class LiftScreen:
         blocks of about 2**18 (query, column) values.  np.nonzero lists
         each query's cells in ascending order."""
         cells = self.planes.shape[1] // 2
-        slop = np.abs(h).max(axis=1) * self.slop
+        span = np.abs(h).max(axis=1)
+        # A row with an infinite coordinate would meet inf - inf in the
+        # product and the bar; as a NaN row it quietly reaches no cell.  A
+        # Python sum is the cheapest finiteness test of a one-row batch.
+        if not sum(span.tolist()) < np.inf:
+            h = np.where((span < np.inf)[:, None], h, np.nan)
+        slop = span * self.slop
         step = max(1, (1 << 17) // cells)
-        qs, cand = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        none = np.zeros(0, dtype=np.intp)
+        qs, cand = [none], [none]
         for a in range(0, h.shape[0], step):
             both = h[a : a + step] @ self.planes
             bar = both[:, :cells].max(axis=1) - slop[a : a + step]

@@ -222,19 +222,24 @@ def train(train_points, train_labels, support_indices, config, radius_margin=1.0
     return train_cached(space, cached, support_labels, encoding, config)
 
 
-def _levels(order, cols, m):
+def _levels(order, rows):
     """The level of each step of an epoch's order: one more than the
     highest level of any earlier step that shares a weight column with it.
     Steps of one level share no column, and each column's steps fall in
-    increasing levels in their order in the epoch."""
-    last = [0] * m
+    increasing levels in their order in the epoch.  A row that shares no
+    column with another row is level 1 in every order, so only the shared
+    rows are scanned."""
+    levels = np.ones(order.size, dtype=np.int64)
+    at = np.flatnonzero(rows.shared[order])
+    last = [0] * rows.m
     get = last.__getitem__
-    levels = []
-    for touched in map(cols.__getitem__, order):
+    scanned = []
+    for touched in map(rows.cols.__getitem__, order[at].tolist()):
         level = max(map(get, touched)) + 1
         for j in touched:
             last[j] = level
-        levels.append(level)
+        scanned.append(level)
+    levels[at] = scanned
     return levels
 
 
@@ -256,12 +261,14 @@ def _kernel_epoch(flat, rows, order, eta):
 @dataclass
 class _LevelRows:
     """The rows as _level_epoch reads them: per row, its weight columns
-    (cols), the index of its width group (group) and its place in that
-    group (slot); per group, the columns and values of _width_groups and
-    the labels of its rows."""
+    (cols), whether one of them is another row's too (shared), the index
+    of its width group (group) and its place in that group (slot); per
+    group, the columns and values of _width_groups and the labels of its
+    rows."""
 
     m: int
     cols: list
+    shared: np.ndarray
     group: np.ndarray
     slot: np.ndarray
     groups: list
@@ -288,7 +295,11 @@ def _level_rows(batch, y, k, m):
         slot[members] = np.arange(members.size)
         groups.append((fidx, vals, y[members]))
     cols = [cols[a:b] for a, b in zip(ends, ends[1:])]
-    return _LevelRows(m=m, cols=cols, group=group, slot=slot, groups=groups)
+    # Per entry, whether its column has another entry; per row, any such.
+    owner = np.repeat(np.arange(len(batch)), np.diff(batch.indptr))
+    reused = np.bincount(batch.indices, minlength=m)[batch.indices] > 1
+    shared = np.bincount(owner, weights=reused, minlength=len(batch)) > 0
+    return _LevelRows(m=m, cols=cols, shared=shared, group=group, slot=slot, groups=groups)
 
 
 def _level_epoch(flat, rows, order, eta):
@@ -305,8 +316,7 @@ def _level_epoch(flat, rows, order, eta):
       left to right below 8 classes and in pairwise blocks from 8.
     Returns what _kernel_epoch does, with the number of batches.
     """
-    levels = np.array(_levels(order.tolist(), rows.cols, rows.m))
-    key = levels * len(rows.groups) + rows.group[order]
+    key = _levels(order, rows) * len(rows.groups) + rows.group[order]
     steps = np.argsort(key, kind="stable")
     cuts = (np.flatnonzero(np.diff(key[steps])) + 1).tolist()
     kept = np.empty(order.size)
@@ -353,7 +363,7 @@ def train_cached(space, cached, support_labels, encoding, config):
 
     order = draw()
     epoch, rows = _level_epoch, _level_rows(cached.batch, y, k, m)
-    if n_rows < BATCH_MIN_WIDTH * max(_levels(order.tolist(), rows.cols, m)):
+    if n_rows < BATCH_MIN_WIDTH * _levels(order, rows).max():
         epoch, rows = _kernel_epoch, (_pack(cached.batch, k, m), y.tolist())
 
     history = []

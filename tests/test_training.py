@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import smnn
+from smnn import training
 from smnn.model import cross_entropy
 from smnn.training import (
     BATCH_MIN_WIDTH,
@@ -365,8 +366,8 @@ class TestKernelExactness:
         rng = np.random.default_rng(config.seed)
         smnn.init_weights(config.init_mode, rng, encoding.k, space.support.size, support_labels)
         order = rng.permutation(len(cached)) if config.shuffle else np.arange(len(cached))
-        cols = [list(x.indices) for x in cached.xis]
-        levels = _levels(order.tolist(), cols, space.support.size)
+        rows = _level_rows(cached.batch, np.asarray(cached.y), encoding.k, space.support.size)
+        levels = _levels(order, rows)
         level_path = len(cached) >= BATCH_MIN_WIDTH * max(levels)
         assert (report.n_batches < report.n_steps) == level_path
         return level_path
@@ -447,6 +448,31 @@ def _iris_inputs(keep_duplicate=False):
     return _training_inputs(pts, labels, support)
 
 
+def _empty_row_inputs():
+    """Seven rows on a five-point support whose two far rows put all their
+    weight on the sphere point: their embeddings keep no column."""
+    pts = np.array([[-1, -1], [1, -1], [-1, 1], [1, 1], [0, 0], [30, 0.25], [-30, -0.25]], dtype=float)
+    labels = ["a", "b", "a", "b", "a", "b", "a"]
+    encoding = smnn.LabelEncoding.from_labels(labels)
+    y = encoding.encode(labels, len(pts))
+    space = smnn.fit_space(pts, np.arange(5), radius_margin=1e-12)
+    cached = precompute_embeddings(space, pts, y)
+    assert np.diff(cached.batch.indptr).tolist() == [1, 1, 1, 1, 1, 0, 0]
+    return space, cached, y[:5], encoding
+
+
+def _full_scan(order, cols, m):
+    """The level of each step of order, scanning every row."""
+    last = [0] * m
+    levels = []
+    for i in order:
+        level = max((last[j] for j in cols[i]), default=0) + 1
+        for j in cols[i]:
+            last[j] = level
+        levels.append(level)
+    return levels
+
+
 def _run_epochs(epoch, inputs, config):
     """Weights, history and batch count of train_cached's loop, with each
     epoch run by `epoch` (_kernel_epoch or _level_epoch)."""
@@ -525,22 +551,90 @@ class TestLevelSchedule:
         assert report.history == h_kernel
         assert report.n_batches in (calls, batches)
 
-    def test_level_invariant(self):
-        # No two steps of a level share a column, and each step sits one
-        # level above the highest earlier step it shares a column with.
+    def test_rows_without_a_column_train_on_both_paths(self, monkeypatch):
+        # The two far rows of _empty_row_inputs keep no column: both paths
+        # take them, as level 1 or as a kernel call on no column, and
+        # score them with uniform probabilities.
+        inputs = _empty_row_inputs()
+        config = smnn.TrainConfig(epochs=6, seed=3)
+        monkeypatch.setattr(training, "BATCH_MIN_WIDTH", 1)
+        model, level = smnn.train_cached(*inputs, config)
+        monkeypatch.setattr(training, "BATCH_MIN_WIDTH", 8)
+        kernel_model, kernel = smnn.train_cached(*inputs, config)
+        # Widths 1 and 0 make two batches a level epoch; the kernel takes
+        # one call a step.
+        assert level.n_batches == 2 * config.epochs
+        assert kernel.n_batches == len(inputs[1]) * config.epochs
+        assert model.weights.tobytes() == kernel_model.weights.tobytes()
+        assert level.history == kernel.history
+        far = np.array([[30, 0.25], [-30, -0.25]])
+        for x in far:
+            assert smnn.forward(model, x).tolist() == [0.5, 0.5]
+        report = smnn.evaluate(model, far, ["b", "a"])
+        assert report.mean_loss == float(np.log(2.0))
+        assert report.accuracy == 0.5 and report.n_out_of_hull == 2
+
+    def test_level_invariant(self, monkeypatch):
+        # The levels _level_epoch uses are those of the full scan: no two
+        # steps of a level share a column, and each step sits one level
+        # above the highest earlier step it shares a column with.  Iris
+        # shares no column, its duplicate one, and two rows of
+        # _empty_row_inputs have none.
+        used = []
+
+        def spy(order, rows):
+            used.append(_levels(order, rows))
+            return used[-1]
+
+        monkeypatch.setattr(training, "_levels", spy)
         rng = np.random.default_rng(8)
-        for make in (lambda: _spiral_inputs(9), lambda: _spiral_inputs(95), _iris_inputs):
-            space, cached, _, _ = make()
+        cases = (lambda: _spiral_inputs(9), lambda: _spiral_inputs(95), _iris_inputs,
+                 lambda: _iris_inputs(True), _empty_row_inputs)
+        for make in cases:
+            space, cached, support_labels, encoding = make()
+            k, m = encoding.k, space.support.size
             cols = [set(np.asarray(x.indices).tolist()) for x in cached.xis]
+            rows = _level_rows(cached.batch, np.asarray(cached.y), k, m)
+            flat = smnn.init_weights("uniform01", rng, k, m, support_labels).reshape(-1)
             for _ in range(3):
-                order = rng.permutation(len(cols)).tolist()
-                levels = _levels(order, [sorted(c) for c in cols], space.support.size)
+                order = rng.permutation(len(cols))
+                batches = _level_epoch(flat, rows, order, 0.1)[2]
+                levels = used[-1].tolist()
+                assert levels == _full_scan(order.tolist(), [sorted(c) for c in cols], m)
+                assert batches == len(set(zip(levels, rows.group[order].tolist())))
+                order = order.tolist()
                 for t, i in enumerate(order):
                     below = [levels[u] for u in range(t) if cols[order[u]] & cols[i]]
                     assert levels[t] == 1 + max(below, default=0)
                 for level in set(levels):
                     members = [cols[i] for i, lv in zip(order, levels) if lv == level]
                     assert sum(map(len, members)) == len(set().union(*members))
+
+    def test_masked_scan_is_the_full_scan_on_random_rows(self):
+        # Random CSR rows of width 0 to 4 over few or many columns, so that
+        # empty, private and shared rows mix; the mask marks exactly the
+        # rows with a column another row uses.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n_rows = int(rng.integers(1, 40))
+            m = int(rng.integers(1, 4 * n_rows + 2))
+            cols = [np.sort(rng.choice(m, size=min(m, int(rng.integers(0, 5))), replace=False))
+                    for _ in range(n_rows)]
+            widths = [c.size for c in cols]
+            batch = smnn.EmbeddingBatch(
+                indptr=np.concatenate([[0], np.cumsum(widths)]).astype(np.int64),
+                indices=np.concatenate(cols).astype(np.int64),
+                values=np.ones(sum(widths)),
+                sphere_mass=np.zeros(n_rows),
+                facet=np.full((n_rows, 1), -1),
+            )
+            rows = _level_rows(batch, np.zeros(n_rows, dtype=np.int64), 2, m)
+            lists = [c.tolist() for c in cols]
+            others = [set().union(*(lists[:i] + lists[i + 1:])) for i in range(n_rows)]
+            assert rows.shared.tolist() == [bool(others[i] & set(c)) for i, c in enumerate(lists)]
+            for _ in range(3):
+                order = rng.permutation(n_rows)
+                assert _levels(order, rows).tolist() == _full_scan(order.tolist(), lists, m)
 
     def test_stacked_matmul_is_the_kernel_gemv(self):
         # The level batch takes its logits from one stacked matmul; each
