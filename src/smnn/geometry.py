@@ -200,8 +200,8 @@ class LiftScreen:
     def pairs(self, h):
         """(query, cell) candidate pairs of the homogeneous queries h: the
         cells whose hi reaches the bar, the largest lo less the slop, in
-        blocks of about 2**18 (query, column) values.  np.nonzero lists
-        each query's cells in ascending order."""
+        blocks of about 2**18 (query, column) values.  The flat indices
+        of a block's mask list each query's cells in ascending order."""
         cells = self.planes.shape[1] // 2
         span = np.abs(h).max(axis=1)
         # A row with an infinite coordinate would meet inf - inf in the
@@ -216,7 +216,7 @@ class LiftScreen:
         for a in range(0, h.shape[0], step):
             both = h[a : a + step] @ self.planes
             bar = both[:, :cells].max(axis=1) - slop[a : a + step]
-            q, s = np.nonzero(both[:, cells:] >= bar[:, None])
+            q, s = np.divmod(np.flatnonzero(both[:, cells:] >= bar[:, None]), cells)
             qs.append(q + a)
             cand.append(s)
         # One block (or none), the usual case, needs no concatenation.

@@ -26,11 +26,13 @@ class LabelEncoding:
 
     def __post_init__(self):
         labels = tuple(str(v) for v in self.labels)
+        index = {name: i for i, name in enumerate(labels)}
         if len(labels) < 2:
             raise ValueError("need at least two classes, got %r" % (labels,))
-        if len(set(labels)) != len(labels):
+        if len(index) != len(labels):
             raise ValueError("duplicate label names in %r" % (labels,))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_labels(cls, labels):
@@ -43,8 +45,8 @@ class LabelEncoding:
 
     def index(self, label):
         try:
-            return self.labels.index(str(label))
-        except ValueError:
+            return self._index[str(label)]
+        except KeyError:
             raise UnknownLabel("unknown label %r, expected one of %r" % (label, self.labels))
 
     def encode(self, labels, rows):
@@ -53,7 +55,10 @@ class LabelEncoding:
         labels = [str(v) for v in labels]
         if len(labels) != rows:
             raise ValueError("labels and points disagree: %d labels, %d points" % (len(labels), rows))
-        return np.array([self.index(v) for v in labels], dtype=np.int64)
+        try:
+            return np.array([self._index[v] for v in labels], dtype=np.int64)
+        except KeyError as missing:
+            self.index(missing.args[0])  # raises UnknownLabel for it
 
 
 @dataclass

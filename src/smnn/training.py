@@ -54,10 +54,10 @@ class TrainReport:
     """Per-epoch running mean loss and accuracy, accumulated sample by
     sample as the weights move; wall time in seconds; the number of SGD
     steps (epochs times rows) and of the batches they ran in: kernel
-    calls, or level batches of the level schedule.  n_exterior counts the
-    training rows embedded through a virtual simplex; sphere_mass_mean
-    and sphere_mass_max are their mean and largest weight on the sphere
-    point, 0 when there are none."""
+    calls, or the fixed and level batches of the level schedule.
+    n_exterior counts the training rows embedded through a virtual
+    simplex; sphere_mass_mean and sphere_mass_max are their mean and
+    largest weight on the sphere point, 0 when there are none."""
 
     history: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -196,13 +196,13 @@ def sgd_step(weights, xi, y_index, eta):
 
 
 def _sum_in_order(losses):
-    """Sum of an array of losses, added one at a time in order.  NumPy's
-    array log rounds as its scalar log, so this is the total that scoring
-    one sample at a time gives, bit for bit."""
-    total = 0.0
-    for v in losses.tolist():
-        total += v
-    return total
+    """Sum of an array of losses, added one at a time from 0.0 in order
+    (np.add.accumulate adds left to right).  NumPy's array log rounds as
+    its scalar log, so this is the total that scoring one sample at a time
+    gives, bit for bit."""
+    # The leading 0.0 turns a sum of -0.0 losses (true probabilities of
+    # exactly 1) into 0.0, as a running total from 0.0 does.
+    return 0.0 + float(np.add.accumulate(losses)[-1]) if losses.size else 0.0
 
 
 def train(train_points, train_labels, support_indices, config, radius_margin=1.0):
@@ -223,24 +223,22 @@ def train(train_points, train_labels, support_indices, config, radius_margin=1.0
 
 
 def _levels(order, rows):
-    """The level of each step of an epoch's order: one more than the
-    highest level of any earlier step that shares a weight column with it.
-    Steps of one level share no column, and each column's steps fall in
-    increasing levels in their order in the epoch.  A row that shares no
-    column with another row is level 1 in every order, so only the shared
-    rows are scanned."""
-    levels = np.ones(order.size, dtype=np.int64)
-    at = np.flatnonzero(rows.shared[order])
+    """The shared steps of an epoch's order, and the level of each: one
+    more than the highest level of any earlier step that shares a weight
+    column with it.  Steps of one level share no column, and each column's
+    steps fall in increasing levels in their order in the epoch.  A row
+    that shares no column with another row is level 1 in every order, so
+    only the shared rows are scanned."""
+    order = order[rows.shared[order]]
     last = [0] * rows.m
     get = last.__getitem__
-    scanned = []
-    for touched in map(rows.cols.__getitem__, order[at].tolist()):
+    levels = []
+    for touched in map(rows.cols.__getitem__, order.tolist()):
         level = max(map(get, touched)) + 1
         for j in touched:
             last[j] = level
-        scanned.append(level)
-    levels[at] = scanned
-    return levels
+        levels.append(level)
+    return order, np.array(levels, dtype=np.int64)
 
 
 def _kernel_epoch(flat, rows, order, eta):
@@ -260,17 +258,19 @@ def _kernel_epoch(flat, rows, order, eta):
 
 @dataclass
 class _LevelRows:
-    """The rows as _level_epoch reads them: per row, its weight columns
-    (cols), whether one of them is another row's too (shared), the index
-    of its width group (group) and its place in that group (slot); per
-    group, the columns and values of _width_groups and the labels of its
-    rows."""
+    """The rows as _level_epoch reads them.  Per width, the rows that share
+    no column (fixed) and the shared rows (groups), each as row indices,
+    the columns and values of _width_groups, and labels; per row, its
+    weight columns (cols), whether one of them is another row's too
+    (shared), the index of its entry in fixed or groups (group) and its
+    place there (slot)."""
 
     m: int
     cols: list
     shared: np.ndarray
     group: np.ndarray
     slot: np.ndarray
+    fixed: list
     groups: list
 
 
@@ -288,26 +288,43 @@ def _width_groups(batch, k, m):
 def _level_rows(batch, y, k, m):
     ends = batch.indptr.tolist()
     cols = batch.indices.tolist()
-    group, slot = np.zeros((2, len(batch)), dtype=np.int64)
-    groups = []
-    for g, (members, fidx, vals) in enumerate(_width_groups(batch, k, m)):
-        group[members] = g
-        slot[members] = np.arange(members.size)
-        groups.append((fidx, vals, y[members]))
     cols = [cols[a:b] for a, b in zip(ends, ends[1:])]
     # Per entry, whether its column has another entry; per row, any such.
     owner = np.repeat(np.arange(len(batch)), np.diff(batch.indptr))
     reused = np.bincount(batch.indices, minlength=m)[batch.indices] > 1
     shared = np.bincount(owner, weights=reused, minlength=len(batch)) > 0
-    return _LevelRows(m=m, cols=cols, shared=shared, group=group, slot=slot, groups=groups)
+    fixed, groups = [], []
+    group, slot = np.zeros((2, len(batch)), dtype=np.int64)
+    for members, fidx, vals in _width_groups(batch, k, m):
+        for part, mine in ((fixed, ~shared[members]), (groups, shared[members])):
+            if mine.any():
+                at = members[mine]
+                group[at], slot[at] = len(part), np.arange(at.size)
+                part.append((at, fidx[mine], vals[mine], y[at]))
+    return _LevelRows(m, cols, shared, group, slot, fixed, groups)
+
+
+def _batch(flat, prob, at, fidx, vals, y, eta):
+    """One batch of steps on disjoint columns: rows `at`, their columns in
+    the flattened weights, values and labels.  Writes each step's
+    true-class probability to prob at its row and returns the hits."""
+    block = flat[fidx]
+    s = softmax(np.matmul(vals[:, None, :], block)[:, 0])
+    true = (np.arange(y.size), y)
+    prob[at] = s[true]
+    hits = int(np.count_nonzero(s.argmax(axis=1) == y))
+    s[true] -= 1.0
+    flat[fidx] = block - eta * (s[:, None, :] * vals[:, :, None])
+    return hits
 
 
 def _level_epoch(flat, rows, order, eta):
     """One epoch level by level, bit-identical to _kernel_epoch.
 
-    The steps of one level and width run as one batch.  Each column sees
-    the updates of the sequential order, and each batch rounds as the
-    kernel does:
+    The rows that share no column commute with every step, so they run as
+    the fixed batches of _level_rows.  The shared steps of one level and
+    width run as one batch.  Each column sees the updates of the
+    sequential order, and each batch rounds as the kernel does:
     - the stacked matmul of (1, c) values and (c, k) blocks is, per step,
       the gemv of the kernel's `vals.dot(block)`, FMAs included (an einsum
       or an elementwise product is not);
@@ -316,25 +333,20 @@ def _level_epoch(flat, rows, order, eta):
       left to right below 8 classes and in pairwise blocks from 8.
     Returns what _kernel_epoch does, with the number of batches.
     """
-    key = _levels(order, rows) * len(rows.groups) + rows.group[order]
-    steps = np.argsort(key, kind="stable")
-    cuts = (np.flatnonzero(np.diff(key[steps])) + 1).tolist()
-    kept = np.empty(order.size)
-    hits = 0
-    for a, b in zip([0] + cuts, cuts + [order.size]):
-        at = steps[a:b]
-        picked = order[at]
-        fidx, vals, y = rows.groups[rows.group[picked[0]]]
-        sub = rows.slot[picked]
-        fidx, vals, y = fidx[sub], vals[sub], y[sub]
-        block = flat[fidx]
-        s = softmax(np.matmul(vals[:, None, :], block)[:, 0])
-        true = (np.arange(y.size), y)
-        kept[at] = s[true]
-        hits += int(np.count_nonzero(s.argmax(axis=1) == y))
-        s[true] -= 1.0
-        flat[fidx] = block - eta * (s[:, None, :] * vals[:, :, None])
-    return kept, hits, len(cuts) + 1
+    batches = list(rows.fixed)
+    if rows.groups:
+        shared, levels = _levels(order, rows)
+        key = levels * len(rows.groups) + rows.group[shared]
+        steps = np.argsort(key, kind="stable")
+        cuts = (np.flatnonzero(np.diff(key[steps])) + 1).tolist()
+        for a, b in zip([0] + cuts, cuts + [shared.size]):
+            picked = shared[steps[a:b]]
+            _, fidx, vals, y = rows.groups[rows.group[picked[0]]]
+            sub = rows.slot[picked]
+            batches.append((picked, fidx[sub], vals[sub], y[sub]))
+    prob = np.empty(rows.shared.size)
+    hits = sum(_batch(flat, prob, *batch, eta) for batch in batches)
+    return prob[order], hits, len(batches)
 
 
 def train_cached(space, cached, support_labels, encoding, config):
@@ -363,7 +375,7 @@ def train_cached(space, cached, support_labels, encoding, config):
 
     order = draw()
     epoch, rows = _level_epoch, _level_rows(cached.batch, y, k, m)
-    if n_rows < BATCH_MIN_WIDTH * _levels(order, rows).max():
+    if n_rows < BATCH_MIN_WIDTH * _levels(order, rows)[1].max(initial=1):
         epoch, rows = _kernel_epoch, (_pack(cached.batch, k, m), y.tolist())
 
     history = []

@@ -593,6 +593,22 @@ def reference_pairs(grid, xs):
     return qs[inside], cand[inside]
 
 
+def reference_lift_pairs(screen, h):
+    """The pairs of LiftScreen.pairs on finite rows, with each block's
+    mask read by a 2-D np.nonzero."""
+    cells = screen.planes.shape[1] // 2
+    slop = np.abs(h).max(axis=1) * screen.slop
+    step = max(1, (1 << 17) // cells)
+    qs, cand = [], []
+    for a in range(0, h.shape[0], step):
+        both = h[a : a + step] @ screen.planes
+        bar = both[:, :cells].max(axis=1) - slop[a : a + step]
+        q, s = np.nonzero(both[:, cells:] >= bar[:, None])
+        qs.append(q + a)
+        cand.append(s)
+    return np.concatenate(qs), np.concatenate(cand)
+
+
 def assert_locates_as_all_cells(tri, queries):
     """locate_batch gives the index and coordinate bits of the all-cells
     kernel; returns the reference index and feasible-cell counts."""
@@ -754,6 +770,18 @@ class TestLiftScreen:
         inside = np.einsum("qi,qid->qd", rng.dirichlet(np.ones(3), 300), pts[tri.simplices[rng.integers(0, 3, 300)]])
         want, _ = assert_locates_as_all_cells(screened, np.concatenate([below, inside]))
         assert (want[:300] == 0).sum() >= 250
+
+    def test_pairs_match_the_two_dimensional_nonzero(self, iris_tri):
+        # A batch of several blocks of rows: the flat mask indices give the
+        # pairs of np.nonzero, in the same row-major order and dtype.
+        tri = iris_tri[1]
+        queries = index_queries(tri, np.random.default_rng(12))
+        h = np.concatenate([queries, np.ones((len(queries), 1))], axis=1)
+        assert h.shape[0] > 4 * ((1 << 17) // tri.simplices.shape[0])
+        got, want = tri.index.pairs(h), reference_lift_pairs(tri.index, h)
+        assert want[0].size > h.shape[0]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_few_candidates_at_any_scale(self, scale, iris_tri):

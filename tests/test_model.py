@@ -44,6 +44,22 @@ class TestLabelEncoding:
         with pytest.raises(smnn.UnknownLabel, match="unknown label 'z'"):
             enc.encode(["a", "z"], 2)
 
+    def test_encode_matches_the_per_label_scan(self):
+        # Mixed label types go through str, as the first written scan of
+        # the label tuple did; the first unknown label is the one named.
+        enc = smnn.LabelEncoding(("1", "10", "a", "b"))
+        rng = np.random.default_rng(0)
+        names = [np.str_("a"), "b", 1, np.int64(10), "10", np.str_("1")]
+        labels = [names[i] for i in rng.integers(0, len(names), size=1000)]
+        expected = [enc.labels.index(str(v)) for v in labels]
+        assert enc.encode(labels, 1000).tolist() == expected
+        assert [enc.index(v) for v in labels] == expected
+        for bad in (["a", 2, "c"], [np.str_("a"), np.str_("z"), 3]):
+            with pytest.raises(smnn.UnknownLabel) as err:
+                enc.encode(bad, 3)
+            message = "unknown label %r, expected one of %r" % (str(bad[1]), enc.labels)
+            assert err.value.args == (message,)
+
 
 class TestInitWeights:
     def test_one_hot_square_example(self):

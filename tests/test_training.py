@@ -367,8 +367,8 @@ class TestKernelExactness:
         smnn.init_weights(config.init_mode, rng, encoding.k, space.support.size, support_labels)
         order = rng.permutation(len(cached)) if config.shuffle else np.arange(len(cached))
         rows = _level_rows(cached.batch, np.asarray(cached.y), encoding.k, space.support.size)
-        levels = _levels(order, rows)
-        level_path = len(cached) >= BATCH_MIN_WIDTH * max(levels)
+        levels = _levels(order, rows)[1]
+        level_path = len(cached) >= BATCH_MIN_WIDTH * max(levels, default=1)
         assert (report.n_batches < report.n_steps) == level_path
         return level_path
 
@@ -507,6 +507,7 @@ def _level_cases():
         "iris-0.01": (_iris_inputs, config(learning_rate=0.01, epochs=20, seed=3)),
         "iris-0.5": (_iris_inputs, config(learning_rate=0.5, epochs=20, seed=3)),
         "iris-duplicate": (lambda: _iris_inputs(True), config(epochs=20, seed=4)),
+        "empty-rows": (_empty_row_inputs, config(epochs=6, seed=3)),
         "clusters-3d": (
             lambda: _training_inputs(
                 clusters.points.points, clusters.labels,
@@ -543,8 +544,9 @@ class TestLevelSchedule:
         assert calls == config.epochs * len(inputs[1])
         assert config.epochs <= batches <= calls
         if case == "iris-duplicate":
-            # The twin rows share a column, so every epoch has two levels.
-            assert batches == 2 * config.epochs
+            # The twin rows share a column, so they take two levels; the
+            # other rows, all of width 1, make one fixed batch.
+            assert batches == 3 * config.epochs
 
         model, report = smnn.train_cached(*inputs, config)
         assert model.weights.tobytes() == w_kernel.tobytes()
@@ -579,7 +581,8 @@ class TestLevelSchedule:
         # steps of a level share a column, and each step sits one level
         # above the highest earlier step it shares a column with.  Iris
         # shares no column, its duplicate one, and two rows of
-        # _empty_row_inputs have none.
+        # _empty_row_inputs have none.  Only the shared steps are scanned;
+        # the full scan puts every other step at level 1.
         used = []
 
         def spy(order, rows):
@@ -598,10 +601,17 @@ class TestLevelSchedule:
             flat = smnn.init_weights("uniform01", rng, k, m, support_labels).reshape(-1)
             for _ in range(3):
                 order = rng.permutation(len(cols))
+                calls = len(used)
                 batches = _level_epoch(flat, rows, order, 0.1)[2]
-                levels = used[-1].tolist()
+                assert len(used) == calls + bool(rows.shared.any())
+                shared, scanned = used[-1] if len(used) > calls else (order[:0], order[:0])
+                assert shared.tolist() == [i for i in order.tolist() if rows.shared[i]]
+                levels = np.ones(order.size, dtype=np.int64)
+                levels[rows.shared[order]] = scanned
+                levels = levels.tolist()
                 assert levels == _full_scan(order.tolist(), [sorted(c) for c in cols], m)
-                assert batches == len(set(zip(levels, rows.group[order].tolist())))
+                groups = set(zip(scanned.tolist(), rows.group[shared].tolist()))
+                assert batches == len(rows.fixed) + len(groups)
                 order = order.tolist()
                 for t, i in enumerate(order):
                     below = [levels[u] for u in range(t) if cols[order[u]] & cols[i]]
@@ -610,31 +620,73 @@ class TestLevelSchedule:
                     members = [cols[i] for i, lv in zip(order, levels) if lv == level]
                     assert sum(map(len, members)) == len(set().union(*members))
 
+    def test_full_support_epoch_builds_no_schedule(self, monkeypatch):
+        # With no shared row an epoch is the fixed batches alone: no scan
+        # and no argsort.  The duplicate row brings both back.
+        calls = []
+
+        def count(name, real):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(training, "_levels", count("levels", _levels))
+        monkeypatch.setattr(np, "argsort", count("argsort", np.argsort))
+        for keep_duplicate, expected in ((False, []), (True, ["levels", "argsort"] * 2)):
+            space, cached, support_labels, encoding = _iris_inputs(keep_duplicate)
+            k, m = encoding.k, space.support.size
+            rows = _level_rows(cached.batch, np.asarray(cached.y), k, m)
+            assert len(rows.fixed) == 1 and len(rows.groups) == int(keep_duplicate)
+            flat = smnn.init_weights("uniform01", 0, k, m, support_labels).reshape(-1)
+            del calls[:]
+            for seed in range(2):
+                order = np.random.default_rng(seed).permutation(len(cached))
+                batches = _level_epoch(flat, rows, order, 0.1)[2]
+                assert batches == 1 + 2 * keep_duplicate
+            assert calls == expected
+
     def test_masked_scan_is_the_full_scan_on_random_rows(self):
         # Random CSR rows of width 0 to 4 over few or many columns, so that
         # empty, private and shared rows mix; the mask marks exactly the
-        # rows with a column another row uses.
+        # rows with a column another row uses, the scan of the shared steps
+        # is the full scan, and the level epoch gives the kernel's bytes.
         rng = np.random.default_rng(11)
         for _ in range(200):
             n_rows = int(rng.integers(1, 40))
             m = int(rng.integers(1, 4 * n_rows + 2))
+            k = int(rng.integers(2, 5))
             cols = [np.sort(rng.choice(m, size=min(m, int(rng.integers(0, 5))), replace=False))
                     for _ in range(n_rows)]
             widths = [c.size for c in cols]
             batch = smnn.EmbeddingBatch(
                 indptr=np.concatenate([[0], np.cumsum(widths)]).astype(np.int64),
                 indices=np.concatenate(cols).astype(np.int64),
-                values=np.ones(sum(widths)),
+                values=rng.random(sum(widths)),
                 sphere_mass=np.zeros(n_rows),
                 facet=np.full((n_rows, 1), -1),
             )
-            rows = _level_rows(batch, np.zeros(n_rows, dtype=np.int64), 2, m)
+            y = rng.integers(0, k, size=n_rows)
+            rows = _level_rows(batch, y, k, m)
             lists = [c.tolist() for c in cols]
             others = [set().union(*(lists[:i] + lists[i + 1:])) for i in range(n_rows)]
             assert rows.shared.tolist() == [bool(others[i] & set(c)) for i, c in enumerate(lists)]
+            packed = (_pack(batch, k, m), y.tolist())
+            weights = rng.standard_normal(k * m)
             for _ in range(3):
                 order = rng.permutation(n_rows)
-                assert _levels(order, rows).tolist() == _full_scan(order.tolist(), lists, m)
+                full = _full_scan(order.tolist(), lists, m)
+                shared, levels = _levels(order, rows)
+                mask = rows.shared[order].tolist()
+                assert shared.tolist() == order[mask].tolist()
+                assert levels.tolist() == [lv for lv, s in zip(full, mask) if s]
+                assert all(lv == 1 for lv, s in zip(full, mask) if not s)
+                level, kernel = weights.copy(), weights.copy()
+                kept, hits, _ = _level_epoch(level, rows, order, 0.3)
+                kept_kernel, hits_kernel, _ = _kernel_epoch(kernel, packed, order, 0.3)
+                assert level.tobytes() == kernel.tobytes()
+                assert kept.tobytes() == kept_kernel.tobytes() and hits == hits_kernel
+                weights = level
 
     def test_stacked_matmul_is_the_kernel_gemv(self):
         # The level batch takes its logits from one stacked matmul; each
@@ -674,6 +726,22 @@ class TestLevelSchedule:
                 else:
                     expected = float(np.sum(row))
                 assert total == expected
+
+
+class TestSumInOrder:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 1000])
+    def test_is_the_running_total(self, n):
+        # The loop is the reference: a total that starts at 0.0 and adds
+        # one loss at a time in order.  All -0.0 losses sum to 0.0.
+        rng = np.random.default_rng(n)
+        for losses in (rng.exponential(size=n) * rng.choice([1e-9, 1.0, 1e9], size=n),
+                       cross_entropy(np.ones(n))):
+            total = 0.0
+            for v in losses.tolist():
+                total += v
+            summed = _sum_in_order(losses)
+            assert type(summed) is float
+            assert np.float64(summed).tobytes() == np.float64(total).tobytes()
 
 
 class TestLabelRange:
