@@ -54,10 +54,10 @@ class TrainReport:
     """Per-epoch running mean loss and accuracy, accumulated sample by
     sample as the weights move; wall time in seconds; the number of SGD
     steps (epochs times rows) and of the batches they ran in: kernel
-    calls, or the fixed and level batches of the level schedule.
-    n_exterior counts the training rows embedded through a virtual
-    simplex; sphere_mass_mean and sphere_mass_max are their mean and
-    largest weight on the sphere point, 0 when there are none."""
+    calls, or the fixed batches and per level one batch a shared width,
+    width 1 counting as the widest.  n_exterior counts the training rows
+    embedded through a virtual simplex; sphere_mass_mean and
+    sphere_mass_max are their mean and largest sphere weight, or 0."""
 
     history: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -241,10 +241,10 @@ def _levels(order, rows):
     return order, np.array(levels, dtype=np.int64)
 
 
-def _kernel_epoch(flat, rows, order, eta):
+def _kernel_epoch(flat, rows, order, eta, scan=None):
     """One epoch as one kernel call per step.  `rows` is (packed rows, label
-    indices).  Returns the true-class probability of each step in order,
-    the number of hits and the number of kernel calls."""
+    indices); `scan` is not read.  Returns the true-class probability of
+    each step in order, the number of hits and the number of kernel calls."""
     packed, y = rows
     kept = []
     hits = 0
@@ -259,13 +259,15 @@ def _kernel_epoch(flat, rows, order, eta):
 @dataclass
 class _LevelRows:
     """The rows as _level_epoch reads them.  Per width, the rows that share
-    no column (fixed) and the shared rows (groups), each as row indices,
-    the columns and values of _width_groups, and labels; per row, its
-    weight columns (cols), whether one of them is another row's too
-    (shared), the index of its entry in fixed or groups (group) and its
-    place there (slot)."""
+    no column (fixed) and the shared rows (groups, where width 1 rides in
+    the widest), each as row indices, the columns and values of
+    _width_groups, and one-hot labels; per row, its label (y), its weight
+    columns (cols), whether one of them is another row's too (shared), and
+    for a shared row the index of its group (group) and its place (slot)."""
 
+    k: int
     m: int
+    y: np.ndarray
     cols: list
     shared: np.ndarray
     group: np.ndarray
@@ -286,6 +288,7 @@ def _width_groups(batch, k, m):
 
 
 def _level_rows(batch, y, k, m):
+    """The _LevelRows of an EmbeddingBatch and its label indices y."""
     ends = batch.indptr.tolist()
     cols = batch.indices.tolist()
     cols = [cols[a:b] for a, b in zip(ends, ends[1:])]
@@ -293,60 +296,74 @@ def _level_rows(batch, y, k, m):
     owner = np.repeat(np.arange(len(batch)), np.diff(batch.indptr))
     reused = np.bincount(batch.indices, minlength=m)[batch.indices] > 1
     shared = np.bincount(owner, weights=reused, minlength=len(batch)) > 0
+    hot = np.eye(k)[y]
     fixed, groups = [], []
-    group, slot = np.zeros((2, len(batch)), dtype=np.int64)
     for members, fidx, vals in _width_groups(batch, k, m):
         for part, mine in ((fixed, ~shared[members]), (groups, shared[members])):
             if mine.any():
-                at = members[mine]
-                group[at], slot[at] = len(part), np.arange(at.size)
-                part.append((at, fidx[mine], vals[mine], y[at]))
-    return _LevelRows(m, cols, shared, group, slot, fixed, groups)
+                part.append((members[mine], fidx[mine], vals[mine], hot[members[mine]]))
+    if len(groups) > 1 and groups[0][2].shape[1] == 1:
+        # The shared width-1 rows join the widest group.  Padded with value
+        # 0.0 on the k zero slots past the weights, a logit is v * w plus
+        # exact zeros: the unpadded bits under any summation order, which
+        # a wider row does not keep.
+        at, fidx, vals, one = groups.pop(0)
+        spare = (at.size, groups[-1][2].shape[1] - 1)
+        fidx = np.concatenate((fidx, np.broadcast_to(k * m + np.arange(k), spare + (k,))), axis=1)
+        padded = (at, fidx, np.concatenate((vals, np.zeros(spare)), axis=1), one)
+        groups[-1] = tuple(map(np.concatenate, zip(groups[-1], padded)))
+    group, slot = np.zeros((2, len(batch)), dtype=np.int64)
+    for i, (at, *_) in enumerate(groups):
+        group[at], slot[at] = i, np.arange(at.size)
+    return _LevelRows(k, m, y, cols, shared, group, slot, fixed, groups)
 
 
-def _batch(flat, prob, at, fidx, vals, y, eta):
+def _batch(flat, probs, at, fidx, vals, hot, eta):
     """One batch of steps on disjoint columns: rows `at`, their columns in
-    the flattened weights, values and labels.  Writes each step's
-    true-class probability to prob at its row and returns the hits."""
+    the flattened weights, values and one-hot labels.  Writes each step's
+    softmax row to probs at its row, and re-zeroes the k slots past the
+    weights, which padded entries read and write."""
     block = flat[fidx]
     s = softmax(np.matmul(vals[:, None, :], block)[:, 0])
-    true = (np.arange(y.size), y)
-    prob[at] = s[true]
-    hits = int(np.count_nonzero(s.argmax(axis=1) == y))
-    s[true] -= 1.0
-    flat[fidx] = block - eta * (s[:, None, :] * vals[:, :, None])
-    return hits
+    probs[at] = s
+    flat[fidx] = block - eta * ((s - hot)[:, None, :] * vals[:, :, None])
+    flat[-hot.shape[1]:] = 0.0
 
 
-def _level_epoch(flat, rows, order, eta):
-    """One epoch level by level, bit-identical to _kernel_epoch.
+def _level_epoch(flat, rows, order, eta, scan=None):
+    """One epoch level by level, bit-identical to _kernel_epoch.  `flat` is
+    the flattened weights and k zero slots; `scan` is _levels(order, rows).
 
     The rows that share no column commute with every step, so they run as
     the fixed batches of _level_rows.  The shared steps of one level and
-    width run as one batch.  Each column sees the updates of the
+    group run as one batch.  Each column sees the updates of the
     sequential order, and each batch rounds as the kernel does:
     - the stacked matmul of (1, c) values and (c, k) blocks is, per step,
       the gemv of the kernel's `vals.dot(block)`, FMAs included (an einsum
       or an elementwise product is not);
     - NumPy's array exp rounds as its scalar call;
     - np.sum along the rows of a C-ordered array adds as the kernel does,
-      left to right below 8 classes and in pairwise blocks from 8.
-    Returns what _kernel_epoch does, with the number of batches.
+      left to right below 8 classes and in pairwise blocks from 8;
+    - subtracting a one-hot 0.0 leaves a probability as it is.
+    Returns what _kernel_epoch does, read once from the batches' softmax
+    rows, with the number of batches.
     """
     batches = list(rows.fixed)
     if rows.groups:
-        shared, levels = _levels(order, rows)
+        shared, levels = scan or _levels(order, rows)
         key = levels * len(rows.groups) + rows.group[shared]
         steps = np.argsort(key, kind="stable")
         cuts = (np.flatnonzero(np.diff(key[steps])) + 1).tolist()
         for a, b in zip([0] + cuts, cuts + [shared.size]):
             picked = shared[steps[a:b]]
-            _, fidx, vals, y = rows.groups[rows.group[picked[0]]]
+            _, fidx, vals, hot = rows.groups[rows.group[picked[0]]]
             sub = rows.slot[picked]
-            batches.append((picked, fidx[sub], vals[sub], y[sub]))
-    prob = np.empty(rows.shared.size)
-    hits = sum(_batch(flat, prob, *batch, eta) for batch in batches)
-    return prob[order], hits, len(batches)
+            batches.append((picked, fidx[sub], vals[sub], hot[sub]))
+    probs = np.empty((rows.y.size, rows.k))
+    for batch in batches:
+        _batch(flat, probs, *batch, eta)
+    hits = int(np.count_nonzero(probs.argmax(axis=1) == rows.y))
+    return probs[order, rows.y[order]], hits, len(batches)
 
 
 def train_cached(space, cached, support_labels, encoding, config):
@@ -366,7 +383,8 @@ def train_cached(space, cached, support_labels, encoding, config):
     weights = init_weights(config.init_mode, rng, k, m, support_labels)
     model = SmnnModel(space, encoding, weights, support_labels)
 
-    flat = weights.reshape(-1)
+    # The k zero slots past the weights are read by padded level rows.
+    flat = np.concatenate((weights.reshape(-1), np.zeros(k)))
     n_rows = len(cached)
     eta = float(config.learning_rate)
 
@@ -375,7 +393,8 @@ def train_cached(space, cached, support_labels, encoding, config):
 
     order = draw()
     epoch, rows = _level_epoch, _level_rows(cached.batch, y, k, m)
-    if n_rows < BATCH_MIN_WIDTH * _levels(order, rows)[1].max(initial=1):
+    scan = _levels(order, rows)
+    if n_rows < BATCH_MIN_WIDTH * scan[1].max(initial=1):
         epoch, rows = _kernel_epoch, (_pack(cached.batch, k, m), y.tolist())
 
     history = []
@@ -383,12 +402,13 @@ def train_cached(space, cached, support_labels, encoding, config):
     started = time.perf_counter()
     for done in range(config.epochs):
         if done:
-            order = draw()
-        kept, hits, batches = epoch(flat, rows, order, eta)
+            order, scan = draw(), None
+        kept, hits, batches = epoch(flat, rows, order, eta, scan)
         n_batches += batches
         total = _sum_in_order(cross_entropy(kept))
         history.append((total / n_rows, hits / n_rows))
     wall_time = time.perf_counter() - started
+    model.weights[...] = flat[:-k].reshape(k, m)
     mass = cached.batch.sphere_mass[cached.batch.facet[:, 0] >= 0]
     return model, TrainReport(
         history,

@@ -9,6 +9,7 @@ from smnn.model import cross_entropy
 from smnn.training import (
     BATCH_MIN_WIDTH,
     INIT_MODES,
+    _batch,
     _kernel,
     _kernel_epoch,
     _level_epoch,
@@ -473,14 +474,21 @@ def _full_scan(order, cols, m):
     return levels
 
 
+def _slotted(weights, k):
+    """The flattened weights followed by the k zero slots that the padded
+    rows of _level_rows read, as train_cached lays them out."""
+    return np.concatenate((np.ravel(weights), np.zeros(k)))
+
+
 def _run_epochs(epoch, inputs, config):
     """Weights, history and batch count of train_cached's loop, with each
-    epoch run by `epoch` (_kernel_epoch or _level_epoch)."""
+    epoch run by `epoch` (_kernel_epoch or _level_epoch).  The zero slots
+    must read +0.0 after every epoch."""
     space, cached, support_labels, encoding = inputs
     k, m, n_rows = encoding.k, space.support.size, len(cached)
     y = np.asarray(cached.y)
     rng = np.random.default_rng(config.seed)
-    weights = smnn.init_weights(config.init_mode, rng, k, m, support_labels)
+    flat = _slotted(smnn.init_weights(config.init_mode, rng, k, m, support_labels), k)
     if epoch is _level_epoch:
         rows = _level_rows(cached.batch, y, k, m)
     else:
@@ -488,10 +496,11 @@ def _run_epochs(epoch, inputs, config):
     history, n_batches = [], 0
     for _ in range(config.epochs):
         order = rng.permutation(n_rows) if config.shuffle else np.arange(n_rows)
-        kept, hits, batches = epoch(weights.reshape(-1), rows, order, config.learning_rate)
+        kept, hits, batches = epoch(flat, rows, order, config.learning_rate)
+        assert flat[-k:].tobytes() == bytes(8 * k)
         history.append((_sum_in_order(cross_entropy(kept)) / n_rows, hits / n_rows))
         n_batches += batches
-    return weights, history, n_batches
+    return flat[:-k].reshape(k, m), history, n_batches
 
 
 def _level_cases():
@@ -547,6 +556,12 @@ class TestLevelSchedule:
             # The twin rows share a column, so they take two levels; the
             # other rows, all of width 1, make one fixed batch.
             assert batches == 3 * config.epochs
+        # One group per shared width, but the shared rows of width 1 ride
+        # in the widest group when there is a wider one.
+        space, cached, _, encoding = inputs
+        rows = _level_rows(cached.batch, np.asarray(cached.y), encoding.k, space.support.size)
+        widths = set(np.diff(cached.batch.indptr)[rows.shared].tolist())
+        assert [g[2].shape[1] for g in rows.groups] == sorted(widths - {1} or widths)
 
         model, report = smnn.train_cached(*inputs, config)
         assert model.weights.tobytes() == w_kernel.tobytes()
@@ -598,7 +613,7 @@ class TestLevelSchedule:
             k, m = encoding.k, space.support.size
             cols = [set(np.asarray(x.indices).tolist()) for x in cached.xis]
             rows = _level_rows(cached.batch, np.asarray(cached.y), k, m)
-            flat = smnn.init_weights("uniform01", rng, k, m, support_labels).reshape(-1)
+            flat = _slotted(smnn.init_weights("uniform01", rng, k, m, support_labels), k)
             for _ in range(3):
                 order = rng.permutation(len(cols))
                 calls = len(used)
@@ -610,8 +625,11 @@ class TestLevelSchedule:
                 levels[rows.shared[order]] = scanned
                 levels = levels.tolist()
                 assert levels == _full_scan(order.tolist(), [sorted(c) for c in cols], m)
-                groups = set(zip(scanned.tolist(), rows.group[shared].tolist()))
-                assert batches == len(rows.fixed) + len(groups)
+                # A level runs one batch per shared width, width 1 counting
+                # as the widest shared width.
+                widths = [len(cols[i]) for i in shared.tolist()]
+                merged = [max(widths) if w == 1 else w for w in widths]
+                assert batches == len(rows.fixed) + len(set(zip(scanned.tolist(), merged)))
                 order = order.tolist()
                 for t, i in enumerate(order):
                     below = [levels[u] for u in range(t) if cols[order[u]] & cols[i]]
@@ -638,7 +656,7 @@ class TestLevelSchedule:
             k, m = encoding.k, space.support.size
             rows = _level_rows(cached.batch, np.asarray(cached.y), k, m)
             assert len(rows.fixed) == 1 and len(rows.groups) == int(keep_duplicate)
-            flat = smnn.init_weights("uniform01", 0, k, m, support_labels).reshape(-1)
+            flat = _slotted(smnn.init_weights("uniform01", 0, k, m, support_labels), k)
             del calls[:]
             for seed in range(2):
                 order = np.random.default_rng(seed).permutation(len(cached))
@@ -681,12 +699,12 @@ class TestLevelSchedule:
                 assert shared.tolist() == order[mask].tolist()
                 assert levels.tolist() == [lv for lv, s in zip(full, mask) if s]
                 assert all(lv == 1 for lv, s in zip(full, mask) if not s)
-                level, kernel = weights.copy(), weights.copy()
+                level, kernel = _slotted(weights, k), weights.copy()
                 kept, hits, _ = _level_epoch(level, rows, order, 0.3)
                 kept_kernel, hits_kernel, _ = _kernel_epoch(kernel, packed, order, 0.3)
-                assert level.tobytes() == kernel.tobytes()
+                assert level.tobytes() == _slotted(kernel, k).tobytes()
                 assert kept.tobytes() == kept_kernel.tobytes() and hits == hits_kernel
-                weights = level
+                weights = kernel
 
     def test_stacked_matmul_is_the_kernel_gemv(self):
         # The level batch takes its logits from one stacked matmul; each
@@ -705,6 +723,106 @@ class TestLevelSchedule:
             stacked = np.matmul(vals[:, None, :], blocks)[:, 0]
             for t in range(steps):
                 assert stacked[t].tobytes() == vals[t].dot(blocks[t]).tobytes()
+
+    def test_padded_width_one_rows_are_the_kernel_gemv(self):
+        # Shared width-1 rows ride in the widest shared group with value 0.0
+        # on the k zero slots past the weights.  Their stacked logits must be
+        # the unpadded kernel's vals.dot(block) bit for bit, at every width,
+        # for values other than 1.0 and for weights of +-0.0 and +-1e-300.
+        rng = np.random.default_rng(12)
+        tiny = np.array([0.0, -0.0, 1e-300, -1e-300])
+        steps = 12
+        for k in range(2, 13):
+            for width in range(2, 10):
+                # Every width-1 column is used twice; the wide rows overlap.
+                cols = [[t] for t in range(steps)] * 2 + [
+                    list(range(steps, steps + width)),
+                    list(range(steps + width - 1, steps + 2 * width - 1)),
+                ]
+                values = [rng.choice([1.0, 0.5, 0.3, 1e-5], size=1) for _ in range(2 * steps)]
+                values += [rng.dirichlet(np.ones(width)) for _ in range(2)]
+                batch = batch_of([smnn.SparseXi(indices=c, values=v) for c, v in zip(cols, values)])
+                m = steps + 2 * width - 1
+                rows = _level_rows(batch, np.zeros(len(cols), dtype=np.int64), k, m)
+                assert len(rows.groups) == 1 and not rows.fixed
+                at, fidx, vals, _ = rows.groups[0]
+                assert sorted(at.tolist()) == list(range(len(cols)))
+                weights = rng.standard_normal((k, m)) * rng.choice([1e-3, 1.0, 1e3])
+                weights = np.where(rng.random((k, m)) < 0.4, rng.choice(tiny, size=(k, m)), weights)
+                flat = _slotted(weights, k)
+                stacked = np.matmul(vals[:, None, :], flat[fidx])[:, 0]
+                packed = _pack(batch, k, m)
+                for t, i in enumerate(at.tolist()):
+                    f, v, _ = packed[i]
+                    assert stacked[t].tobytes() == v.dot(flat[f]).tobytes()
+
+    def test_clusters_width_three_rows_keep_their_group(self):
+        # Padding a width-3 row to 4 can move the stacked matmul's bits, so
+        # only the width-1 rows join the width-4 group, on the zero slots.
+        make, _ = LEVEL_CASES["clusters-3d"]
+        space, cached, _, encoding = make()
+        k, m = encoding.k, space.support.size
+        rows = _level_rows(cached.batch, np.asarray(cached.y), k, m)
+        widths = np.diff(cached.batch.indptr)
+        assert set(widths[rows.shared].tolist()) == {1, 3, 4}
+        three, four = rows.groups
+        assert three[0].tolist() == np.flatnonzero(rows.shared & (widths == 3)).tolist()
+        assert three[2].shape[1] == 3 and four[2].shape[1] == 4
+        one = rows.shared & (widths == 1)
+        assert sorted(four[0].tolist()) == np.flatnonzero(one | rows.shared & (widths == 4)).tolist()
+        padded = widths[four[0]] == 1
+        assert padded.sum() == one.sum() > 0
+        assert (four[1][padded, 1:] == k * m + np.arange(k)).all()
+        assert four[2][padded, 1:].tobytes() == bytes(8 * 3 * padded.sum())
+        assert (four[1][padded, 0] == cached.batch.indices[cached.batch.indptr[four[0][padded]], None]
+                + np.arange(k) * m).all()
+
+    def test_diverging_rate_keeps_the_zero_slots(self, monkeypatch):
+        # A rate that drives the weights to inf and NaN: the level path still
+        # gives the kernel's bytes, and the zero slots that padded rows read
+        # hold +0.0 after every batch, so no NaN leaks into another row.
+        inputs = _spiral_inputs(95)
+        k, m = inputs[3].k, inputs[0].support.size
+        rows = _level_rows(inputs[1].batch, np.asarray(inputs[1].y), k, m)
+        assert (rows.groups[-1][1] >= k * m).any()
+        slots, inf, nan = [], [], []
+
+        def spy(flat, *args):
+            _batch(flat, *args)
+            slots.append(flat[-k:].tobytes())
+            inf.append(np.isinf(flat[:-k]).any())
+            nan.append(np.isnan(flat[:-k]).any())
+
+        monkeypatch.setattr(training, "_batch", spy)
+        config = smnn.TrainConfig(learning_rate=1.7e308, epochs=3, seed=1)
+        # The overflow is the point of the run, so its warnings are off.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_kernel, h_kernel, _ = _run_epochs(_kernel_epoch, inputs, config)
+            assert not slots
+            w_level, h_level, batches = _run_epochs(_level_epoch, inputs, config)
+        assert len(slots) == batches and set(slots) == {bytes(8 * k)}
+        assert any(inf) and any(nan) and np.isnan(w_level).any()
+        assert w_level.tobytes() == w_kernel.tobytes()
+        assert np.array(h_level).tobytes() == np.array(h_kernel).tobytes()
+
+    def test_first_epoch_is_scanned_once(self, monkeypatch):
+        # The path rule's scan of the first epoch's order is the first level
+        # epoch's: one scan an epoch on the level path, one in all on the
+        # kernel path and where no row is shared.
+        calls = []
+
+        def spy(order, rows):
+            calls.append(order)
+            return _levels(order, rows)
+
+        monkeypatch.setattr(training, "_levels", spy)
+        for case, level_path, shared in (("iris-duplicate", True, True), ("iris-0.1", True, False),
+                                         ("clusters-3d", False, True), ("spiral-5", False, True)):
+            make, config = LEVEL_CASES[case]
+            del calls[:]
+            _, report = smnn.train_cached(*make(), config)
+            assert (report.n_batches < report.n_steps) == level_path
+            assert len(calls) == (config.epochs if level_path and shared else 1)
 
     def test_row_sum_and_exp_are_the_kernel_s(self):
         # np.sum along C-ordered rows adds left to right below 8 terms and
