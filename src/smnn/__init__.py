@@ -27,6 +27,7 @@ from .errors import (
     ModelFileError,
     NoContainingVirtualSimplex,
     NonFiniteQuery,
+    NonFiniteWeights,
     OutsideBall,
     ParseError,
     SingularSimplex,
@@ -85,6 +86,7 @@ __all__ = [
     "ModelFileError",
     "NoContainingVirtualSimplex",
     "NonFiniteQuery",
+    "NonFiniteWeights",
     "OutsideBall",
     "ParseError",
     "PointCloud",

@@ -75,6 +75,10 @@ class ModelFileError(SmnnError, ValueError):
     """A model document is malformed or inconsistent, so nothing was loaded."""
 
 
+class NonFiniteWeights(SmnnError, ValueError):
+    """Weights hold a NaN or infinite number, as a diverging learning rate leaves them."""
+
+
 class UnknownLabel(SmnnError, KeyError):
     """A class label that the model's label encoding does not hold."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import xi as _xi
-from .errors import UnknownLabel, indices, integer
+from .errors import NonFiniteWeights, UnknownLabel, indices, integer
 
 # Probabilities are floored at this value inside log-loss.
 LOSS_FLOOR = 1e-12
@@ -84,7 +84,7 @@ class SmnnModel:
         if m != self.space.support.size:
             raise ValueError("weight columns %d != support size %d" % (m, self.space.support.size))
         if not np.isfinite(self.weights).all():
-            raise ValueError("weights hold a non-finite number")
+            raise NonFiniteWeights("weights hold a non-finite number")
         self.support_labels = _support_labels(self.support_labels, k, m)
 
 

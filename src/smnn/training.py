@@ -20,15 +20,16 @@ import numpy as np
 from .embedding import embed_batch, embed_translated, fit_space, translate_queries
 from .errors import InvalidCount, indices, integer, positive
 from .geometry import as_cloud
-from .model import LabelEncoding, SmnnModel, cross_entropy, init_weights, softmax
+from .model import LabelEncoding, SmnnModel, _support_labels, cross_entropy, init_weights, softmax
 
 INIT_MODES = ("uniform01", "one_hot")
 
-# train_cached runs its epochs level by level when the first epoch's
-# schedule has at least this many steps per level on average, and one
-# kernel call per step otherwise.  See the README's "Training kernel"
-# for the sweep behind the crossover.
-BATCH_MIN_WIDTH = 16
+# train_cached runs its epochs level by level when the cache holds at
+# least this many rows per row on its busiest weight column, and one
+# kernel call per step otherwise.  A column's rows fall in distinct
+# levels, so that ratio bounds every epoch's mean level width.  See the
+# README's "Level schedule" for the sweep behind the cut.
+BATCH_MIN_WIDTH = 8
 
 
 @dataclass
@@ -53,11 +54,12 @@ class TrainConfig:
 class TrainReport:
     """Per-epoch running mean loss and accuracy, accumulated sample by
     sample as the weights move; wall time in seconds; the number of SGD
-    steps (epochs times rows) and of the batches they ran in: kernel
-    calls, or the fixed batches and per level one batch a shared width,
-    width 1 counting as the widest.  n_exterior counts the training rows
-    embedded through a virtual simplex; sphere_mass_mean and
-    sphere_mass_max are their mean and largest sphere weight, or 0."""
+    steps (epochs times rows) and of the batches they ran in: one kernel
+    call a step, or on the level path the fixed batches and per level one
+    batch a shared width, width 1 counting as the widest.  n_exterior
+    counts the training rows embedded through a virtual simplex;
+    sphere_mass_mean and sphere_mass_max are their mean and largest
+    sphere weight, or 0."""
 
     history: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -241,10 +243,10 @@ def _levels(order, rows):
     return order, np.array(levels, dtype=np.int64)
 
 
-def _kernel_epoch(flat, rows, order, eta, scan=None):
+def _kernel_epoch(flat, rows, order, eta):
     """One epoch as one kernel call per step.  `rows` is (packed rows, label
-    indices); `scan` is not read.  Returns the true-class probability of
-    each step in order, the number of hits and the number of kernel calls."""
+    indices).  Returns the true-class probability of each step in order,
+    the number of hits and the number of kernel calls."""
     packed, y = rows
     kept = []
     hits = 0
@@ -287,14 +289,14 @@ def _width_groups(batch, k, m):
         yield members, batch.indices[at][:, :, None] + np.arange(k) * m, batch.values[at]
 
 
-def _level_rows(batch, y, k, m):
-    """The _LevelRows of an EmbeddingBatch and its label indices y."""
+def _level_rows(batch, y, k, m, uses):
+    """The _LevelRows of an EmbeddingBatch, label indices y and rows per column (uses)."""
     ends = batch.indptr.tolist()
     cols = batch.indices.tolist()
     cols = [cols[a:b] for a, b in zip(ends, ends[1:])]
     # Per entry, whether its column has another entry; per row, any such.
     owner = np.repeat(np.arange(len(batch)), np.diff(batch.indptr))
-    reused = np.bincount(batch.indices, minlength=m)[batch.indices] > 1
+    reused = uses[batch.indices] > 1
     shared = np.bincount(owner, weights=reused, minlength=len(batch)) > 0
     hot = np.eye(k)[y]
     fixed, groups = [], []
@@ -330,9 +332,10 @@ def _batch(flat, probs, at, fidx, vals, hot, eta):
     flat[-hot.shape[1]:] = 0.0
 
 
-def _level_epoch(flat, rows, order, eta, scan=None):
+def _level_epoch(flat, rows, order, eta):
     """One epoch level by level, bit-identical to _kernel_epoch.  `flat` is
-    the flattened weights and k zero slots; `scan` is _levels(order, rows).
+    the flattened weights and k zero slots; the shared steps of the order
+    are scanned for their levels (_levels).
 
     The rows that share no column commute with every step, so they run as
     the fixed batches of _level_rows.  The shared steps of one level and
@@ -350,7 +353,7 @@ def _level_epoch(flat, rows, order, eta, scan=None):
     """
     batches = list(rows.fixed)
     if rows.groups:
-        shared, levels = scan or _levels(order, rows)
+        shared, levels = _levels(order, rows)
         key = levels * len(rows.groups) + rows.group[shared]
         steps = np.argsort(key, kind="stable")
         cuts = (np.flatnonzero(np.diff(key[steps])) + 1).tolist()
@@ -369,46 +372,39 @@ def _level_epoch(flat, rows, order, eta, scan=None):
 def train_cached(space, cached, support_labels, encoding, config):
     """SGD over precomputed embeddings; lets callers sweep hyperparameters.
 
-    The first epoch's order decides how every epoch runs: level by level
-    when it averages at least BATCH_MIN_WIDTH steps per level, else one
-    kernel call per step.  Both give the same bits.  A cache with no rows
-    raises InvalidCount.
+    The cache picks how every epoch runs, whatever the seed: level by level
+    when its rows number BATCH_MIN_WIDTH or more times those on its busiest
+    weight column, else one kernel call per step; both give the same bits.
+    An empty cache raises InvalidCount, and a diverging rate NonFiniteWeights.
     """
     if not len(cached):
         raise InvalidCount("cannot train on an embedding cache with no rows")
     k = encoding.k
     m = space.support.size
     y = indices(cached.y, "label index", stop=k)
+    support_labels = _support_labels(support_labels, k, m)
     rng = np.random.default_rng(config.seed)
-    weights = init_weights(config.init_mode, rng, k, m, support_labels)
-    model = SmnnModel(space, encoding, weights, support_labels)
-
     # The k zero slots past the weights are read by padded level rows.
-    flat = np.concatenate((weights.reshape(-1), np.zeros(k)))
+    flat = np.append(init_weights(config.init_mode, rng, k, m, support_labels), np.zeros(k))
     n_rows = len(cached)
     eta = float(config.learning_rate)
 
-    def draw():
-        return rng.permutation(n_rows) if config.shuffle else np.arange(n_rows)
-
-    order = draw()
-    epoch, rows = _level_epoch, _level_rows(cached.batch, y, k, m)
-    scan = _levels(order, rows)
-    if n_rows < BATCH_MIN_WIDTH * scan[1].max(initial=1):
+    uses = np.bincount(cached.batch.indices, minlength=m)
+    if n_rows < BATCH_MIN_WIDTH * uses.max():
         epoch, rows = _kernel_epoch, (_pack(cached.batch, k, m), y.tolist())
+    else:
+        epoch, rows = _level_epoch, _level_rows(cached.batch, y, k, m, uses)
 
     history = []
     n_batches = 0
     started = time.perf_counter()
-    for done in range(config.epochs):
-        if done:
-            order, scan = draw(), None
-        kept, hits, batches = epoch(flat, rows, order, eta, scan)
+    for _ in range(config.epochs):
+        order = rng.permutation(n_rows) if config.shuffle else np.arange(n_rows)
+        kept, hits, batches = epoch(flat, rows, order, eta)
         n_batches += batches
-        total = _sum_in_order(cross_entropy(kept))
-        history.append((total / n_rows, hits / n_rows))
+        history.append((_sum_in_order(cross_entropy(kept)) / n_rows, hits / n_rows))
     wall_time = time.perf_counter() - started
-    model.weights[...] = flat[:-k].reshape(k, m)
+    model = SmnnModel(space, encoding, flat[:-k].reshape(k, m), support_labels)
     mass = cached.batch.sphere_mass[cached.batch.facet[:, 0] >= 0]
     return model, TrainReport(
         history,

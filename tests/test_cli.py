@@ -416,6 +416,23 @@ class TestErrorPaths:
         assert stdout == ""
         assert not model.exists()
 
+    def test_diverging_learning_rate(self, tmp_path, capsys):
+        # A finite rate so large that the weights overflow to NaN: the fit
+        # raises NonFiniteWeights, and no model file is written.
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
+             "--out", str(data), "--train-fraction", "1")
+        model = tmp_path / "m.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, stdout, stderr = _run(
+                capsys, "train", "--data", str(data), "--epsilon", "0.3", "--epochs", "3",
+                "--lr", "1.7e308", "--out", str(model),
+            )
+        assert code == 2
+        assert "NonFiniteWeights" in stderr and "non-finite" in stderr
+        assert stdout == ""
+        assert not model.exists()
+
     def test_bad_point_text(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",

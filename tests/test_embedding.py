@@ -493,6 +493,35 @@ class TestExteriorRoute:
         assert smnn.xi_batch(square_space, np.zeros((0, 2))) == []
 
 
+class TestExitTermsFallback:
+    """Where the rounding bound of _exit_bar fails (eps t > 1/4), exit_terms
+    falls back to (1, 0, 0, 0): a bar of 0, under which every visible facet
+    is solved."""
+
+    def test_huge_margin_keeps_every_visible_facet(self):
+        # A radius of about 1e11 on the Iris full support makes eps t about
+        # 1.3; the bar's other test still holds, and nothing warns.
+        data = smnn.load_iris()
+        pts = data.points.points
+        support = np.sort(np.unique(pts, axis=0, return_index=True)[1])
+        space = smnn.fit_space(pts, support, radius_margin=1e11)
+        assert space.exit_terms == (1.0, 0.0, 0.0, 0.0)
+        rays = _hull_rays(space)
+        cells, _ = smnn.geometry.locate_batch(space.tri, rays)
+        xs = rays[np.array(cells) < 0][::5]
+        assert len(xs) > 900
+        found = TestExteriorRoute.assert_matches_reference(space, xs)
+        assert 0 < found.sum() < len(xs)
+        raw = xs[found] + space.centroid
+        batch = smnn.xi_batch(space, raw)
+        for x, got in zip(raw, batch):
+            ref = reference_xi_outside(space, x - space.centroid)
+            coef = clamp_coords(ref[0])
+            keep = coef[1:] > 0.0
+            want = embedding.SparseXi(ref[1][keep], coef[1:][keep], float(coef[0]), tuple(ref[1].tolist()))
+            assert same_bits(smnn.xi(space, x), want) and same_bits(got, want)
+
+
 class TestNormScreen:
     """Rows beyond tri.reach go to the exterior route without a call of
     locate_batch: no cell accepts them."""

@@ -1,5 +1,8 @@
 """Closed-form gradient, SGD updates, the training loop and evaluation."""
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -349,6 +352,16 @@ def _exterior_rows(cached):
     return sum(x.facet_used is not None for x in cached.xis)
 
 
+def _rows_per_busiest_column(inputs):
+    space, cached = inputs[:2]
+    return len(cached) / np.bincount(cached.batch.indices, minlength=space.support.size).max()
+
+
+def _rows(batch, y, k, m):
+    """The _LevelRows of a batch, with the column counts train_cached hands in."""
+    return _level_rows(batch, np.asarray(y), k, m, np.bincount(batch.indices, minlength=m))
+
+
 class TestKernelExactness:
     """train_cached, sgd_step and gradient give the bytes of the NumPy step
     (numpy_step in conftest) on every kind of row and class count."""
@@ -356,41 +369,44 @@ class TestKernelExactness:
     @staticmethod
     def assert_matches_numpy_step(inputs, config):
         """Returns whether train_cached ran the level schedule, after
-        checking that it did exactly when the first epoch's order averages
-        BATCH_MIN_WIDTH or more steps per level."""
+        checking that it did exactly when the cache holds BATCH_MIN_WIDTH
+        or more rows per row on its busiest column."""
         model, report = smnn.train_cached(*inputs, config)
         weights, history = numpy_train(*inputs, config)
         assert model.weights.tobytes() == weights.tobytes()
         assert report.history == history
-
-        space, cached, support_labels, encoding = inputs
-        rng = np.random.default_rng(config.seed)
-        smnn.init_weights(config.init_mode, rng, encoding.k, space.support.size, support_labels)
-        order = rng.permutation(len(cached)) if config.shuffle else np.arange(len(cached))
-        rows = _level_rows(cached.batch, np.asarray(cached.y), encoding.k, space.support.size)
-        levels = _levels(order, rows)[1]
-        level_path = len(cached) >= BATCH_MIN_WIDTH * max(levels, default=1)
+        level_path = _rows_per_busiest_column(inputs) >= training.BATCH_MIN_WIDTH
         assert (report.n_batches < report.n_steps) == level_path
         return level_path
 
+    def assert_both_paths_match(self, inputs, config, monkeypatch):
+        """Returns the path train_cached picks, after checking it and the
+        other path, forced through BATCH_MIN_WIDTH, against the NumPy step."""
+        level_path = self.assert_matches_numpy_step(inputs, config)
+        with monkeypatch.context() as forced:
+            forced.setattr(training, "BATCH_MIN_WIDTH", len(inputs[1]) + 1 if level_path else 1)
+            assert self.assert_matches_numpy_step(inputs, config) != level_path
+        return level_path
+
     @pytest.mark.parametrize("size", [5, 95])
-    def test_spiral(self, size):
+    def test_spiral(self, monkeypatch, size):
         inputs = _spiral_inputs(size)
         assert _exterior_rows(inputs[1]) > 0
         for rate in (0.1, 0.5):
             config = smnn.TrainConfig(learning_rate=rate, epochs=15, seed=1)
-            # About 1.3 and 8 steps per level: one kernel call per step.
-            assert not self.assert_matches_numpy_step(inputs, config)
+            # About 1.9 and 10 rows per row on the busiest column: the
+            # kernel, then level by level.
+            assert self.assert_both_paths_match(inputs, config, monkeypatch) == (size == 95)
 
     def test_one_hot_without_shuffle(self):
         config = smnn.TrainConfig(epochs=20, seed=2, init_mode="one_hot", shuffle=False)
         self.assert_matches_numpy_step(_spiral_inputs(9), config)
 
-    def test_clusters_3d(self):
+    def test_clusters_3d(self, monkeypatch):
         data = smnn.gen_clusters(800, n_features=3, class_sep=1.5, seed=0)
         pts = data.points.points
         inputs = _training_inputs(pts, data.labels, _sized_support(pts, 120))
-        self.assert_matches_numpy_step(inputs, smnn.TrainConfig(epochs=3, seed=0))
+        self.assert_both_paths_match(inputs, smnn.TrainConfig(epochs=3, seed=0), monkeypatch)
 
     def test_iris_full_support(self):
         # Every row is a support vertex: one touched column, three classes.
@@ -404,14 +420,15 @@ class TestKernelExactness:
             config = smnn.TrainConfig(learning_rate=rate, epochs=10, seed=3)
             assert self.assert_matches_numpy_step(inputs, config)
 
-    def test_ten_classes(self):
-        # NumPy sums 8 or more exponentials in pairwise blocks.
+    def test_ten_classes(self, monkeypatch):
+        # NumPy sums 8 or more exponentials in pairwise blocks; both paths
+        # run, so the kernel's np.sum branch is covered.
         rng = np.random.default_rng(5)
         pts = random_cloud(rng, 240, 2)
         labels = [str(v) for v in rng.integers(0, 10, size=240)]
         inputs = _training_inputs(pts, labels, _sized_support(pts, 60))
         assert inputs[3].k == 10
-        self.assert_matches_numpy_step(inputs, smnn.TrainConfig(epochs=5, seed=4))
+        self.assert_both_paths_match(inputs, smnn.TrainConfig(epochs=5, seed=4), monkeypatch)
 
     def test_random_blocks(self):
         rng = np.random.default_rng(6)
@@ -490,7 +507,7 @@ def _run_epochs(epoch, inputs, config):
     rng = np.random.default_rng(config.seed)
     flat = _slotted(smnn.init_weights(config.init_mode, rng, k, m, support_labels), k)
     if epoch is _level_epoch:
-        rows = _level_rows(cached.batch, y, k, m)
+        rows = _rows(cached.batch, y, k, m)
     else:
         rows = (_pack(cached.batch, k, m), y.tolist())
     history, n_batches = [], 0
@@ -540,7 +557,7 @@ LEVEL_CASES = _level_cases()
 
 class TestLevelSchedule:
     """The level schedule gives the bytes of one kernel call per step, and
-    train_cached picks it by the measured level width alone."""
+    train_cached picks it by the cache's rows per busiest column alone."""
 
     @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
     def test_paths_bit_identical(self, case):
@@ -559,7 +576,7 @@ class TestLevelSchedule:
         # One group per shared width, but the shared rows of width 1 ride
         # in the widest group when there is a wider one.
         space, cached, _, encoding = inputs
-        rows = _level_rows(cached.batch, np.asarray(cached.y), encoding.k, space.support.size)
+        rows = _rows(cached.batch, cached.y, encoding.k, space.support.size)
         widths = set(np.diff(cached.batch.indptr)[rows.shared].tolist())
         assert [g[2].shape[1] for g in rows.groups] == sorted(widths - {1} or widths)
 
@@ -612,7 +629,7 @@ class TestLevelSchedule:
             space, cached, support_labels, encoding = make()
             k, m = encoding.k, space.support.size
             cols = [set(np.asarray(x.indices).tolist()) for x in cached.xis]
-            rows = _level_rows(cached.batch, np.asarray(cached.y), k, m)
+            rows = _rows(cached.batch, cached.y, k, m)
             flat = _slotted(smnn.init_weights("uniform01", rng, k, m, support_labels), k)
             for _ in range(3):
                 order = rng.permutation(len(cols))
@@ -654,7 +671,7 @@ class TestLevelSchedule:
         for keep_duplicate, expected in ((False, []), (True, ["levels", "argsort"] * 2)):
             space, cached, support_labels, encoding = _iris_inputs(keep_duplicate)
             k, m = encoding.k, space.support.size
-            rows = _level_rows(cached.batch, np.asarray(cached.y), k, m)
+            rows = _rows(cached.batch, cached.y, k, m)
             assert len(rows.fixed) == 1 and len(rows.groups) == int(keep_duplicate)
             flat = _slotted(smnn.init_weights("uniform01", 0, k, m, support_labels), k)
             del calls[:]
@@ -685,7 +702,7 @@ class TestLevelSchedule:
                 facet=np.full((n_rows, 1), -1),
             )
             y = rng.integers(0, k, size=n_rows)
-            rows = _level_rows(batch, y, k, m)
+            rows = _rows(batch, y, k, m)
             lists = [c.tolist() for c in cols]
             others = [set().union(*(lists[:i] + lists[i + 1:])) for i in range(n_rows)]
             assert rows.shared.tolist() == [bool(others[i] & set(c)) for i, c in enumerate(lists)]
@@ -743,7 +760,7 @@ class TestLevelSchedule:
                 values += [rng.dirichlet(np.ones(width)) for _ in range(2)]
                 batch = batch_of([smnn.SparseXi(indices=c, values=v) for c, v in zip(cols, values)])
                 m = steps + 2 * width - 1
-                rows = _level_rows(batch, np.zeros(len(cols), dtype=np.int64), k, m)
+                rows = _rows(batch, np.zeros(len(cols), dtype=np.int64), k, m)
                 assert len(rows.groups) == 1 and not rows.fixed
                 at, fidx, vals, _ = rows.groups[0]
                 assert sorted(at.tolist()) == list(range(len(cols)))
@@ -762,7 +779,7 @@ class TestLevelSchedule:
         make, _ = LEVEL_CASES["clusters-3d"]
         space, cached, _, encoding = make()
         k, m = encoding.k, space.support.size
-        rows = _level_rows(cached.batch, np.asarray(cached.y), k, m)
+        rows = _rows(cached.batch, cached.y, k, m)
         widths = np.diff(cached.batch.indptr)
         assert set(widths[rows.shared].tolist()) == {1, 3, 4}
         three, four = rows.groups
@@ -783,7 +800,7 @@ class TestLevelSchedule:
         # hold +0.0 after every batch, so no NaN leaks into another row.
         inputs = _spiral_inputs(95)
         k, m = inputs[3].k, inputs[0].support.size
-        rows = _level_rows(inputs[1].batch, np.asarray(inputs[1].y), k, m)
+        rows = _rows(inputs[1].batch, inputs[1].y, k, m)
         assert (rows.groups[-1][1] >= k * m).any()
         slots, inf, nan = [], [], []
 
@@ -805,24 +822,31 @@ class TestLevelSchedule:
         assert w_level.tobytes() == w_kernel.tobytes()
         assert np.array(h_level).tobytes() == np.array(h_kernel).tobytes()
 
-    def test_first_epoch_is_scanned_once(self, monkeypatch):
-        # The path rule's scan of the first epoch's order is the first level
-        # epoch's: one scan an epoch on the level path, one in all on the
-        # kernel path and where no row is shared.
+    def test_only_level_epochs_scan(self, monkeypatch):
+        # The cache picks the path before any epoch.  The kernel path builds
+        # no level record and scans no order; the level path builds its
+        # record once and each epoch scans its own order, once, or never
+        # where no row is shared.
         calls = []
 
-        def spy(order, rows):
-            calls.append(order)
-            return _levels(order, rows)
+        def count(name, real):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return spy
 
-        monkeypatch.setattr(training, "_levels", spy)
+        monkeypatch.setattr(training, "_levels", count("levels", _levels))
+        monkeypatch.setattr(training, "_level_rows", count("rows", _level_rows))
         for case, level_path, shared in (("iris-duplicate", True, True), ("iris-0.1", True, False),
-                                         ("clusters-3d", False, True), ("spiral-5", False, True)):
+                                         ("clusters-3d", True, True), ("spiral-95", True, True),
+                                         ("spiral-5", False, True), ("empty-rows", False, True)):
             make, config = LEVEL_CASES[case]
+            inputs = make()
             del calls[:]
-            _, report = smnn.train_cached(*make(), config)
+            _, report = smnn.train_cached(*inputs, config)
             assert (report.n_batches < report.n_steps) == level_path
-            assert len(calls) == (config.epochs if level_path and shared else 1)
+            scans = config.epochs if level_path and shared else 0
+            assert calls == ["rows"] * level_path + ["levels"] * scans
 
     def test_row_sum_and_exp_are_the_kernel_s(self):
         # np.sum along C-ordered rows adds left to right below 8 terms and
@@ -844,6 +868,79 @@ class TestLevelSchedule:
                 else:
                     expected = float(np.sum(row))
                 assert total == expected
+
+
+# The benchmark's fits: the seed-0 split and support of each workload.
+BENCHMARK_SUPPORTS = {
+    "bench-spiral-5": (lambda: smnn.gen_spiral(400, seed=0), 5),
+    "bench-spiral-9": (lambda: smnn.gen_spiral(400, seed=0), 9),
+    "bench-spiral-95": (lambda: smnn.gen_spiral(400, seed=0), 95),
+    "bench-clusters-1000": (lambda: smnn.gen_clusters(4000, n_features=3, class_sep=1.5, seed=0), 1000),
+    "bench-iris-full": (smnn.load_iris, None),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_inputs(name):
+    make, size = BENCHMARK_SUPPORTS[name]
+    train = smnn.split(make(), 0.75, seed=0)[0]
+    pts = train.points.points
+    return _training_inputs(pts, train.labels, _sized_support(pts, size or len(np.unique(pts, axis=0))))
+
+
+class TestPathChoice:
+    """train_cached picks its path from the cache alone, not the order."""
+
+    @staticmethod
+    def level_path(inputs, config):
+        _, report = smnn.train_cached(*inputs, replace(config, epochs=1))
+        return report.n_batches < report.n_steps
+
+    def test_benchmark_supports(self):
+        # The spiral supports 5 and 9 keep the kernel; spiral 95 (10.0 rows
+        # per row on its busiest column), the 1,000-point clusters support
+        # and the Iris full support run level by level.
+        for name, level_path in (("bench-spiral-5", False), ("bench-spiral-9", False),
+                                 ("bench-spiral-95", True), ("bench-clusters-1000", True),
+                                 ("bench-iris-full", True)):
+            inputs = _benchmark_inputs(name)
+            assert (_rows_per_busiest_column(inputs) >= BATCH_MIN_WIDTH) == level_path
+            assert self.level_path(inputs, smnn.TrainConfig()) == level_path
+
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES) + sorted(BENCHMARK_SUPPORTS))
+    def test_same_path_at_every_seed_and_without_shuffle(self, case):
+        if case in LEVEL_CASES:
+            make, config = LEVEL_CASES[case]
+            inputs = make()
+        else:
+            inputs, config = _benchmark_inputs(case), smnn.TrainConfig()
+        paths = [self.level_path(inputs, replace(config, seed=seed)) for seed in range(5)]
+        paths.append(self.level_path(inputs, replace(config, shuffle=False)))
+        assert paths == [_rows_per_busiest_column(inputs) >= BATCH_MIN_WIDTH] * 6
+
+
+class TestDivergedFit:
+    """A rate that drives the weights to NaN raises NonFiniteWeights, a
+    ValueError, on either path, and builds no model."""
+
+    CONFIG = smnn.TrainConfig(learning_rate=1.7e308, epochs=3, seed=1)
+
+    @pytest.mark.parametrize("min_width", [1, 10**6])
+    def test_train_cached(self, monkeypatch, min_width):
+        monkeypatch.setattr(training, "BATCH_MIN_WIDTH", min_width)
+        inputs = _spiral_inputs(95)
+        # The overflow is the point of the run, so its warnings are off.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(smnn.NonFiniteWeights, match="non-finite"):
+                smnn.train_cached(*inputs, self.CONFIG)
+        assert issubclass(smnn.NonFiniteWeights, (ValueError, smnn.SmnnError))
+
+    def test_train(self):
+        train, _ = smnn.split(smnn.gen_spiral(400, seed=0), 0.75, seed=0)
+        pts = train.points.points
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(smnn.NonFiniteWeights):
+                smnn.train(pts, train.labels, _sized_support(pts, 95), self.CONFIG)
 
 
 class TestSumInOrder:
@@ -873,8 +970,8 @@ class TestLabelRange:
 
 
 class TestSupportLabels:
-    """train_cached passes support labels to SmnnModel, which checks them
-    before any step, in both init modes."""
+    """train_cached checks support labels with SmnnModel's rule before any
+    step, in both init modes."""
 
     @pytest.mark.parametrize("init_mode", INIT_MODES)
     @pytest.mark.parametrize("labels, match", [
@@ -883,7 +980,12 @@ class TestSupportLabels:
         ([0, 1, 2, 0], "out of range"),
         ([-1, 0, 1, 1], "out of range"),
     ])
-    def test_rejected(self, square_space, init_mode, labels, match):
+    def test_rejected(self, monkeypatch, square_space, init_mode, labels, match):
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran before the support labels were checked")
+
+        monkeypatch.setattr(training, "_kernel_epoch", no_epoch)
+        monkeypatch.setattr(training, "_level_epoch", no_epoch)
         encoding = smnn.LabelEncoding.from_labels(SQUARE_LABELS)
         cached = precompute_embeddings(square_space, SQUARE_POINTS, [0, 0, 1, 1])
         config = smnn.TrainConfig(epochs=2, init_mode=init_mode)
