@@ -113,7 +113,7 @@ def _cmd_gen(args):
             flip_fraction=args.flip_fraction,
             seed=args.seed,
         )
-    if args.train_fraction >= 1.0:
+    if args.train_fraction == 1.0:
         datagen.save_csv(data, args.out)
         print(json.dumps({"written": args.out, "rows": data.size}))
         return 0
@@ -177,8 +177,7 @@ def _cmd_train(args):
 
     sampler_record = None
     if args.support is not None:
-        with open(args.support) as fh:
-            support = json.load(fh)
+        support = persist.read_json(args.support, ParseError)
         what = "support file %s" % args.support
         if not isinstance(support, list) or indices(support, what, error=ParseError).ndim != 1:
             raise ParseError("%s must be a JSON array of integers" % what)

@@ -138,7 +138,7 @@ def save_csv(dataset, path):
     Floats use repr, which round-trips doubles exactly.
     """
     n = dataset.dim
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["f%d" % (i + 1) for i in range(n)] + ["label"])
         for row, label in zip(dataset.points.points, dataset.labels):
@@ -149,10 +149,14 @@ def load_csv(path):
     """Read a dataset written by save_csv.
 
     ParseError carries 1-based row and column numbers counted from the
-    top of the file, header included.
+    top of the file, header included; a file that is not UTF-8 CSV text
+    raises it without them.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError("%s is not UTF-8 CSV text: %s" % (path, exc)) from None
     if not rows:
         raise ParseError("empty dataset file %s" % path, row=1, column=1)
     header = rows[0]

@@ -79,9 +79,15 @@ class EmbeddingSpace:
     tri: object
 
     @cached_property
+    def polar(self):
+        """(F,) 1/(-c) for the facet offsets c of the polar rows of _exit_bar, NaN elsewhere."""
+        c = self.tri.offsets
+        return np.divide(-1.0, c, out=np.full(c.shape, np.nan), where=c < min(c.min(), 0.0) / 1024)
+
+    @cached_property
     def exit_terms(self):
         """The constants (room, most, base, spread) of _exit_bar."""
-        n, radius, inv_k0 = self.dim, self.radius, float(np.fmax.reduce(self.tri.polar))
+        n, radius, inv_k0 = self.dim, self.radius, float(np.fmax.reduce(self.polar))
         t, eps = (n + 1) * max(radius, 1.0), 12 * (n + 1) ** 3 * 2.0**n * _U + (n + 5) * _U
         room, unit = 1 + 8 * (n + 4) * _U, _U * radius * inv_k0
         e, test = 2 * (n + 4) * unit, (6 * n + 16) * unit
@@ -181,7 +187,7 @@ def project_to_sphere(space, x):
 def _exit_bar(space, norms, polar):
     """The bar of each row: a visible facet whose polar value lies below it
     can neither win nor tie under the coordinates np.linalg.solve computes
-    for its virtual simplex.  polar holds P = fl(fl(N.x) tri.polar) for
+    for its virtual simplex.  polar holds P = fl(fl(N.x) space.polar) for
     rows of norms norms, NaN (never below a bar) off the polar rows.
 
     For a row x, sigma = R/|x| and a facet plane (N_f, c_f), let a_f =
@@ -211,19 +217,21 @@ def _exit_bar(space, norms, polar):
     So m = min(min lam', 0) has 3nR m <= b_g (a_f + C1)/b_f - a_g + C1,
     which (*) with C2 = C1 + 3nR TAU makes less than -3nR TAU.
 
-    With k_f = -c_f >= k0 > 0 (1/k0 the largest entry of tri.polar) and
-    p_f = N_f.x/k_f, the ray through x meets the plane of f at x/p_f, so it
-    leaves the hull through the facet of largest p.  Then a_f = k_f (p_f -
-    1), b_f = k_f (sigma p_f - 1) and a_g b_f - b_g a_f = k_g k_f (sigma -
-    1)(p_g - p_f); as b_f k_g <= b_g k_f for p_f <= p_g, (*) holds when
-    sigma > 1 and p_g - p_f > (sigma p_g - 1)(C1 + C2)/(k0 (sigma - 1)).
-    Take g of largest P.  N_f.x is computed within e_d = 2nu|x|, and P_f
-    within e_p = 2(n+4)u|x|/k0 <= e = 2(n+4)uR/k0 of p_f; a computed
-    N_f.x + c_f > 0 gives p_f > 1 - e_d/k0.  So on a row with sigma > 1 +
-    (6n + 16)uR/k0 = 1 + sigma (e_d/k0 + 2e_p), every visible f has
-    b_f > 0, and if there is one, sigma p_g >= sigma (p_f - 2e_p) > 1,
-    hence b_g > 0, and P_g >= P_f > 1/2; then as sigma p_g - 1 <= sigma
-    P_g (1 + 2e), f is ruled out when P_f < P_g (1 - q),
+    The polar rows are the facets with c_f < min(min c, 0)/1024, so that
+    no plane near the origin loosens every bar.  With k_f = -c_f >= k0 > 0
+    on them (1/k0 the largest entry of space.polar) and p_f = N_f.x/k_f,
+    the ray through x meets the plane of f at x/p_f, so it leaves the hull
+    through the facet of largest p.  Then a_f = k_f (p_f - 1), b_f = k_f
+    (sigma p_f - 1), a_g b_f - b_g a_f = k_g k_f (sigma - 1)(p_g - p_f);
+    as b_f k_g <= b_g k_f for p_f <= p_g, (*) holds when sigma > 1 and
+    p_g - p_f > (sigma p_g - 1)(C1 + C2)/(k0 (sigma - 1)).  Take g of
+    largest P.  N_f.x is computed within e_d = 2nu|x|, and P_f within e_p
+    = 2(n+4)u|x|/k0 <= e = 2(n+4)uR/k0 of p_f; a computed N_f.x + c_f > 0
+    gives p_f > 1 - e_d/k0.  So on a row with sigma > 1 + (6n + 16)uR/k0
+    = 1 + sigma (e_d/k0 + 2e_p), every visible f has b_f > 0, and if there
+    is one, sigma p_g >= sigma (p_f - 2e_p) > 1, hence b_g > 0, and P_g >=
+    P_f > 1/2; then as sigma p_g - 1 <= sigma P_g (1 + 2e), f is ruled out
+    when P_f < P_g (1 - q),
         q = 4e + (1 + 2e)(C1 + C2) R / (k0 (R - |x|)).
     The bar is P_g (1 - q (1 + 1e-6)), from |x| (with 8(n+4)u of room)
     and 1/k0 as rounded.  It matters only while q < 1, when R - |x| >
@@ -244,28 +252,28 @@ def _virtual_simplices(space, xs):
     the mask of the rows that have one, raw coordinates on (w, facet
     vertices) and the facet's ids.  The candidates of a row are the visible
     facets, N.x + c > 0 rounding as tri.normals @ x does, that _exit_bar
-    does not rule out; w rounds as project_to_sphere.  All (row, candidate)
-    systems go to one stacked np.linalg.solve, which solves each as alone.
-    The most interior coordinates (largest minimum) win, ties going to the
-    lowest facet; a row whose best minimum is below -TAU has none, nor does
-    the centroid.  Memory is (rows, facets), then linear in the candidates.
+    does not rule out.  Their systems, w (rounded as project_to_sphere)
+    and the facet's points as columns over a row of ones, go to one stacked
+    np.linalg.solve, which solves each as alone.  The most interior
+    coordinates (largest minimum) win, ties going to the lowest facet; a
+    row whose best minimum is below -TAU has none, nor does the centroid.
+    Memory is (rows, facets), then linear in the candidates.
     """
     tri = space.tri
     rows, n = xs.shape
     norms = np.sqrt(_dots(xs, xs))
     dots = np.matmul(tri.normals, xs[:, :, None])[..., 0]
-    polar = dots * tri.polar
+    polar = dots * space.polar
     bar = _exit_bar(space, norms, polar)
     cand = (dots + tri.offsets > 0.0) & ~(polar < bar[:, None]) & (norms >= 1e-12)[:, None]
     r, f = np.nonzero(cand)
     if not r.size:
         return np.zeros(rows, dtype=bool), np.ones((rows, n + 1)), tri.facets[np.zeros(rows, dtype=np.intp)]
     xr = xs[r]
-    tmat = tri.blocks[f]
+    tmat = np.ones((r.size, n + 1, n + 1))
     tmat[:, :n, 0] = space.radius * xr / norms[r, None]
-    rhs = np.ones((r.size, n + 1, 1))
-    rhs[:, :n, 0] = xr
-    coords = np.linalg.solve(tmat, rhs)[..., 0]
+    tmat[:, :n, 1:] = np.transpose(tri.cloud.points[tri.facets[f]], (0, 2, 1))
+    coords = np.linalg.solve(tmat, np.append(xr, np.ones((r.size, 1)), axis=1)[:, :, None])[..., 0]
     low = coords.min(axis=1)
     # Each row's pairs, most interior first; the sort is stable, so ties
     # keep facet order, and a row's first pair, where its run of r starts
@@ -277,7 +285,7 @@ def _virtual_simplices(space, xs):
 
 def xi(space, x_raw):
     """Sparse embedding of one raw-coordinate query, bit for bit row 0 of
-    xi_batch; built directly, as a batch record costs one query 50-60 µs."""
+    xi_batch; built directly, as a batch record costs one query 31-35 µs."""
     x = np.asarray(x_raw, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatch(

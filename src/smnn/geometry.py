@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSupport, DimensionTooSmall, SingularSimplex, indices
+from .errors import DegenerateSupport, DimensionMismatch, DimensionTooSmall, SingularSimplex, indices
 
 # Tolerance for barycentric feasibility and clamping.
 TAU = 1e-9
@@ -258,10 +258,6 @@ class Triangulation:
     offsets   : (F,) hyperplane offsets of the facets.
     slack     : how far the planes miss a convex hull: the largest computed
                 N.v + c over cloud points v, and |N.u + c| at facet vertices.
-    blocks    : (F, n+1, n+1) facet vertices as columns 1..n over a row
-                of ones: the virtual simplex systems but their column 0.
-    polar     : (F,) 1/(-c), where c is at most a 1024th of the lowest
-                offset, NaN elsewhere: N.x/(-c) is x on the polar row.
     cond      : the worst condition number of a usable cell, or NaN.
     reach     : a norm no query that passes a cell's TAU test exceeds.
     index     : from INDEX_MIN_CELLS cells, the point locator: a CellIndex
@@ -277,8 +273,6 @@ class Triangulation:
     normals: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     slack: float = field(repr=False)
-    blocks: np.ndarray = field(repr=False)
-    polar: np.ndarray = field(repr=False)
     cond: float = field(repr=False)
     reach: float = field(repr=False)
     index: object = field(repr=False)
@@ -343,19 +337,19 @@ def _check_simplices(simplices, m, n):
     return simp
 
 
-def _padded_boxes(lo, hi, sv):
+def _padded_boxes(lo, hi, delta):
     """Bounding boxes of the cells, padded to hold every query that the
     TAU feasibility test of locate_batch can accept in the cell.
 
-    lo and hi are the (S, n) corners of the cells' vertex boxes, sv the
-    (S, n+1) singular values of the homogeneous vertex matrices T.  For a query x, h = (x, 1), let lam be
-    the exact coordinates T^-1 h and lam' = fl(X h) the ones the kernel
-    computes with the stored inverse X.  As h = T lam,
+    lo and hi are the (S, n) corners of the cells' vertex boxes and delta
+    their (S,) slack.  For a query x, h = (x, 1), let lam be the exact
+    coordinates T^-1 h in the homogeneous vertex matrix T and lam' =
+    fl(X h) the ones the kernel computes with the stored inverse X.  As h = T lam,
     lam' - lam = (X T - I) lam + r with |r| <= gamma_{n+1} |X| |T| |lam|,
     and an LU-based inverse has |X T - I| <= c_n u |X| |L| |U| (Higham,
     Accuracy and Stability of Numerical Algorithms, section 14.3).  So
     max|lam' - lam| <= eps L with L = max|lam| and
-    eps = 64 (n+1)^2 u kappa, kappa = sv[0] / sv[-1]; the factor 64
+    eps = 64 (n+1)^2 u kappa, kappa = cond_2(T); the factor 64
     covers c_n and the pivot growth with room to spare, and also the few
     ulps by which the pad below is rounded.
 
@@ -373,14 +367,14 @@ def _padded_boxes(lo, hi, sv):
     """
     n = lo.shape[1]
     with np.errstate(invalid="ignore"):
-        pad = (n * _coordinate_slack(sv))[:, None] * (hi - lo)
+        pad = (n * delta)[:, None] * (hi - lo)
     return np.nextafter(lo - pad, -np.inf), np.nextafter(hi + pad, np.inf)
 
 
 def _coordinate_slack(sv):
-    """delta of _padded_boxes for each cell: every exact coordinate of a
-    query that the TAU test accepts in the cell is at least -delta; inf
-    where n eps >= 1, NaN for flat cells."""
+    """delta of _padded_boxes for each cell, from the (S, n+1) singular values
+    sv of T: every exact coordinate of a query that the TAU test accepts in
+    the cell is at least -delta; inf where n eps >= 1, NaN for flat cells."""
     n = sv.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         eps = 64 * (n + 1) ** 2 * np.finfo(np.float64).eps * (sv[:, 0] / sv[:, -1])
@@ -388,21 +382,20 @@ def _coordinate_slack(sv):
         return TAU + eps * bound
 
 
-def _reach(points, sv):
+def _reach(points, delta):
     """A norm beyond which no query passes the TAU test of a cell, from the
-    singular values sv of the usable cells (flat ones accept nothing).  If
-    the test accepts x in s, its exact coordinates in s are at least
+    coordinate slack delta of the usable cells (flat ones accept nothing).
+    If the test accepts x in s, its exact coordinates in s are at least
     -delta_s (_coordinate_slack) and sum to 1, so their absolute values
     sum to at most 1 + 2n delta_s and |x| <= (1 + 2n delta) rho: rho the
     largest cloud norm, delta the largest slack, inf if any is.  One part
     in 1e12 more covers its rounding and that of a squared norm, (2n+10)u.
     """
-    delta = _coordinate_slack(sv).max(initial=0.0)
     rho = np.sqrt(_dots(points, points).max())
-    return float((1.0 + 1e-12) * (1.0 + 2 * points.shape[1] * delta) * rho)
+    return float((1.0 + 1e-12) * (1.0 + 2 * points.shape[1] * delta.max(initial=0.0)) * rho)
 
 
-def _cell_index(points, simp, sv, usable):
+def _cell_index(points, simp, delta, usable):
     """The CellIndex of the usable cells of a complex.
 
     The grid spans the support's bounding box.  A bucket gets a third of
@@ -420,7 +413,7 @@ def _cell_index(points, simp, sv, usable):
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     ids = np.flatnonzero(usable)
     side = (np.prod((hi - lo)[ids], axis=1).mean() / 3.0) ** (1.0 / n)
-    lo, hi = _padded_boxes(lo, hi, sv)
+    lo, hi = _padded_boxes(lo, hi, delta)
     origin = points.min(axis=0)
     span = points.max(axis=0) - origin
     while True:
@@ -453,7 +446,7 @@ def _cell_index(points, simp, sv, usable):
     return CellIndex(bounds, origin, scale, top, stride, start, cells)
 
 
-def _lift_screen(points, simp, sv, inverses, usable):
+def _lift_screen(points, simp, delta, inverses, usable):
     """The LiftScreen of a complex.
 
     Lift each support point v to q_v = fl(|v|^2) and give each usable cell
@@ -523,18 +516,17 @@ def _lift_screen(points, simp, sv, inverses, usable):
         own[b] = (np.abs(miss) + err)[rows, simp[b]].max(axis=1)
 
     above, depth = np.maximum(above, 0.0), np.maximum(depth, 0.0)
-    slack = _coordinate_slack(sv)
-    finite = usable & (slack < np.inf)
+    finite = usable & (delta < np.inf)
     typical = 0.0
     if finite.any():
         # The middle slack by sorting: np.median would import numpy.ma,
         # about 20 ms of a cold model load.
-        middle = np.sort(slack[finite])[np.count_nonzero(finite) // 2]
-        typical = slack[finite & (slack <= 8.0 * middle)].max()
+        middle = np.sort(delta[finite])[np.count_nonzero(finite) // 2]
+        typical = delta[finite & (delta <= 8.0 * middle)].max()
     room = 1.0 + 1e-6
     drop = room * (above * (1.0 + n * typical) + depth * n * typical)
-    beyond = (above[usable].max() + depth[usable].max()) * n * np.maximum(slack - typical, 0.0)
-    pad = room * (own * (1.0 + 2 * n * slack) + beyond)
+    beyond = (above[usable].max() + depth[usable].max()) * n * np.maximum(delta - typical, 0.0)
+    pad = room * (own * (1.0 + 2 * n * delta) + beyond)
     lo, hi = lift.copy(), lift.copy()
     lo[:, n] = np.nextafter(lift[:, n] - drop, -np.inf)
     hi[:, n] = np.nextafter(lift[:, n] + pad, np.inf)
@@ -608,30 +600,29 @@ def build_triangulation(cloud, simplices):
     tmat = np.empty((verts.shape[0], n + 1, n + 1))
     tmat[:, :n, :] = np.transpose(verts, (0, 2, 1))
     tmat[:, n, :] = 1.0
+    # The singular values give the usable cells, the worst condition and
+    # each cell's coordinate slack, which every locator bound reads.
     sv = np.linalg.svd(tmat, compute_uv=False)
     usable = sv[:, -1] * COND_LIMIT > sv[:, 0]
+    kappa = sv[usable, 0] / sv[usable, -1]
+    delta = _coordinate_slack(sv)
     inverses = np.full_like(tmat, np.nan)
     if usable.any():
         inverses[usable] = np.linalg.inv(tmat[usable])
 
-    blocks = np.ones((facets.shape[0], n + 1, n + 1))
-    blocks[:, :n, 1:] = np.transpose(corners, (0, 2, 1))
-    kappa = sv[usable, 0] / sv[usable, -1]
-    safe = offsets < min(offsets.min(), 0.0) / 1024
-    polar = np.divide(-1.0, offsets, out=np.full(offsets.shape, np.nan), where=safe)
     index = None
     if simp.shape[0] >= INDEX_MIN_CELLS and usable.any():
         if n < SCREEN_MIN_DIM:
-            index = _cell_index(points, simp, sv, usable)
+            index = _cell_index(points, simp, delta, usable)
         else:
-            index = _lift_screen(points, simp, sv, inverses, usable)
+            index = _lift_screen(points, simp, delta, inverses, usable)
 
-    for arr in (simp, inverses, facets, opposite, normals, offsets, blocks, polar):
+    for arr in (simp, inverses, facets, opposite, normals, offsets):
         arr.setflags(write=False)
     return Triangulation(
         cloud=cloud, simplices=simp, inverses=inverses, facets=facets, opposite=opposite,
-        normals=normals, offsets=offsets, slack=slack, blocks=blocks, polar=polar,
-        cond=float(kappa.max()) if kappa.size else np.nan, reach=_reach(points, sv[usable]), index=index,
+        normals=normals, offsets=offsets, slack=slack,
+        cond=float(kappa.max()) if kappa.size else np.nan, reach=_reach(points, delta[usable]), index=index,
     )
 
 
@@ -723,11 +714,13 @@ def locate_batch(tri, xs):
 
 def locate(tri, x):
     """The containing maximal simplex of x and its clamped, renormalized
-    barycentric coordinates, or None when x is outside the hull.
-
-    One row of locate_batch, which places a non-finite row in no cell.
-    """
-    (index,), coords = locate_batch(tri, np.asarray(x, dtype=np.float64)[None])
+    barycentric coordinates, or None when x lies in no cell (outside the
+    hull, or not finite: one row of locate_batch); a query of another
+    shape than (n,) raises DimensionMismatch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (tri.cloud.dim,):
+        raise DimensionMismatch("expected one point of dimension %d, got shape %s" % (tri.cloud.dim, x.shape))
+    (index,), coords = locate_batch(tri, x[None])
     if index < 0:
         return None
     return Simplex(tuple(tri.simplices[index].tolist())), clamp_coords(coords[0])

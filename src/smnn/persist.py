@@ -11,7 +11,8 @@ reloaded model reproduces forward outputs bit for bit.
 
 Schema version 2 is written.  Version 1 files, which also listed the
 boundary facets, load through the same code; their facets are ignored.
-A malformed or inconsistent document raises ModelFileError.
+A file that is not a JSON document, or a malformed or inconsistent
+document, raises ModelFileError.
 """
 
 import json
@@ -93,7 +94,7 @@ def model_from_dict(doc):
     """
     if not isinstance(doc, dict):
         raise ModelFileError("a model document must be a JSON object")
-    version = doc.get("schema_version")
+    version = integer(doc.get("schema_version"), "schema_version", error=ModelFileError)
     if version not in READABLE_VERSIONS:
         raise ModelFileError(
             "unsupported model schema version %r, expected one of %r"
@@ -140,7 +141,16 @@ def model_from_dict(doc):
     return model, provenance
 
 
+def read_json(path, error):
+    """The JSON document in the file at path; error (a ParseError or
+    ModelFileError class) when its bytes do not decode as one, nested too
+    deeply for the parser included."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error("%s is not a JSON document: %s" % (path, exc)) from None
+
+
 def load_model(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, ModelFileError))

@@ -375,6 +375,8 @@ def train_cached(space, cached, support_labels, encoding, config):
     The cache picks how every epoch runs, whatever the seed: level by level
     when its rows number BATCH_MIN_WIDTH or more times those on its busiest
     weight column, else one kernel call per step; both give the same bits.
+    Without shuffling every epoch takes one order, so the levels of that
+    order, which the busiest column's rows bound from below, replace them.
     An empty cache raises InvalidCount, and a diverging rate NonFiniteWeights.
     """
     if not len(cached):
@@ -390,10 +392,15 @@ def train_cached(space, cached, support_labels, encoding, config):
     eta = float(config.learning_rate)
 
     uses = np.bincount(cached.batch.indices, minlength=m)
-    if n_rows < BATCH_MIN_WIDTH * uses.max():
-        epoch, rows = _kernel_epoch, (_pack(cached.batch, k, m), y.tolist())
+    level = n_rows >= BATCH_MIN_WIDTH * uses.max()
+    if level:
+        rows = _level_rows(cached.batch, y, k, m, uses)
+        if not config.shuffle:
+            level = n_rows >= BATCH_MIN_WIDTH * _levels(np.arange(n_rows), rows)[1].max(initial=1)
+    if level:
+        epoch = _level_epoch
     else:
-        epoch, rows = _level_epoch, _level_rows(cached.batch, y, k, m, uses)
+        epoch, rows = _kernel_epoch, (_pack(cached.batch, k, m), y.tolist())
 
     history = []
     n_batches = 0

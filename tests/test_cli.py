@@ -10,6 +10,8 @@ import smnn
 from smnn.cli import main
 from smnn.embedding import embed_batch
 
+from conftest import UNDECODABLE
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -71,6 +73,18 @@ class TestGen:
             _run(capsys, "gen", "--kind", "moons", "--n", "10", "--out",
                  str(tmp_path / "x.csv"))
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("fraction", ["1.5", "inf", "0"])
+    def test_train_fraction_outside_zero_one_is_data_error(self, tmp_path, capsys, fraction):
+        # Only 1 disables the split; a value above it is refused as 0 is.
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = _run(
+            capsys, "gen", "--kind", "spiral", "--n", "40", "--out", str(out),
+            "--train-fraction", fraction,
+        )
+        assert code == 2 and stdout == ""
+        assert "train_fraction" in stderr
+        assert not out.exists()
 
     def test_invalid_count_is_data_error(self, tmp_path, capsys):
         code, _, stderr = _run(
@@ -399,6 +413,25 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "ParseError" in stderr and "integers" in stderr
+        assert not model.exists()
+
+    @pytest.mark.parametrize("content", sorted(UNDECODABLE))
+    def test_undecodable_files(self, tmp_path, capsys, content):
+        # A model file that is no JSON document raises ModelFileError, and
+        # a support or data file ParseError; each exits 2 with the name.
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
+             "--out", str(data), "--train-fraction", "1")
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(UNDECODABLE[content])
+        model = tmp_path / "m.json"
+        for argv, error in ((("predict", "--model", str(bad), "--point", "0.1,0.2"), "ModelFileError"),
+                            (("train", "--data", str(data), "--support", str(bad), "--out", str(model)),
+                             "ParseError"),
+                            (("train", "--data", str(bad), "--out", str(model)), "ParseError")):
+            code, stdout, stderr = _run(capsys, *argv)
+            assert code == 2 and stdout == ""
+            assert stderr.startswith(error + ": ")
         assert not model.exists()
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])

@@ -10,6 +10,7 @@ from smnn.geometry import (
     INDEX_MIN_CELLS,
     SCREEN_MIN_DIM,
     TAU,
+    _coordinate_slack,
     _lift_screen,
     build_triangulation,
     clamp_coords,
@@ -472,6 +473,11 @@ class TestLocate:
         assert simplex.vertex_ids == (0, 1, 2)
         assert coords[0] == 0.0
 
+    @pytest.mark.parametrize("shape", [(1,), (3,), (1, 2), (2, 2), ()])
+    def test_query_of_another_shape_raises_dimension_mismatch(self, shape):
+        with pytest.raises(smnn.DimensionMismatch, match="dimension 2"):
+            smnn.locate(square_tri(), np.full(shape, 0.5))
+
     def test_coords_clamped_and_normalized(self):
         rng = np.random.default_rng(7)
         pts = random_cloud(rng, 10, 2)
@@ -730,7 +736,7 @@ class TestLiftScreen:
         tmat = np.concatenate([np.transpose(pts[tri.simplices], (0, 2, 1)), np.ones((2, 1, 3))], axis=1)
         sv = np.linalg.svd(tmat, compute_uv=False)
         screened = dataclasses.replace(
-            tri, index=_lift_screen(pts, tri.simplices, sv, tri.inverses, np.ones(2, dtype=bool))
+            tri, index=_lift_screen(pts, tri.simplices, _coordinate_slack(sv), tri.inverses, np.ones(2, dtype=bool))
         )
         assert screened.locator == "lift"
         rng = np.random.default_rng(4)
@@ -763,7 +769,8 @@ class TestLiftScreen:
         sv = np.linalg.svd(tmat, compute_uv=False)
         sv[0] = [1e8, 1.0, 1.0]
         screened = dataclasses.replace(
-            tri, inverses=inverses, index=_lift_screen(pts, tri.simplices, sv, inverses, np.ones(3, dtype=bool))
+            tri, inverses=inverses,
+            index=_lift_screen(pts, tri.simplices, _coordinate_slack(sv), inverses, np.ones(3, dtype=bool)),
         )
         rng = np.random.default_rng(8)
         below = np.stack([rng.uniform(-0.5, 0.5, 300), -eta * rng.uniform(0.05, 1.0, 300)], axis=1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import smnn
 
-from conftest import SQUARE_LABELS, SQUARE_MARGIN, SQUARE_POINTS, random_cloud
+from conftest import SQUARE_LABELS, SQUARE_MARGIN, SQUARE_POINTS, UNDECODABLE, random_cloud
 
 
 def _train_square():
@@ -308,6 +308,18 @@ def _nodes(node, path=()):
 _FUZZ_NODES = list(_nodes(_FUZZ_DOC))
 _FUZZ_LEAVES = [path for path, leaf in _FUZZ_NODES if leaf]
 _DROP = object()
+
+
+@pytest.mark.parametrize("content", sorted(UNDECODABLE))
+def test_undecodable_file_raises_the_readers_error(tmp_path, content):
+    # A model file is read as JSON and a data file as UTF-8 CSV text; bytes
+    # that are neither raise each reader's typed error.
+    path = tmp_path / "file"
+    path.write_bytes(UNDECODABLE[content])
+    with pytest.raises(smnn.ModelFileError, match="not a JSON document"):
+        smnn.load_model(path)
+    with pytest.raises(smnn.ParseError):
+        smnn.load_csv(path)
 
 
 class TestLoaderFuzz:

@@ -269,6 +269,15 @@ ENTRY_POINTS = [
     ("model_from_dict support label 2",
      lambda c: smnn.model_from_dict(_doc(c, support_labels=[0, 2, 1, 1])), smnn.ModelFileError,
      "support label 2 out of range for k=2"),
+    ("model_from_dict schema_version=True",
+     lambda c: smnn.model_from_dict(_doc(c, schema_version=True)), smnn.ModelFileError,
+     "schema_version"),
+    ("model_from_dict schema_version=1.0",
+     lambda c: smnn.model_from_dict(_doc(c, schema_version=1.0)), smnn.ModelFileError,
+     "schema_version"),
+    ("model_from_dict schema_version=2.0",
+     lambda c: smnn.model_from_dict(_doc(c, schema_version=2.0)), smnn.ModelFileError,
+     "schema_version"),
     ("model_from_dict NaN weight",
      lambda c: smnn.model_from_dict(_doc(c, weights=[[math.nan] * 4] * 2)), smnn.ModelFileError,
      "non-finite"),

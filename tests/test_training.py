@@ -826,7 +826,9 @@ class TestLevelSchedule:
         # The cache picks the path before any epoch.  The kernel path builds
         # no level record and scans no order; the level path builds its
         # record once and each epoch scans its own order, once, or never
-        # where no row is shared.
+        # where no row is shared.  An unshuffled fit that the cache sends
+        # level by level scans its one order once more, first, to count its
+        # levels: spiral 95 then takes the kernel.
         calls = []
 
         def count(name, real):
@@ -837,16 +839,20 @@ class TestLevelSchedule:
 
         monkeypatch.setattr(training, "_levels", count("levels", _levels))
         monkeypatch.setattr(training, "_level_rows", count("rows", _level_rows))
-        for case, level_path, shared in (("iris-duplicate", True, True), ("iris-0.1", True, False),
-                                         ("clusters-3d", True, True), ("spiral-95", True, True),
-                                         ("spiral-5", False, True), ("empty-rows", False, True)):
+        for case, shuffle, level_path, shared, count in (
+            ("iris-duplicate", True, True, True, 0), ("iris-0.1", True, True, False, 0),
+            ("clusters-3d", True, True, True, 0), ("spiral-95", True, True, True, 0),
+            ("spiral-5", True, False, True, 0), ("empty-rows", True, False, True, 0),
+            ("clusters-3d", False, True, True, 1), ("spiral-95", False, False, True, 1),
+            ("spiral-5", False, False, True, 0),
+        ):
             make, config = LEVEL_CASES[case]
             inputs = make()
             del calls[:]
-            _, report = smnn.train_cached(*inputs, config)
+            _, report = smnn.train_cached(*inputs, replace(config, shuffle=shuffle))
             assert (report.n_batches < report.n_steps) == level_path
             scans = config.epochs if level_path and shared else 0
-            assert calls == ["rows"] * level_path + ["levels"] * scans
+            assert calls == ["rows"] * (level_path or count) + ["levels"] * (count + scans)
 
     def test_row_sum_and_exp_are_the_kernel_s(self):
         # np.sum along C-ordered rows adds left to right below 8 terms and
@@ -888,8 +894,18 @@ def _benchmark_inputs(name):
     return _training_inputs(pts, train.labels, _sized_support(pts, size or len(np.unique(pts, axis=0))))
 
 
+def _unshuffled_levels(inputs):
+    """The level count of the one order of an unshuffled fit, 1 when no
+    row shares a column, by the full scan."""
+    space, cached = inputs[:2]
+    b = cached.batch
+    cols = [b.indices[x:z].tolist() for x, z in zip(b.indptr[:-1], b.indptr[1:])]
+    return max(_full_scan(range(len(cached)), cols, space.support.size), default=1)
+
+
 class TestPathChoice:
-    """train_cached picks its path from the cache alone, not the order."""
+    """train_cached picks its path from the cache alone, whatever the seed,
+    and an unshuffled fit from the levels of its one order."""
 
     @staticmethod
     def level_path(inputs, config):
@@ -909,14 +925,34 @@ class TestPathChoice:
 
     @pytest.mark.parametrize("case", sorted(LEVEL_CASES) + sorted(BENCHMARK_SUPPORTS))
     def test_same_path_at_every_seed_and_without_shuffle(self, case):
+        # Shuffled, the busiest column picks the path at every seed.
+        # Unshuffled, the order's level count, which that column's row
+        # count bounds from below, replaces it.
         if case in LEVEL_CASES:
             make, config = LEVEL_CASES[case]
             inputs = make()
         else:
             inputs, config = _benchmark_inputs(case), smnn.TrainConfig()
-        paths = [self.level_path(inputs, replace(config, seed=seed)) for seed in range(5)]
-        paths.append(self.level_path(inputs, replace(config, shuffle=False)))
-        assert paths == [_rows_per_busiest_column(inputs) >= BATCH_MIN_WIDTH] * 6
+        shuffled = replace(config, shuffle=True)
+        paths = [self.level_path(inputs, replace(shuffled, seed=seed)) for seed in range(5)]
+        assert paths == [_rows_per_busiest_column(inputs) >= BATCH_MIN_WIDTH] * 5
+        levels = _unshuffled_levels(inputs)
+        assert len(inputs[1]) / levels <= _rows_per_busiest_column(inputs)
+        unshuffled = self.level_path(inputs, replace(config, shuffle=False))
+        assert unshuffled == (len(inputs[1]) >= BATCH_MIN_WIDTH * levels)
+
+    def test_unshuffled_benchmark_supports(self):
+        # Without shuffling, spiral support 95 (300 rows in 201 levels) runs
+        # on the kernel, where its narrow levels cost the level path 2-3x;
+        # the 1,000-point clusters support (3,000 rows in 82 levels) stays
+        # level by level.  Both keep the bits of the kernel.
+        for name, level_path in (("bench-spiral-95", False), ("bench-clusters-1000", True)):
+            inputs = _benchmark_inputs(name)
+            config = smnn.TrainConfig(epochs=2, shuffle=False)
+            assert self.level_path(inputs, config) == level_path
+            model, report = smnn.train_cached(*inputs, config)
+            weights, history, _ = _run_epochs(_kernel_epoch, inputs, config)
+            assert model.weights.tobytes() == weights.tobytes() and report.history == history
 
 
 class TestDivergedFit:
