@@ -269,11 +269,13 @@ def _virtual_simplices(space, xs):
     r, f = np.nonzero(cand)
     if not r.size:
         return np.zeros(rows, dtype=bool), np.ones((rows, n + 1)), tri.facets[np.zeros(rows, dtype=np.intp)]
+    # Each candidate's augmented system [T | (x, 1)] over a row of ones.
     xr = xs[r]
-    tmat = np.ones((r.size, n + 1, n + 1))
-    tmat[:, :n, 0] = space.radius * xr / norms[r, None]
-    tmat[:, :n, 1:] = np.transpose(tri.cloud.points[tri.facets[f]], (0, 2, 1))
-    coords = np.linalg.solve(tmat, np.append(xr, np.ones((r.size, 1)), axis=1)[:, :, None])[..., 0]
+    system = np.ones((r.size, n + 1, n + 2))
+    system[:, :n, 0] = space.radius * xr / norms[r, None]
+    system[:, :n, 1:-1] = tri.cloud.points.take(tri.facets.take(f, axis=0), axis=0).transpose(0, 2, 1)
+    system[:, :n, -1] = xr
+    coords = np.linalg.solve(system[..., :-1], system[..., -1:])[..., 0]
     low = coords.min(axis=1)
     # Each row's pairs, most interior first; the sort is stable, so ties
     # keep facet order, and a row's first pair, where its run of r starts
@@ -298,11 +300,10 @@ def xi(space, x_raw):
             coef = clamp_coords(coords[0])
             keep = coef > 0.0
             return SparseXi(space.tri.simplices[cell][keep], coef[keep])
-    found, hit, ids = _virtual_simplices(space, t)
-    if not found[0]:
+    (found,), (hit,), (ids,) = _virtual_simplices(space, t)
+    if not found:
         raise _no_virtual_simplex(t[0])
-    coef = clamp_coords(hit[0])
-    ids = ids[0]
+    coef = clamp_coords(hit)
     keep = coef[1:] > 0.0
     return SparseXi(ids[keep], coef[1:][keep], float(coef[0]), tuple(ids.tolist()))
 

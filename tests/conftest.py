@@ -30,9 +30,12 @@ SQUARE_LABELS = ["0", "0", "1", "1"]
 SQUARE_MARGIN = 1.0 - float(np.sqrt(0.125))
 
 # File contents that decode as no JSON document: a lone brace, bytes that
-# are not UTF-8 (a UTF-16 byte-order mark), and nesting deeper than the
-# JSON parser recurses.  Only the second is not UTF-8 CSV text either.
-UNDECODABLE = {"brace": b"{", "not-utf-8": b"\xff\xfe\x00", "deep": b"[" * 100_000}
+# are not UTF-8 (a UTF-16 byte-order mark), nesting deeper than the JSON
+# parser recurses, and a cell longer than the csv module's field limit.
+# The second and the last are not UTF-8 CSV text either.
+UNDECODABLE = {
+    "brace": b"{", "not-utf-8": b"\xff\xfe\x00", "deep": b"[" * 100_000, "long-cell": b"x" * 200_000,
+}
 
 
 @pytest.fixture
