@@ -300,12 +300,12 @@ def xi(space, x_raw):
             coef = clamp_coords(coords[0])
             keep = coef > 0.0
             return SparseXi(space.tri.simplices[cell][keep], coef[keep])
-    (found,), (hit,), (ids,) = _virtual_simplices(space, t)
-    if not found:
+    found, hit, ids = _virtual_simplices(space, t)
+    if not found[0]:
         raise _no_virtual_simplex(t[0])
-    coef = clamp_coords(hit)
+    coef = clamp_coords(hit[0])
     keep = coef[1:] > 0.0
-    return SparseXi(ids[keep], coef[1:][keep], float(coef[0]), tuple(ids.tolist()))
+    return SparseXi(ids[0][keep], coef[1:][keep], float(coef[0]), tuple(ids[0].tolist()))
 
 
 def translate_queries(space, xs_raw):
