@@ -1,23 +1,26 @@
-"""Sweep behind geometry.INDEX_MIN_CELLS and SCREEN_MIN_DIM: which point
-locator is faster where.
+"""Sweep behind geometry.INDEX_MIN_CELLS, LOCATOR_MIN_CELLS and
+SCREEN_MIN_DIM: which point location path is faster at which rows per
+call.
 
     PYTHONPATH=src python3 scripts/locator_sweep.py [--repeats 25]
 
 For each benchmark support (picked as the benchmark picks them at seed 0)
-and the 6-D probe of the ROADMAP, it builds the complex once and each of
-the three locators on it: the all-cells kernel (index None), a CellIndex
-and a LiftScreen, the last two built by build_triangulation with the rule
-forced and swapped in with dataclasses.replace(tri, index=...).  Queries
-are the held-out rows inside the hull.  It prints the complex's cells and
-dimension, then per locator the cost in us of a one-row locate_batch call
-(the median over up to 30 rows of each row's fastest of --repeats calls)
-and per row of a 512-row call (the fastest of --repeats // 5 calls), and
-the locator the rule picks.  The all-cells kernel holds (rows, cells,
-n+1) coordinates at once, so its batch shrinks to stay near 2**24 of
-them; the row count is printed.  Re-run it before moving either cut.
+and spiral supports 15 and 25, whose 18 and 35 cells bracket
+LOCATOR_MIN_CELLS, it builds the complex once and each of the three
+search paths on it: the all-cells kernel (index None), a
+CellIndex and a LiftScreen, the last two built by build_triangulation
+with the rules forced and swapped in with dataclasses.replace(tri,
+index=...).  Queries are the held-out rows inside the hull.  For each
+call size in ROWS it prints the cost in us per row of a locate_batch call
+through each path (per batch of that many rows cycled from the queries,
+the fastest of up to --repeats calls; the median over up to 30 batches),
+then the path that tri.search picks for that many rows.  The all-cells
+kernel holds (rows, cells, n+1) coordinates at once, about 100 MB for
+512 rows on clusters 1,000.  Re-run it before moving any of the cuts.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -30,27 +33,37 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import smnn  # noqa: E402
 from smnn import geometry  # noqa: E402
 
-BATCH = 512
+ROWS = (1, 8, 32, 100, 512)
 
 CASES = (
     ("spiral 5", lambda: smnn.gen_spiral(400, seed=0), 5),
     ("spiral 9", lambda: smnn.gen_spiral(400, seed=0), 9),
+    ("spiral 15", lambda: smnn.gen_spiral(400, seed=0), 15),
+    ("spiral 25", lambda: smnn.gen_spiral(400, seed=0), 25),
     ("spiral 95", lambda: smnn.gen_spiral(400, seed=0), 95),
     ("clusters 1,000", lambda: smnn.gen_clusters(4000, n_features=3, class_sep=1.5, seed=0), 1000),
     ("Iris full", smnn.load_iris, None),
-    ("6-D probe", lambda: smnn.gen_clusters(2000, n_features=6, class_sep=1.5, seed=0), 200),
 )
+
+
+@contextlib.contextmanager
+def patched(**values):
+    """Module constants of geometry set to values for the duration."""
+    kept = {name: getattr(geometry, name) for name in values}
+    for name, value in values.items():
+        setattr(geometry, name, value)
+    try:
+        yield
+    finally:
+        for name, value in kept.items():
+            setattr(geometry, name, value)
 
 
 def forced(tri, min_dim):
     """The locator build_triangulation makes for tri at any cell count: a
     CellIndex below min_dim dimensions, a LiftScreen from there on."""
-    kept = geometry.INDEX_MIN_CELLS, geometry.SCREEN_MIN_DIM
-    geometry.INDEX_MIN_CELLS, geometry.SCREEN_MIN_DIM = 0, min_dim
-    try:
+    with patched(LOCATOR_MIN_CELLS=0, SCREEN_MIN_DIM=min_dim):
         return geometry.build_triangulation(tri.cloud, tri.simplices).index
-    finally:
-        geometry.INDEX_MIN_CELLS, geometry.SCREEN_MIN_DIM = kept
 
 
 def fastest(call, repeats):
@@ -62,13 +75,25 @@ def fastest(call, repeats):
     return best
 
 
+def per_row(tri, queries, rows, repeats):
+    """Median over batches of rows queries of each batch's fastest call, in
+    us per row.  Every call searches through tri.index (the all-cells
+    kernel when it is None), whatever the rule would pick."""
+    batches = max(3, min(30, 240 // rows))
+    calls = max(3, repeats // (1 + rows // 32))
+    at = np.arange(batches * rows) % len(queries)
+    with patched(INDEX_MIN_CELLS=0):
+        best = [fastest(lambda b=b: geometry.locate_batch(tri, queries[b]), calls) for b in at.reshape(batches, rows)]
+    return 1e6 * float(np.median(best)) / rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=25, help="calls per one-row timing (default 25)")
+    parser.add_argument("--repeats", type=int, default=25, help="calls per one-row batch (default 25)")
     args = parser.parse_args(argv)
 
-    print("%-15s %6s %2s | %-25s | %-33s | %5s" % (
-        "complex", "cells", "n", "one row: cells/index/lift", "per row in a batch: cells/index/lift", "picks"))
+    print("%-15s %6s %2s %4s | %-32s | %5s" % (
+        "complex", "cells", "n", "rows", "us per row: cells / index / lift", "picks"))
     for name, make, size in CASES:
         train, test = smnn.split(make(), 0.75, seed=0)
         pts = train.points.points
@@ -79,23 +104,15 @@ def main(argv=None):
         held = test.points.points - space.centroid
         queries = np.array([x for x in held if smnn.locate(tri, x) is not None])
         cells, n = tri.simplices.shape[0], tri.cloud.dim
-        locators = {
-            "cells": dataclasses.replace(tri, index=None),
-            "index": dataclasses.replace(tri, index=forced(tri, n + 1)),
-            "lift": dataclasses.replace(tri, index=forced(tri, 0)),
-        }
-        one, per_row, rows = [], [], {}
-        for kind, located in locators.items():
-            single = [fastest(lambda x=x: geometry.locate_batch(located, x[None]), args.repeats)
-                      for x in queries[:30]]
-            one.append(1e6 * float(np.median(single)))
-            rows[kind] = BATCH if kind != "cells" else max(1, min(BATCH, (1 << 24) // (cells * (n + 1))))
-            batch = queries[np.arange(rows[kind]) % len(queries)]
-            per_row.append(1e6 * fastest(lambda: geometry.locate_batch(located, batch),
-                                         max(1, args.repeats // 5)) / rows[kind])
-        note = "" if rows["cells"] == BATCH else "  (cells batch: %d rows)" % rows["cells"]
-        print("%-15s %6d %2d | %7.1f / %7.1f / %7.1f | %9.1f / %9.1f / %9.1f | %5s%s" % (
-            name, cells, n, *one, *per_row, tri.locator, note), flush=True)
+        paths = (
+            dataclasses.replace(tri, index=None),
+            dataclasses.replace(tri, index=forced(tri, n + 1)),
+            dataclasses.replace(tri, index=forced(tri, 0)),
+        )
+        for rows in ROWS:
+            costs = ["%9.2f" % per_row(path, queries, rows, args.repeats) for path in paths]
+            print("%-15s %6d %2d %4d | %s | %5s" % (
+                name, cells, n, rows, " / ".join(costs), tri.search(rows)), flush=True)
     return 0
 
 

@@ -145,6 +145,14 @@ def save_csv(dataset, path):
             writer.writerow([repr(float(v)) for v in row] + [label])
 
 
+def _excerpt(text):
+    """repr of text, or of its first 80 characters and its length when it
+    is longer, so that an error quoting a file's text stays short."""
+    if len(text) <= 80:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:80], len(text))
+
+
 def load_csv(path):
     """Read a dataset written by save_csv.
 
@@ -162,7 +170,7 @@ def load_csv(path):
     header = rows[0]
     if len(header) < 2 or header[-1].strip() != "label":
         raise ParseError(
-            "header must be f1,...,fn,label, got %r" % (",".join(header),), row=1, column=1
+            "header must be f1,...,fn,label, got %s" % _excerpt(",".join(header)), row=1, column=1
         )
     n = len(header) - 1
     points = np.empty((len(rows) - 1, n))
@@ -177,7 +185,7 @@ def load_csv(path):
                 points[r - 2, c] = float(row[c])
             except ValueError:
                 raise ParseError(
-                    "malformed numeric cell %r at row %d, column %d" % (row[c], r, c + 1),
+                    "malformed numeric cell %s at row %d, column %d" % (_excerpt(row[c]), r, c + 1),
                     row=r,
                     column=c + 1,
                 ) from None

@@ -53,9 +53,11 @@ from .geometry import (
     locate_batch,
 )
 
-# Rows located per call of geometry.locate_batch.  A complex small enough
-# to have no cell index is searched by the all-cells kernel, which holds
-# (rows, cells, n+1) coordinates at once; the chunk bounds that memory.
+# Rows located per call of geometry.locate_batch.  The all-cells kernel
+# holds (rows, cells, n+1) coordinates at once, and serves a chunk only
+# on a complex of fewer than LOCATOR_MIN_CELLS cells or while rows times
+# cells stay below INDEX_MIN_CELLS; a locator's candidate pairs grow
+# with the rows too.  The chunk bounds both.
 _CHUNK = 512
 
 # Unit roundoff of float64.

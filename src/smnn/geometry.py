@@ -19,11 +19,14 @@ that no query a cell accepts exceeds.
 
 Point location (locate_batch) accepts a cell when every barycentric
 coordinate is at least -TAU, and the lowest cell index wins on shared
-faces.  A complex with fewer than INDEX_MIN_CELLS cells tests all its
-cells at once; a larger one pairs each query with candidate cells in
-ascending order, through a CellIndex of padded cell boxes below
-SCREEN_MIN_DIM dimensions and a LiftScreen of lifted cell planes from
-there on, and gives the same cell and coordinate bits.
+faces.  Each call picks its search (Triangulation.search): while its
+rows times cells stay below INDEX_MIN_CELLS, so for one row on a
+complex of fewer cells, it tests all the cells at once; from there on
+it pairs each query with candidate cells in ascending order through the
+complex's locator, which every complex of LOCATOR_MIN_CELLS cells or
+more carries: a CellIndex of padded cell boxes below SCREEN_MIN_DIM
+dimensions and a LiftScreen of lifted cell planes from there on.  Every
+search gives the same cell and coordinate bits.
 
 Degenerate inputs (co-spherical point subsets) are resolved by building
 the triangulation on a deterministically perturbed copy of the cloud:
@@ -49,16 +52,26 @@ COND_LIMIT = 1e12
 # Two points closer than this are considered coincident.
 COINCIDENCE_TOL = 1e-9
 
-# Complexes with at least this many cells locate queries through a
-# CellIndex or a LiftScreen; smaller ones test every cell.  On random 2-
-# and 3-D clouds a single query through the index breaks even with the
-# all-cells test at about 850-1,050 cells and is 13-28% cheaper at about
-# 1,250; in 4-D the screen breaks even at about 540.  A 512-row batch
-# costs 30-120 us a row through the all-cells test at 900-3,000 cells.
+# A locate_batch call of at least this many rows times cells searches
+# through the complex's locator, and a smaller one tests every cell at
+# once; so one row takes the locator from this many cells on.  On random
+# 2- and 3-D clouds a single query through the index breaks even with
+# the all-cells test at about 850-1,050 cells and is 13-28% cheaper at
+# about 1,250; in 4-D the screen breaks even at about 540.  In batches
+# (scripts/locator_sweep.py, spiral supports, three runs) the index
+# breaks even at about 8 rows a call on 169 cells, where a 512-row call
+# costs 0.9-1.4 us a row through it against 3.8-6.4 us.
 INDEX_MIN_CELLS = 1024
 
-# Complexes of at least INDEX_MIN_CELLS cells in this many dimensions or
-# more locate queries through a LiftScreen, lower ones through a
+# Complexes of at least this many cells carry a locator; smaller ones
+# test every cell in every call.  In the same sweep, on 18 cells a 512-row
+# call costs 0.96-1.04 times as much through the index as through every
+# cell, and a 100-row call 0.85-1.25 times; on 35 cells a 512-row call
+# costs 0.67-0.70 times as much, and a 32-row call, just past the cut,
+# 1.24-1.34 times.
+LOCATOR_MIN_CELLS = 32
+
+# A locator in this many dimensions or more is a LiftScreen, in fewer a
 # CellIndex.  On random complexes of 900 to 3,000 cells a 512-row batch
 # costs 0.9 us a row through the index in 2-D and 2.1-2.4 us in 3-D,
 # against 7-14 us through the screen, but 8-14 us against 6-13 us in 4-D
@@ -260,8 +273,10 @@ class Triangulation:
                 N.v + c over cloud points v, and |N.u + c| at facet vertices.
     cond      : the worst condition number of a usable cell, or NaN.
     reach     : a norm no query that passes a cell's TAU test exceeds.
-    index     : from INDEX_MIN_CELLS cells, the point locator: a CellIndex
+    index     : from LOCATOR_MIN_CELLS cells, the point locator: a CellIndex
                 below SCREEN_MIN_DIM dimensions, then a LiftScreen; or None.
+                locate_batch reads it for calls of rows * cells from
+                INDEX_MIN_CELLS on (search).
     The complex is these arrays; maximal and boundary are views of them.
     """
 
@@ -279,9 +294,16 @@ class Triangulation:
 
     @property
     def locator(self):
-        """How locate_batch searches the complex: "cells" (every cell),
-        "index" (a CellIndex) or "lift" (a LiftScreen)."""
+        """The point locator of the complex, which batches search through:
+        "index" (a CellIndex), "lift" (a LiftScreen) or "cells" (none, so
+        every call tests every cell)."""
         return "cells" if self.index is None else self.index.kind
+
+    def search(self, rows):
+        """How locate_batch searches the complex in a call of `rows` rows:
+        "cells" (every cell at once) while rows * cells is below
+        INDEX_MIN_CELLS, or where there is no locator; else the locator."""
+        return "cells" if rows * self.simplices.shape[0] < INDEX_MIN_CELLS else self.locator
 
     @property
     def maximal(self):
@@ -611,7 +633,7 @@ def build_triangulation(cloud, simplices):
         inverses[usable] = np.linalg.inv(tmat[usable])
 
     index = None
-    if simp.shape[0] >= INDEX_MIN_CELLS and usable.any():
+    if simp.shape[0] >= LOCATOR_MIN_CELLS and usable.any():
         if n < SCREEN_MIN_DIM:
             index = _cell_index(points, simp, delta, usable)
         else:
@@ -686,14 +708,15 @@ def locate_batch(tri, xs):
     only point-location kernel.  A cell contains a query when every
     coordinate is at least -TAU, and the lowest index wins on shared faces.
     index[q] is the cell of row q, or -1 outside the hull, and coords[q]
-    its n+1 unclamped coordinates (meaningless where index[q] is -1).  A
-    CellIndex or LiftScreen gives the bits of testing every cell."""
+    its n+1 unclamped coordinates (meaningless where index[q] is -1).  The
+    call searches as tri.search(rows) says; a CellIndex or LiftScreen
+    gives the bits of testing every cell."""
     xs = np.asarray(xs, dtype=np.float64)
     rows, n = xs.shape
     h = np.empty((rows, n + 1))
     h[:, :n] = xs
     h[:, n] = 1.0
-    if tri.index is None:
+    if tri.search(rows) == "cells":
         bary = np.einsum("sij,qj->qsi", tri.inverses, h)
         feasible = _passes(bary >= -TAU)
         first = np.argmax(feasible, axis=1).tolist()

@@ -12,6 +12,7 @@ a set of steps sharing no column, done as one NumPy batch, and every
 column sees the updates of the sequential order (_kernel_epoch).
 """
 
+import functools
 import time
 from dataclasses import dataclass, field, fields
 
@@ -332,10 +333,10 @@ def _batch(flat, probs, at, fidx, vals, hot, eta):
     flat[-hot.shape[1]:] = 0.0
 
 
-def _level_epoch(flat, rows, order, eta):
+def _level_epoch(flat, rows, order, eta, scan=None):
     """One epoch level by level, bit-identical to _kernel_epoch.  `flat` is
-    the flattened weights and k zero slots; the shared steps of the order
-    are scanned for their levels (_levels).
+    the flattened weights and k zero slots; scan is _levels of the order,
+    which is taken here when the caller does not hold it.
 
     The rows that share no column commute with every step, so they run as
     the fixed batches of _level_rows.  The shared steps of one level and
@@ -353,7 +354,7 @@ def _level_epoch(flat, rows, order, eta):
     """
     batches = list(rows.fixed)
     if rows.groups:
-        shared, levels = _levels(order, rows)
+        shared, levels = scan or _levels(order, rows)
         key = levels * len(rows.groups) + rows.group[shared]
         steps = np.argsort(key, kind="stable")
         cuts = (np.flatnonzero(np.diff(key[steps])) + 1).tolist()
@@ -376,7 +377,8 @@ def train_cached(space, cached, support_labels, encoding, config):
     when its rows number BATCH_MIN_WIDTH or more times those on its busiest
     weight column, else one kernel call per step; both give the same bits.
     Without shuffling every epoch takes one order, so the levels of that
-    order, which the busiest column's rows bound from below, replace them.
+    order, which the busiest column's rows bound from below, replace them,
+    and that one scan serves every epoch.
     An empty cache raises InvalidCount, and a diverging rate NonFiniteWeights.
     """
     if not len(cached):
@@ -393,12 +395,14 @@ def train_cached(space, cached, support_labels, encoding, config):
 
     uses = np.bincount(cached.batch.indices, minlength=m)
     level = n_rows >= BATCH_MIN_WIDTH * uses.max()
+    scan = None
     if level:
         rows = _level_rows(cached.batch, y, k, m, uses)
         if not config.shuffle:
-            level = n_rows >= BATCH_MIN_WIDTH * _levels(np.arange(n_rows), rows)[1].max(initial=1)
+            scan = _levels(np.arange(n_rows), rows)
+            level = n_rows >= BATCH_MIN_WIDTH * scan[1].max(initial=1)
     if level:
-        epoch = _level_epoch
+        epoch = functools.partial(_level_epoch, scan=scan)
     else:
         epoch, rows = _kernel_epoch, (_pack(cached.batch, k, m), y.tolist())
 

@@ -175,7 +175,7 @@ class TestTrainEvalPredictExplain:
             "cells": tri.simplices.shape[0],
             "hull_facets": tri.facets.shape[0],
             "flat_cells": 0,
-            "locator": "cells",
+            "locator": "index",
             "worst_condition": tri.cond,
             "reach": tri.reach,
         }
@@ -414,6 +414,14 @@ class TestErrorPaths:
         assert code == 2
         assert "ParseError" in stderr and "integers" in stderr
         assert not model.exists()
+
+    def test_long_header_error_is_short(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"x" * 100_000 + b"\n")
+        model = tmp_path / "m.json"
+        code, stdout, stderr = _run(capsys, "train", "--data", str(data), "--out", str(model))
+        assert code == 2 and stdout == "" and not model.exists()
+        assert stderr.startswith("ParseError: header must be") and len(stderr) < 300
 
     @pytest.mark.parametrize("content", sorted(UNDECODABLE))
     def test_undecodable_files(self, tmp_path, capsys, content):

@@ -192,6 +192,19 @@ class TestCsv:
             smnn.load_csv(path)
         assert err.value.row == 1
 
+    @pytest.mark.parametrize(
+        "text", ["x" * 100_000 + "\n", "f1,label\n" + "7" * 50_000 + "e,a\n"], ids=["header", "cell"]
+    )
+    def test_long_text_is_quoted_short(self, tmp_path, text):
+        # A one-cell header of 100,000 bytes, or a malformed cell of 50,000:
+        # the message quotes the first 80 characters and the length.
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        with pytest.raises(smnn.ParseError) as err:
+            smnn.load_csv(path)
+        quoted = text.splitlines()[-1].split(",")[0]
+        assert len(str(err.value)) < 200 and "%d characters" % len(quoted) in str(err.value)
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("f1,f2,label\n1.0,2.0,a\n1.0,b\n")

@@ -8,7 +8,9 @@ import pytest
 import smnn
 from smnn.geometry import (
     INDEX_MIN_CELLS,
+    LOCATOR_MIN_CELLS,
     SCREEN_MIN_DIM,
+    CellIndex,
     TAU,
     _coordinate_slack,
     _lift_screen,
@@ -22,6 +24,7 @@ from conftest import (
     circumsphere,
     circumsphere_contains,
     random_cloud,
+    same_bits,
     simplex_volume_normalized,
 )
 
@@ -687,11 +690,47 @@ class TestCellIndex:
         assert got == want.tolist()
         assert coords[want >= 0].tobytes() == want_coords[want >= 0].tobytes()
 
-    def test_small_complex_tests_every_cell(self):
+    def test_small_complex_tests_every_cell(self, monkeypatch):
+        # A complex below INDEX_MIN_CELLS cells carries a locator from
+        # LOCATOR_MIN_CELLS cells on, but a call tests every cell while its
+        # rows times cells stay below INDEX_MIN_CELLS: one row always, and
+        # from the cut on a batch goes through the index.  Below
+        # LOCATOR_MIN_CELLS there is no locator, and every call tests every
+        # cell.  locate_batch searches as tri.search says.
+        searched = []
+        real = CellIndex.pairs
+
+        def pairs(index, h):
+            searched.append(h.shape[0])
+            return real(index, h)
+
+        monkeypatch.setattr(CellIndex, "pairs", pairs)
         rng = np.random.default_rng(3)
-        tri = smnn.build_delaunay(random_cloud(rng, 40, 2))
-        assert tri.simplices.shape[0] < INDEX_MIN_CELLS and tri.index is None
-        assert tri.locator == "cells"
+        # A 5 x 5 grid of squares cut along one diagonal: 32 cells, so that
+        # a call of 32 rows meets the cut exactly.
+        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0), indexing="ij"), axis=-1).reshape(-1, 2)
+        corner = (5 * np.arange(4)[:, None] + np.arange(4)).ravel()
+        cuts = np.concatenate([
+            np.stack([corner, corner + 1, corner + 6], 1), np.stack([corner, corner + 5, corner + 6], 1)
+        ])
+        squares = build_triangulation(grid, cuts[np.lexsort(cuts.T[::-1])])
+        assert squares.simplices.shape[0] == 32 and squares.facets.shape[0] == 16
+        for tri, locator in (
+            (smnn.build_delaunay(random_cloud(rng, 40, 2)), "index"),
+            (squares, "index"),
+            (smnn.build_delaunay(random_cloud(rng, 12, 2)), "cells"),
+        ):
+            cells = tri.simplices.shape[0]
+            assert (cells >= LOCATOR_MIN_CELLS) == (locator == "index") and cells < INDEX_MIN_CELLS
+            assert tri.locator == locator and (tri.index is None) == (locator == "cells")
+            cut = -(-INDEX_MIN_CELLS // cells)
+            for rows in (1, cut - 1, cut, 513):
+                want = "cells" if rows < cut else locator
+                assert tri.search(rows) == want
+                del searched[:]
+                xs = rng.random((rows, 2))
+                assert_locates_as_all_cells(tri, xs)
+                assert searched == ([rows] if want == "index" else [])
 
     def test_index_lists_usable_cells_in_ascending_order(self):
         tri = indexed_complex(3)
@@ -809,22 +848,78 @@ class TestLiftScreen:
 
 
 class TestLocatorChoice:
-    """Each benchmark complex takes the locator it was measured with."""
+    """Each benchmark complex takes the search it was measured with, for one
+    row and for a batch (scripts/locator_sweep.py)."""
 
     @staticmethod
-    def support_tri(data, size):
+    def support_space(data, size):
         pts = smnn.split(data, 0.75, seed=0)[0].points.points
         size = size or len(np.unique(pts, axis=0))
         eps = smnn.epsilon_for_size(pts, size, 0)
-        return smnn.fit_space(pts, smnn.epsilon_representative(pts, eps, 0)).tri
+        return smnn.fit_space(pts, smnn.epsilon_representative(pts, eps, 0))
 
     def test_benchmark_supports(self):
-        spiral = self.support_tri(smnn.gen_spiral(400, seed=0), 95)
-        clusters = self.support_tri(smnn.gen_clusters(4000, n_features=3, class_sep=1.5, seed=0), 1000)
-        iris = self.support_tri(smnn.load_iris(), None)
-        assert spiral.simplices.shape[0] < INDEX_MIN_CELLS and spiral.locator == "cells"
-        assert clusters.cloud.dim < SCREEN_MIN_DIM and clusters.locator == "index"
-        assert iris.cloud.dim >= SCREEN_MIN_DIM and iris.locator == "lift"
+        # One row, a held-out evaluate batch of 100 and a location chunk.
+        spiral = smnn.gen_spiral(400, seed=0)
+        for data, size, one, batch in (
+            (spiral, 5, "cells", "cells"),
+            (spiral, 9, "cells", "cells"),
+            (spiral, 95, "cells", "index"),
+            (smnn.gen_clusters(4000, n_features=3, class_sep=1.5, seed=0), 1000, "index", "index"),
+            (smnn.load_iris(), None, "lift", "lift"),
+        ):
+            tri = self.support_space(data, size).tri
+            assert [tri.search(rows) for rows in (1, 100, 512)] == [one, batch, batch]
+            assert tri.locator == batch
+            assert (tri.cloud.dim >= SCREEN_MIN_DIM) == (batch == "lift")
+
+    @pytest.mark.parametrize("size", [5, 9, 95])
+    def test_spiral_supports_keep_the_all_cells_bits(self, size, monkeypatch):
+        # Vertex, shared-face, exterior and NaN rows, located in calls of
+        # rows on both sides of the cut, give the bits of the all-cells
+        # kernel; embedded in 513 rows (two location chunks) or fewer, they
+        # give the bits of xi, which locates one row at a time.
+        space = self.support_space(smnn.gen_spiral(400, seed=0), size)
+        tri = space.tri
+        cells = tri.simplices.shape[0]
+        rng = np.random.default_rng(size)
+        xs = index_queries(tri, rng)
+        rng.shuffle(xs)
+        odd = xs[:30].copy()
+        odd[np.arange(30), rng.integers(0, 2, 30)] = np.nan
+        queries = np.concatenate([odd, xs])
+        want, want_coords, _ = reference_locate(tri, queries)
+        cut = -(-INDEX_MIN_CELLS // cells)
+        searches = set()
+        for rows in (1, cut - 1, cut, 513):
+            got, coords = [], []
+            for a in range(0, len(queries), rows):
+                searches.add(tri.search(len(queries[a : a + rows])))
+                index, raw = locate_batch(tri, queries[a : a + rows])
+                got += index
+                coords.append(np.asarray(raw))
+            assert got == want.tolist()
+            hit = want >= 0
+            assert np.concatenate(coords)[hit].tobytes() == want_coords[hit].tobytes()
+        assert searches == ({"cells", "index"} if cells >= LOCATOR_MIN_CELLS else {"cells"})
+        assert min(want) < 0 <= max(want) and np.isnan(queries).any(axis=1).sum() == 30
+
+        raw = xs + space.centroid
+        singles = [smnn.xi(space, x) for x in raw]
+        located = []
+        real = smnn.embedding.locate_batch
+
+        def counted(tri, rows):
+            located.append(tri.search(len(rows)))
+            return real(tri, rows)
+
+        monkeypatch.setattr(smnn.embedding, "locate_batch", counted)
+        for rows in (cut - 1, cut, 513):
+            for a in range(0, len(raw), rows):
+                batch = smnn.embedding.embed_batch(space, raw[a : a + rows])
+                assert all(same_bits(got, x) for got, x in zip(batch.rows(), singles[a : a + rows]))
+        assert set(located) == searches
+        assert any(x.facet_used is not None for x in singles) and any(x.facet_used is None for x in singles)
 
 
 class TestVisibleFacets:
@@ -896,3 +991,12 @@ class TestClamp:
         coords = clamp_coords(np.array([0.6, 0.5, -1e-10]))
         assert abs(coords.sum() - 1.0) < 1e-15
         assert coords[2] == 0.0
+
+    @pytest.mark.parametrize("bad", [[0.5, -0.5, 0.0], [0.2, -0.7, 0.1], [3e-10, -4e-10, 0.0], [0.0, 0.0, 0.0]])
+    def test_row_that_sums_to_zero_or_less_raises(self, bad):
+        # Renormalizing would divide by zero or flip the signs, and leave a
+        # NaN or negative row; alone or in a batch, it raises instead.
+        with pytest.raises(smnn.SingularSimplex, match="summing to"):
+            clamp_coords(np.array(bad))
+        with pytest.raises(smnn.SingularSimplex, match="summing to"):
+            clamp_coords(np.array([[0.3, 0.3, 0.4], bad]))

@@ -825,10 +825,11 @@ class TestLevelSchedule:
     def test_only_level_epochs_scan(self, monkeypatch):
         # The cache picks the path before any epoch.  The kernel path builds
         # no level record and scans no order; the level path builds its
-        # record once and each epoch scans its own order, once, or never
-        # where no row is shared.  An unshuffled fit that the cache sends
-        # level by level scans its one order once more, first, to count its
-        # levels: spiral 95 then takes the kernel.
+        # record once and each shuffled epoch scans its own order, once, or
+        # never where no row is shared.  An unshuffled fit that the cache
+        # sends level by level scans its one order once, first, to count its
+        # levels (spiral 95 then takes the kernel), and its epochs read that
+        # scan.
         calls = []
 
         def count(name, real):
@@ -851,7 +852,7 @@ class TestLevelSchedule:
             del calls[:]
             _, report = smnn.train_cached(*inputs, replace(config, shuffle=shuffle))
             assert (report.n_batches < report.n_steps) == level_path
-            scans = config.epochs if level_path and shared else 0
+            scans = config.epochs if level_path and shared and shuffle else 0
             assert calls == ["rows"] * (level_path or count) + ["levels"] * (count + scans)
 
     def test_row_sum_and_exp_are_the_kernel_s(self):
