@@ -116,7 +116,10 @@ def indices(values, what, stop=None, error=ValueError):
     it as an index (1.7 and True as 1); the range message calls stop k.
     """
     arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if arr.dtype.kind not in "iu" and not all(map(_is_integer, arr.reshape(-1))):
+    # One subclass test per element type, not an ABC isinstance per element.
+    if arr.dtype.kind not in "iu" and not all(
+        issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, arr.reshape(-1)))
+    ):
         raise error("%s: expected integers, not floats or booleans" % what)
     try:
         arr = arr.astype(np.int64, copy=False)

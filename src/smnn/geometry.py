@@ -271,7 +271,8 @@ class Triangulation:
     offsets   : (F,) hyperplane offsets of the facets.
     slack     : how far the planes miss a convex hull: the largest computed
                 N.v + c over cloud points v, and |N.u + c| at facet vertices.
-    cond      : the worst condition number of a usable cell, or NaN.
+    cond      : the worst condition number of a usable cell, its ratio of
+                extreme singular values, or NaN (_condition).
     reach     : a norm no query that passes a cell's TAU test exceeds.
     index     : from LOCATOR_MIN_CELLS cells, the point locator: a CellIndex
                 below SCREEN_MIN_DIM dimensions, then a LiftScreen; or None.
@@ -371,9 +372,10 @@ def _padded_boxes(lo, hi, delta):
     and an LU-based inverse has |X T - I| <= c_n u |X| |L| |U| (Higham,
     Accuracy and Stability of Numerical Algorithms, section 14.3).  So
     max|lam' - lam| <= eps L with L = max|lam| and
-    eps = 64 (n+1)^2 u kappa, kappa = cond_2(T); the factor 64
-    covers c_n and the pivot growth with room to spare, and also the few
-    ulps by which the pad below is rounded.
+    eps = 64 (n+1)^2 u kappa, kappa any upper bound on cond_2(T) (the
+    one _condition proves); the factor 64 covers c_n and the pivot growth
+    with room to spare, and also the few ulps by which the pad below is
+    rounded.
 
     A feasible query has lam'_i >= -TAU, so lam_i >= -(TAU + eps L).  The
     lam_i sum to 1, so L <= 1 + n (TAU + eps L), i.e.
@@ -393,13 +395,13 @@ def _padded_boxes(lo, hi, delta):
     return np.nextafter(lo - pad, -np.inf), np.nextafter(hi + pad, np.inf)
 
 
-def _coordinate_slack(sv):
-    """delta of _padded_boxes for each cell, from the (S, n+1) singular values
-    sv of T: every exact coordinate of a query that the TAU test accepts in
-    the cell is at least -delta; inf where n eps >= 1, NaN for flat cells."""
-    n = sv.shape[1] - 1
+def _coordinate_slack(kappa, n):
+    """delta of _padded_boxes for each cell of an n-D complex, from an upper
+    bound kappa on the condition number cond_2(T) of each: every exact
+    coordinate of a query that the TAU test accepts in the cell is at
+    least -delta; inf where n eps >= 1 or kappa is."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps = 64 * (n + 1) ** 2 * np.finfo(np.float64).eps * (sv[:, 0] / sv[:, -1])
+        eps = 64 * (n + 1) ** 2 * np.finfo(np.float64).eps * kappa
         bound = np.where(n * eps < 1.0, (1.0 + n * TAU) / (1.0 - n * eps), np.inf)
         return TAU + eps * bound
 
@@ -561,23 +563,10 @@ def _lift_screen(points, simp, delta, inverses, usable):
     return LiftScreen(planes, float(slop))
 
 
-def build_triangulation(cloud, simplices):
-    """The complex of the given maximal simplices over a point cloud.
-
-    The only constructor of a Triangulation.  simplices is an (S, n+1)
-    integer array of ids in [0, m), each row strictly increasing and the
-    rows in strictly increasing lexicographic order; ValueError otherwise.
-    A face shared by two cells is interior and a face of exactly one cell
-    is a hull facet; a face of three or more raises SingularSimplex.
-    Flat cells (possible when quantized points are exactly
-    co-hyperplanar) are kept: they carry no interior but preserve the
-    face counts.
-    """
-    cloud = as_cloud(cloud)
-    points = cloud.points
-    m, n = points.shape
-    simp = _check_simplices(simplices, m, n)
-
+def _hull_facets(simp, n):
+    """The hull facets of the cells simp, in lexicographic order, and the
+    vertex of each facet's cell off the facet; a face of three or more
+    cells raises SingularSimplex."""
     # Face d of a cell drops its vertex d, which is then the opposite
     # vertex; sorting all faces puts equal ones next to each other.
     keep = np.array([np.delete(np.arange(n + 1), d) for d in range(n + 1)])
@@ -592,8 +581,13 @@ def build_triangulation(cloud, simplices):
             "face %r is shared by more than two cells" % (tuple(faces[triple[0]].tolist()),)
         )
     single = ~(np.append(same, False) | np.insert(same, 0, False))
-    facets, opposite = faces[single], opposite[single]
+    return faces[single], opposite[single]
 
+
+def _facet_planes(points, facets, opposite):
+    """The outward unit normals and offsets of the facets, and the slack of
+    Triangulation."""
+    m = points.shape[0]
     # Each facet's unit normal spans the null space of its edge matrix and
     # is signed so the opposite vertex lies strictly on the negative side.
     corners = points[facets]  # (F, n, n)
@@ -615,22 +609,110 @@ def build_triangulation(cloud, simplices):
     slack = float(np.abs(own).max())
     for a in range(0, len(offsets), step):
         slack = max(slack, float((points @ normals[a : a + step].T + offsets[a : a + step]).max()))
+    return normals, offsets, slack
 
-    # Flat cells get NaN inverse blocks: their coordinates never pass a
-    # feasibility test, so point location simply ignores them.
+
+def _cell_systems(points, simp):
+    """The (S, n+1, n+1) homogeneous vertex matrices T of the cells: the
+    vertices as columns over a row of ones."""
+    n = points.shape[1]
     verts = points[simp]  # (S, n+1, n)
     tmat = np.empty((verts.shape[0], n + 1, n + 1))
     tmat[:, :n, :] = np.transpose(verts, (0, 2, 1))
     tmat[:, n, :] = 1.0
-    # The singular values give the usable cells, the worst condition and
-    # each cell's coordinate slack, which every locator bound reads.
-    sv = np.linalg.svd(tmat, compute_uv=False)
-    usable = sv[:, -1] * COND_LIMIT > sv[:, 0]
-    kappa = sv[usable, 0] / sv[usable, -1]
-    delta = _coordinate_slack(sv)
+    return tmat
+
+
+def _invert(tmat):
+    """The inverses of the vertex systems, NaN blocks for the exactly
+    singular ones, and the mask of the others.  slogdet runs the LU
+    factorization that inv runs and gives sign 0 exactly where that meets
+    a zero pivot, where inv would raise; det could underflow or overflow."""
+    solved = np.linalg.slogdet(tmat)[0] != 0
     inverses = np.full_like(tmat, np.nan)
-    if usable.any():
-        inverses[usable] = np.linalg.inv(tmat[usable])
+    inverses[solved] = np.linalg.inv(tmat[solved])
+    return inverses, solved
+
+
+def _condition(tmat, inverses, solved):
+    """The usable cells, an upper bound kappa on each cell's condition
+    number, the worst condition number, and the cells whose singular
+    values that took.
+
+    A cell is usable when the singular values sv of its system T, as
+    np.linalg.svd computes them, have sv[-1] * COND_LIMIT > sv[0]; the
+    worst condition number is the largest sv[0] / sv[-1] of a usable cell,
+    and a cell not solved (_invert) is never usable.  The stored inverse X
+    decides most cells without the SVD.  Let F = |T|_F |X|_F and
+    c = 64 (n+1)^2 u, which as in _padded_boxes covers the backward error
+    of the LU-based inverse, |T X - I|_F <= c F, and that of the SVD,
+    |sv_i - s_i| <= c s_1 for the exact singular values s.  With
+    R = T X - I, T^-1 = X (I + R)^-1 and X = T^-1 (I + R), so for cF < 1
+        F / (1 + cF) <= |T|_F |T^-1|_F <= F / (1 - cF),
+    and cond_2(T) = k lies between 1/(n+1) and 1 times the middle term.
+    So kappa = F / (1 - cF) >= k, and sv[0] / sv[-1], which lies between
+    k (1 - c) / (1 + ck) and k (1 + c) / (1 - ck), is at most
+    hi = kappa (1 + c) / (1 - c kappa) and at least
+    lo = F (1 - c) / ((n+1)(1 + cF) + cF).  The computed F is within
+    ((n+1)^2 + 3) u of F, below c / 16, so it is taken rounded up by the
+    factor 1 + c in kappa and down by 1 - c in lo; what is left of that
+    factor covers the rounding of these few operations and of the product
+    with COND_LIMIT.  kappa and hi are inf where their cF reaches 1/2.
+
+    A cell with hi < COND_LIMIT is usable, one with lo > COND_LIMIT is
+    not, and one SVD call decides the others: a band from about
+    COND_LIMIT to (n+1) COND_LIMIT, with no upper end from 4-D on, where
+    lo stays below the limit however large F grows.  The call also takes
+    every usable cell whose hi reaches the largest lo of the cells found
+    usable, which the worst usable cell does.
+    """
+    n = tmat.shape[1] - 1
+    c = 64 * (n + 1) ** 2 * (np.finfo(np.float64).eps / 2)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        f = np.sqrt(np.einsum("sij,sij->s", tmat, tmat) * np.einsum("sij,sij->s", inverses, inverses))
+        up, down = f * (1.0 + c), f * (1.0 - c)
+        kappa = np.where(c * up < 0.5, up / (1.0 - c * up), np.inf)
+        hi = np.where(c * kappa < 0.5, kappa * (1.0 + c) / (1.0 - c * kappa), np.inf)
+        lo = down * (1.0 - c) / ((n + 1) * (1.0 + c * up) + c * down)
+    sure = solved & (hi < COND_LIMIT)
+    top = lo[sure].max(initial=-np.inf)
+    band = np.flatnonzero(solved & ~(lo > COND_LIMIT) & (~sure | (hi >= top)))
+    sv = np.linalg.svd(tmat[band], compute_uv=False)
+    fits = sv[:, -1] * COND_LIMIT > sv[:, 0]
+    usable = sure.copy()
+    usable[band] = fits
+    worst = sv[fits, 0] / sv[fits, -1]
+    return usable, kappa, float(worst.max()) if worst.size else np.nan, band
+
+
+def build_triangulation(cloud, simplices):
+    """The complex of the given maximal simplices over a point cloud.
+
+    The only constructor of a Triangulation.  simplices is an (S, n+1)
+    integer array of ids in [0, m), each row strictly increasing and the
+    rows in strictly increasing lexicographic order; ValueError otherwise.
+    A face shared by two cells is interior and a face of exactly one cell
+    is a hull facet; a face of three or more raises SingularSimplex.
+    Flat cells (possible when quantized points are exactly
+    co-hyperplanar) are kept: they carry no interior but preserve the
+    face counts.
+    """
+    cloud = as_cloud(cloud)
+    points = cloud.points
+    n = points.shape[1]
+    simp = _check_simplices(simplices, *points.shape)
+    facets, opposite = _hull_facets(simp, n)
+    normals, offsets, slack = _facet_planes(points, facets, opposite)
+
+    # Flat cells get NaN inverse blocks: their coordinates never pass a
+    # feasibility test, so point location simply ignores them.  The bound
+    # on each cell's condition number gives its coordinate slack, which
+    # every locator bound reads.
+    tmat = _cell_systems(points, simp)
+    inverses, solved = _invert(tmat)
+    usable, kappa, cond, _ = _condition(tmat, inverses, solved)
+    inverses[~usable] = np.nan
+    delta = _coordinate_slack(kappa, n)
 
     index = None
     if simp.shape[0] >= LOCATOR_MIN_CELLS and usable.any():
@@ -643,8 +725,7 @@ def build_triangulation(cloud, simplices):
         arr.setflags(write=False)
     return Triangulation(
         cloud=cloud, simplices=simp, inverses=inverses, facets=facets, opposite=opposite,
-        normals=normals, offsets=offsets, slack=slack,
-        cond=float(kappa.max()) if kappa.size else np.nan, reach=_reach(points, delta[usable]), index=index,
+        normals=normals, offsets=offsets, slack=slack, cond=cond, reach=_reach(points, delta[usable]), index=index,
     )
 
 

@@ -31,9 +31,9 @@ def epsilon_from_kappa(train_points, kappa):
     return (max_norm + 0.5) / kappa
 
 
-def _tie_argmax(values, rng):
-    """Index of the maximum; exact ties are broken by the seeded rng."""
-    best = int(values.argmax())
+def _break_tie(values, best, rng):
+    """Index of the maximum of values, given best = values.argmax(); exact
+    ties are broken by the seeded rng."""
     # argmax returns the first maximum, so every tie lies at or after it.
     ties = values[best:] == values[best]
     if np.count_nonzero(ties) == 1:
@@ -86,13 +86,19 @@ def _farthest_points(pts, seed):
     rng = np.random.default_rng(integer(seed, "seed"))
     cols = np.ascontiguousarray(pts.T)
     buf = np.empty_like(cols)
-    start = _tie_argmax(-_distances(cols, pts.mean(axis=0), buf), rng)
+    near = -_distances(cols, pts.mean(axis=0), buf)
+    start = _break_tie(near, int(near.argmax()), rng)
     dists = _distances(cols, pts[start], buf).copy()
-    yield start, float(dists.max())
+    # Each step takes the argmax of the distances once: the value there is
+    # the cover radius it yields (dists holds no NaN), and the index the
+    # next step's pick.
+    best = int(dists.argmax())
+    yield start, float(dists[best])
     for _ in range(pts.shape[0] - 1):
-        nxt = _tie_argmax(dists, rng)
+        nxt = _break_tie(dists, best, rng)
         np.minimum(dists, _distances(cols, pts[nxt], buf), out=dists)
-        yield nxt, float(dists.max())
+        best = int(dists.argmax())
+        yield nxt, float(dists[best])
 
 
 def farthest_point_order(train_points, seed=0):

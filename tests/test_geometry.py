@@ -7,13 +7,18 @@ import pytest
 
 import smnn
 from smnn.geometry import (
+    COND_LIMIT,
     INDEX_MIN_CELLS,
     LOCATOR_MIN_CELLS,
     SCREEN_MIN_DIM,
     CellIndex,
     TAU,
+    _cell_systems,
+    _condition,
     _coordinate_slack,
+    _invert,
     _lift_screen,
+    _reach,
     build_triangulation,
     clamp_coords,
     locate_batch,
@@ -775,7 +780,10 @@ class TestLiftScreen:
         tmat = np.concatenate([np.transpose(pts[tri.simplices], (0, 2, 1)), np.ones((2, 1, 3))], axis=1)
         sv = np.linalg.svd(tmat, compute_uv=False)
         screened = dataclasses.replace(
-            tri, index=_lift_screen(pts, tri.simplices, _coordinate_slack(sv), tri.inverses, np.ones(2, dtype=bool))
+            tri,
+            index=_lift_screen(
+                pts, tri.simplices, _coordinate_slack(sv[:, 0] / sv[:, -1], 2), tri.inverses, np.ones(2, dtype=bool)
+            ),
         )
         assert screened.locator == "lift"
         rng = np.random.default_rng(4)
@@ -784,6 +792,9 @@ class TestLiftScreen:
         inside = np.einsum("qi,qid->qd", w / w.sum(axis=1, keepdims=True), cells)
         edge = rng.random((50, 1)) * pts[0] + (1 - rng.random((50, 1))) * pts[1]
         queries = np.concatenate([inside, edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf), pts])
+        # On two cells only a call of INDEX_MIN_CELLS / 2 rows or more goes
+        # through the screen.
+        assert screened.search(len(queries)) == "lift"
         want, _ = assert_locates_as_all_cells(screened, queries)
         lift = np.einsum("sij,si->sj", tri.inverses, (pts**2).sum(axis=1)[tri.simplices])
         top = np.argmax(np.concatenate([queries, np.ones((len(queries), 1))], axis=1) @ lift.T, axis=1)
@@ -809,12 +820,16 @@ class TestLiftScreen:
         sv[0] = [1e8, 1.0, 1.0]
         screened = dataclasses.replace(
             tri, inverses=inverses,
-            index=_lift_screen(pts, tri.simplices, _coordinate_slack(sv), inverses, np.ones(3, dtype=bool)),
+            index=_lift_screen(
+                pts, tri.simplices, _coordinate_slack(sv[:, 0] / sv[:, -1], 2), inverses, np.ones(3, dtype=bool)
+            ),
         )
         rng = np.random.default_rng(8)
         below = np.stack([rng.uniform(-0.5, 0.5, 300), -eta * rng.uniform(0.05, 1.0, 300)], axis=1)
         inside = np.einsum("qi,qid->qd", rng.dirichlet(np.ones(3), 300), pts[tri.simplices[rng.integers(0, 3, 300)]])
-        want, _ = assert_locates_as_all_cells(screened, np.concatenate([below, inside]))
+        queries = np.concatenate([below, inside])
+        assert screened.search(len(queries)) == "lift"
+        want, _ = assert_locates_as_all_cells(screened, queries)
         assert (want[:300] == 0).sum() >= 250
 
     def test_pairs_match_the_two_dimensional_nonzero(self, iris_tri):
@@ -920,6 +935,155 @@ class TestLocatorChoice:
                 assert all(same_bits(got, x) for got, x in zip(batch.rows(), singles[a : a + rows]))
         assert set(located) == searches
         assert any(x.facet_used is not None for x in singles) and any(x.facet_used is None for x in singles)
+
+
+def flat_cell(widths, kappa, rotation):
+    """The n+1 points of a cell whose vertex system has a condition number
+    of about kappa: a regular (n-1)-simplex of n points centred at the
+    origin of x_n = 0, its coordinate rows stretched to the given norms,
+    and an apex above its centroid, all turned by rotation.  Rows of norm
+    sqrt(n+1), the norm of the row of ones, make |T|_F |T^-1|_F about
+    sqrt(n) times the condition number, and one long row about equal to
+    it; kappa = inf puts the apex on the facet."""
+    n = len(widths) + 1
+    basis = np.linalg.svd(np.eye(n) - 1.0 / n)[0][:, : n - 1]
+
+    def points(h):
+        facet = np.hstack([basis * widths, np.zeros((n, 1))])
+        return np.vstack([facet, np.append(np.zeros(n - 1), h)]) @ rotation.T
+
+    sv = np.linalg.svd(np.vstack([points(1e-4).T, np.ones(n + 1)]), compute_uv=False)
+    return points(1e-4 * sv[0] / sv[-1] / kappa)
+
+
+def conditioning_complex(n, cells, seed=0):
+    """indexed_complex(n) with extra cells, each (kind, kappa) for flat_cell,
+    after it in the cell list: "even" cells have n equal large singular
+    values, "long" ones one, and "singular" is an even cell with its apex
+    exactly on its facet (a zero row in T).  The extra cells overlap the
+    complex and each other, which build_triangulation allows."""
+    base = indexed_complex(n, seed)
+    rng = np.random.default_rng(seed)
+    points, simplices = [base.cloud.points], [base.simplices]
+    m = base.cloud.points.shape[0]
+    for kind, kappa in cells:
+        widths = np.full(n - 1, np.sqrt(n + 1.0))
+        if kind == "long":
+            widths[0] = 1e4
+        rotation = np.linalg.qr(rng.standard_normal((n, n)))[0] if kind != "singular" else np.eye(n)
+        points.append(flat_cell(widths, np.inf if kind == "singular" else kappa, rotation))
+        simplices.append(m + np.arange(n + 1)[None])
+        m += n + 1
+    return np.vstack(points), np.vstack(simplices)
+
+
+def svd_reference(pts, simp):
+    """The usable cells, inverses and worst condition number of the rule
+    that takes every cell's singular values, and each cell's ratio
+    sv[0] / sv[-1]."""
+    tmat = np.concatenate([np.transpose(pts[simp], (0, 2, 1)), np.ones((len(simp), 1, simp.shape[1]))], axis=1)
+    sv = np.linalg.svd(tmat, compute_uv=False)
+    usable = sv[:, -1] * COND_LIMIT > sv[:, 0]
+    inverses = np.full_like(tmat, np.nan)
+    inverses[usable] = np.linalg.inv(tmat[usable])
+    with np.errstate(divide="ignore"):
+        ratio = sv[:, 0] / sv[:, -1]
+    return usable, inverses, ratio[usable].max() if usable.any() else np.nan, ratio
+
+
+class TestConditioning:
+    """build_triangulation bounds each cell's condition number from its
+    inverse and takes singular values only where the bound cannot decide;
+    the usable cells, inverses and worst condition number stay those of
+    the all-cells SVD rule, bit for bit, at any scale."""
+
+    # Condition numbers in units of COND_LIMIT, around the usability band
+    # (|T|_F |T^-1|_F from about COND_LIMIT to (n+1) COND_LIMIT): below
+    # it, inside it on both sides of the limit, and past it.
+    BAND = [0.3, 0.4, 0.5, 0.7, 0.95, 0.99, 1.01, 1.05, 1.5, 2.5, 4.0, 8.0, 40.0, 1e4]
+
+    @staticmethod
+    def usability_cells(n):
+        even = [("even", r * COND_LIMIT) for r in TestConditioning.BAND]
+        return even + [("long", 0.99 * COND_LIMIT), ("long", 1.01 * COND_LIMIT), ("singular", None)]
+
+    @staticmethod
+    def worst_cells(n):
+        # The worst usable cell is a long one, while an even cell of a
+        # smaller condition number has the larger |T|_F |T^-1|_F; long
+        # cells from 1e9 to 1e11 have that product within rounding of
+        # their condition number.
+        return [("long", 3e11), ("even", 2.5e11)] + [("long", k) for k in np.geomspace(1e9, 1e11, 8)]
+
+    @staticmethod
+    def assert_matches_svd_reference(pts, simp):
+        tri = build_triangulation(pts, simp)
+        usable, inverses, cond, ratio = svd_reference(pts, simp)
+        assert np.array_equal(np.isnan(tri.inverses).any(axis=(1, 2)), ~usable)
+        assert tri.inverses.tobytes() == inverses.tobytes()
+        assert np.float64(tri.cond).tobytes() == np.float64(cond).tobytes()
+        # The bound is at least every usable cell's singular-value ratio,
+        # and so are the reach and the locator's pads that read it.
+        n = pts.shape[1]
+        tmat = _cell_systems(pts, simp)
+        got_usable, kappa, _, band = _condition(tmat, *_invert(tmat))
+        assert np.array_equal(got_usable, usable)
+        assert (kappa[usable] >= ratio[usable]).all()
+        assert tri.reach >= _reach(pts, _coordinate_slack(ratio, n)[usable])
+        return tri, ratio, band
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_usability_band_matches_the_svd(self, n, scale):
+        pts, simp = conditioning_complex(n, self.usability_cells(n))
+        tri, ratio, band = self.assert_matches_svd_reference(pts * scale, simp)
+        if scale != 1.0:
+            return
+        # The extra cells reach every side of the band: kappa_F below the
+        # limit, between it and (n+1) times it on either side of the
+        # limit, and past that; and one cell is exactly singular.
+        tmat = _cell_systems(pts, simp)
+        inverses, solved = _invert(tmat)
+        assert (~solved).sum() == 1 and ~solved[-1]
+        kappa_f = np.linalg.norm(tmat, axis=(1, 2)) * np.linalg.norm(inverses, axis=(1, 2))
+        usable = np.isfinite(tri.inverses).all(axis=(1, 2))
+        inside = (kappa_f > COND_LIMIT) & (kappa_f < (n + 1) * COND_LIMIT)
+        assert ((kappa_f > 0.5 * COND_LIMIT) & (kappa_f < COND_LIMIT) & usable).sum() >= 2
+        assert (inside & usable).sum() >= 2 and (inside & ~usable & solved).sum() >= 2
+        assert (solved & (kappa_f > 2 * (n + 1) * COND_LIMIT)).sum() >= 2
+        assert ((ratio < COND_LIMIT) == usable).all()
+        # The band SVD took the cells inside, the worst cell among them,
+        # and above 3-D the cells past the band too; few others.
+        assert set(np.flatnonzero(inside & solved)) <= set(band.tolist())
+        assert band.size <= len(self.usability_cells(n)) + 2
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_worst_condition_band_holds_the_worst_cell(self, n, scale):
+        pts, simp = conditioning_complex(n, self.worst_cells(n), seed=1)
+        tri, ratio, band = self.assert_matches_svd_reference(pts * scale, simp)
+        if scale != 1.0:
+            return
+        # The worst cell is not the one of the largest kappa_F, and every
+        # cell is surely usable by its bound, so only the worst band can
+        # have given the SVD the worst cell.
+        tmat = _cell_systems(pts, simp)
+        kappa_f = np.linalg.norm(tmat, axis=(1, 2)) * np.linalg.norm(_invert(tmat)[0], axis=(1, 2))
+        first = len(indexed_complex(n, 1).simplices)
+        assert np.argmax(ratio) == first and np.argmax(kappa_f) == first + 1
+        assert tri.cond == ratio[first] and first in band.tolist()
+        assert kappa_f.max() < 0.5 * COND_LIMIT
+
+    @pytest.mark.parametrize("name", ["spiral 95", "clusters 1,000", "Iris full"])
+    def test_benchmark_complexes_take_few_singular_values(self, name):
+        data, size = {
+            "spiral 95": (smnn.gen_spiral(400, seed=0), 95),
+            "clusters 1,000": (smnn.gen_clusters(4000, n_features=3, class_sep=1.5, seed=0), 1000),
+            "Iris full": (smnn.load_iris(), None),
+        }[name]
+        tri = TestLocatorChoice.support_space(data, size).tri
+        _, _, band = self.assert_matches_svd_reference(tri.cloud.points, tri.simplices)
+        assert 1 <= band.size <= 10
 
 
 class TestVisibleFacets:

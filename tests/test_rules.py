@@ -124,6 +124,24 @@ class TestIndices:
         with pytest.raises(ValueError, match=r"^idx %d out of range for k=3$" % bad):
             errors.indices(values, "idx", stop=3)
 
+    @staticmethod
+    def long_mixed():
+        # 1,000 indices alternating Python ints and np.int64, as a support
+        # list of fit_space or a model file's labels may hold them.
+        return [i if i % 2 else np.int64(i) for i in range(1000)]
+
+    def test_accepts_a_long_mixed_list(self):
+        values = self.long_mixed()
+        out = errors.indices(values, "idx", stop=1000)
+        assert out.dtype == np.int64 and out.tolist() == list(range(1000))
+
+    @pytest.mark.parametrize("last", [True, np.bool_(True), 1.0])
+    def test_rejects_a_long_list_whose_last_element_is_not_an_integer(self, last):
+        values = self.long_mixed()
+        values[-1] = last
+        with pytest.raises(ValueError, match="idx: expected integers, not floats or booleans"):
+            errors.indices(values, "idx", stop=1000)
+
     def test_rejects_integers_past_int64(self):
         with pytest.raises(ValueError, match="idx: an integer exceeds the int64 range"):
             errors.indices([0, 2 ** 64], "idx", stop=3)

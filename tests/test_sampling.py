@@ -259,9 +259,9 @@ class TestEarlyStop:
     def test_traverses_only_the_prefix(self, monkeypatch):
         pts = self.CLOUDS["random"]
         calls = []
-        real = smnn.sampling._tie_argmax
+        real = smnn.sampling._break_tie
         monkeypatch.setattr(
-            smnn.sampling, "_tie_argmax", lambda v, rng: calls.append(1) or real(v, rng)
+            smnn.sampling, "_break_tie", lambda v, best, rng: calls.append(1) or real(v, best, rng)
         )
         chosen = smnn.epsilon_representative(pts, 0.3)
         assert len(calls) == len(chosen) < pts.shape[0]
