@@ -7,14 +7,13 @@ and Iris full, and the 200-point seed-0 supports of 4- and 6-D
 gen_clusters probes), it builds the embedding space once as the benchmark
 does and then times each stage of build_triangulation on that complex's
 cloud and cells, in the order the function runs them: hull faces, facet
-planes, cell systems, inverses (slogdet and inv), conditioning (the
-bound from the inverses and the band SVD) and the locator (a CellIndex
-or a LiftScreen).  The first column is each stage's first call on the
+planes, cell systems, conditioning (the inverses, by slogdet and inv,
+and the bound on each condition number) and the locator (a CellIndex or
+a LiftScreen).  The first column is each stage's first call on the
 complex, the second the fastest of --repeats warm calls, in ms; the last
 row is the whole build_triangulation call, timed the same way, and each
-complex's header gives its cell count and how many cells the band SVD
-took.  The 6-D complex
-has about 55k cells; a run with --repeats 1 peaked at about 290 MB.
+complex's header gives its cell count.  The 6-D complex has about 55k
+cells; a run with --repeats 1 peaked at about 290 MB.
 """
 
 import argparse
@@ -61,7 +60,7 @@ def timed(call, repeats):
 
 
 def stages(tri, repeats):
-    """(stage, first ms, warm ms) rows of one complex, and the band size."""
+    """(stage, first ms, warm ms) rows of one complex."""
     points, simp = tri.cloud.points, tri.simplices
     n = points.shape[1]
     rows = []
@@ -74,8 +73,8 @@ def stages(tri, repeats):
     facets, opposite = run("faces", lambda: geometry._hull_facets(simp, n))
     run("facet planes", lambda: geometry._facet_planes(points, facets, opposite))
     tmat = run("cell systems", lambda: geometry._cell_systems(points, simp))
-    inverses, solved = run("inverses", lambda: geometry._invert(tmat))
-    usable, kappa, _, band = run("conditioning", lambda: geometry._condition(tmat, inverses, solved))
+    inverses, kappa = run("conditioning", lambda: geometry._condition(tmat))
+    usable = kappa < geometry.COND_LIMIT
     inverses[~usable] = np.nan
     delta = geometry._coordinate_slack(kappa, n)
     if n < geometry.SCREEN_MIN_DIM:
@@ -83,7 +82,7 @@ def stages(tri, repeats):
     else:
         run("locator (screen)", lambda: geometry._lift_screen(points, simp, delta, inverses, usable))
     run("build_triangulation", lambda: geometry.build_triangulation(tri.cloud, simp))
-    return rows, band.size
+    return rows
 
 
 def main():
@@ -92,8 +91,8 @@ def main():
     args = parser.parse_args()
     for name, data, size in CASES:
         tri = complex_of(data(), size)
-        rows, band = stages(tri, args.repeats)
-        print("%s: %d-D, %d cells, band SVD on %d" % (name, tri.cloud.dim, tri.simplices.shape[0], band))
+        rows = stages(tri, args.repeats)
+        print("%s: %d-D, %d cells" % (name, tri.cloud.dim, tri.simplices.shape[0]))
         print("  %-20s %10s %10s" % ("stage", "first ms", "warm ms"))
         for stage, first, warm in rows:
             print("  %-20s %10.2f %10.2f" % (stage, first, warm))

@@ -46,7 +46,8 @@ from .errors import DegenerateSupport, DimensionMismatch, DimensionTooSmall, Sin
 # Tolerance for barycentric feasibility and clamping.
 TAU = 1e-9
 
-# Condition-number ceiling for simplex vertex systems.
+# A cell is usable when the proven bound on the condition number of its
+# vertex system (_condition) lies below this.
 COND_LIMIT = 1e12
 
 # Two points closer than this are considered coincident.
@@ -120,9 +121,6 @@ class Simplex:
         if list(ids) != sorted(set(ids)):
             raise ValueError("vertex ids must be sorted and distinct: %r" % (ids,))
         object.__setattr__(self, "vertex_ids", ids)
-
-    def __len__(self):
-        return len(self.vertex_ids)
 
 
 @dataclass(frozen=True)
@@ -271,8 +269,8 @@ class Triangulation:
     offsets   : (F,) hyperplane offsets of the facets.
     slack     : how far the planes miss a convex hull: the largest computed
                 N.v + c over cloud points v, and |N.u + c| at facet vertices.
-    cond      : the worst condition number of a usable cell, its ratio of
-                extreme singular values, or NaN (_condition).
+    cond      : a proven upper bound on the worst condition number of a
+                usable cell (_condition), or NaN when no cell is usable.
     reach     : a norm no query that passes a cell's TAU test exceeds.
     index     : from LOCATOR_MIN_CELLS cells, the point locator: a CellIndex
                 below SCREEN_MIN_DIM dimensions, then a LiftScreen; or None.
@@ -373,7 +371,7 @@ def _padded_boxes(lo, hi, delta):
     Accuracy and Stability of Numerical Algorithms, section 14.3).  So
     max|lam' - lam| <= eps L with L = max|lam| and
     eps = 64 (n+1)^2 u kappa, kappa any upper bound on cond_2(T) (the
-    one _condition proves); the factor 64 covers c_n and the pivot growth
+    kappa of _condition); the factor 64 covers c_n and the pivot growth
     with room to spare, and also the few ulps by which the pad below is
     rounded.
 
@@ -623,66 +621,33 @@ def _cell_systems(points, simp):
     return tmat
 
 
-def _invert(tmat):
-    """The inverses of the vertex systems, NaN blocks for the exactly
-    singular ones, and the mask of the others.  slogdet runs the LU
-    factorization that inv runs and gives sign 0 exactly where that meets
-    a zero pivot, where inv would raise; det could underflow or overflow."""
+def _condition(tmat):
+    """The inverses of the vertex systems T, NaN blocks for the exactly
+    singular ones, and a proven upper bound kappa on each cell's
+    condition number cond_2(T), inf for those.
+
+    slogdet runs the LU factorization that inv runs and gives sign 0
+    exactly where that meets a zero pivot, where inv would raise; det
+    could underflow or overflow.  For the others, let X be the stored
+    inverse, F = |T|_F |X|_F and c = 64 (n+1)^2 u, which as in
+    _padded_boxes covers the backward error of the LU-based inverse,
+    |T X - I|_F <= c F.  With R = T X - I, T^-1 = X (I + R)^-1, so for
+    cF < 1 |T^-1|_F <= |X|_F / (1 - cF) and
+        cond_2(T) <= |T|_F |T^-1|_F <= F / (1 - cF).
+    The computed F is within ((n+1)^2 + 3) u of F, below c / 16, so it
+    is taken rounded up by the factor 1 + c, and what is left of that
+    factor covers the rounding of the few operations after it: kappa =
+    F (1 + c) / (1 - c F (1 + c)) >= cond_2(T), inf where c F (1 + c)
+    reaches 1/2.
+    """
     solved = np.linalg.slogdet(tmat)[0] != 0
     inverses = np.full_like(tmat, np.nan)
     inverses[solved] = np.linalg.inv(tmat[solved])
-    return inverses, solved
-
-
-def _condition(tmat, inverses, solved):
-    """The usable cells, an upper bound kappa on each cell's condition
-    number, the worst condition number, and the cells whose singular
-    values that took.
-
-    A cell is usable when the singular values sv of its system T, as
-    np.linalg.svd computes them, have sv[-1] * COND_LIMIT > sv[0]; the
-    worst condition number is the largest sv[0] / sv[-1] of a usable cell,
-    and a cell not solved (_invert) is never usable.  The stored inverse X
-    decides most cells without the SVD.  Let F = |T|_F |X|_F and
-    c = 64 (n+1)^2 u, which as in _padded_boxes covers the backward error
-    of the LU-based inverse, |T X - I|_F <= c F, and that of the SVD,
-    |sv_i - s_i| <= c s_1 for the exact singular values s.  With
-    R = T X - I, T^-1 = X (I + R)^-1 and X = T^-1 (I + R), so for cF < 1
-        F / (1 + cF) <= |T|_F |T^-1|_F <= F / (1 - cF),
-    and cond_2(T) = k lies between 1/(n+1) and 1 times the middle term.
-    So kappa = F / (1 - cF) >= k, and sv[0] / sv[-1], which lies between
-    k (1 - c) / (1 + ck) and k (1 + c) / (1 - ck), is at most
-    hi = kappa (1 + c) / (1 - c kappa) and at least
-    lo = F (1 - c) / ((n+1)(1 + cF) + cF).  The computed F is within
-    ((n+1)^2 + 3) u of F, below c / 16, so it is taken rounded up by the
-    factor 1 + c in kappa and down by 1 - c in lo; what is left of that
-    factor covers the rounding of these few operations and of the product
-    with COND_LIMIT.  kappa and hi are inf where their cF reaches 1/2.
-
-    A cell with hi < COND_LIMIT is usable, one with lo > COND_LIMIT is
-    not, and one SVD call decides the others: a band from about
-    COND_LIMIT to (n+1) COND_LIMIT, with no upper end from 4-D on, where
-    lo stays below the limit however large F grows.  The call also takes
-    every usable cell whose hi reaches the largest lo of the cells found
-    usable, which the worst usable cell does.
-    """
-    n = tmat.shape[1] - 1
-    c = 64 * (n + 1) ** 2 * (np.finfo(np.float64).eps / 2)
+    c = 64 * tmat.shape[1] ** 2 * (np.finfo(np.float64).eps / 2)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        f = np.sqrt(np.einsum("sij,sij->s", tmat, tmat) * np.einsum("sij,sij->s", inverses, inverses))
-        up, down = f * (1.0 + c), f * (1.0 - c)
+        up = np.sqrt(np.einsum("sij,sij->s", tmat, tmat) * np.einsum("sij,sij->s", inverses, inverses)) * (1.0 + c)
         kappa = np.where(c * up < 0.5, up / (1.0 - c * up), np.inf)
-        hi = np.where(c * kappa < 0.5, kappa * (1.0 + c) / (1.0 - c * kappa), np.inf)
-        lo = down * (1.0 - c) / ((n + 1) * (1.0 + c * up) + c * down)
-    sure = solved & (hi < COND_LIMIT)
-    top = lo[sure].max(initial=-np.inf)
-    band = np.flatnonzero(solved & ~(lo > COND_LIMIT) & (~sure | (hi >= top)))
-    sv = np.linalg.svd(tmat[band], compute_uv=False)
-    fits = sv[:, -1] * COND_LIMIT > sv[:, 0]
-    usable = sure.copy()
-    usable[band] = fits
-    worst = sv[fits, 0] / sv[fits, -1]
-    return usable, kappa, float(worst.max()) if worst.size else np.nan, band
+    return inverses, kappa
 
 
 def build_triangulation(cloud, simplices):
@@ -704,14 +669,15 @@ def build_triangulation(cloud, simplices):
     facets, opposite = _hull_facets(simp, n)
     normals, offsets, slack = _facet_planes(points, facets, opposite)
 
-    # Flat cells get NaN inverse blocks: their coordinates never pass a
-    # feasibility test, so point location simply ignores them.  The bound
-    # on each cell's condition number gives its coordinate slack, which
-    # every locator bound reads.
-    tmat = _cell_systems(points, simp)
-    inverses, solved = _invert(tmat)
-    usable, kappa, cond, _ = _condition(tmat, inverses, solved)
+    # A cell is usable when the proven bound on its condition number is
+    # below COND_LIMIT.  The others (flat cells) get NaN inverse blocks:
+    # their coordinates never pass a feasibility test, so point location
+    # simply ignores them.  The same bound gives each cell's coordinate
+    # slack, which every locator bound reads.
+    inverses, kappa = _condition(_cell_systems(points, simp))
+    usable = kappa < COND_LIMIT
     inverses[~usable] = np.nan
+    cond = float(kappa[usable].max()) if usable.any() else np.nan
     delta = _coordinate_slack(kappa, n)
 
     index = None

@@ -172,11 +172,19 @@ def _kernel(flat, fidx, vals, vrep, y_index, eta):
     return s
 
 
+def _sample(xi, m):
+    """The support indices of one embedding, each in [0, m), and its values."""
+    cols = indices(xi.indices, "support index", stop=m)
+    vals = np.asarray(xi.values, dtype=np.float64)
+    if cols.shape != vals.shape:
+        raise ValueError("xi has %d support indices but %d values" % (cols.size, vals.size))
+    return cols, vals
+
+
 def gradient(weights, xi, y_index):
     """Cross-entropy gradient for one sample, restricted to touched columns."""
     y = int(indices(y_index, "label index", stop=weights.shape[0]))
-    cols = np.asarray(xi.indices, dtype=np.int64)
-    vals = np.asarray(xi.values, dtype=np.float64)
+    cols, vals = _sample(xi, weights.shape[1])
     g = softmax(weights[:, cols] @ vals)
     g[y] -= 1.0
     return SparseGradient(indices=cols, block=np.outer(g, vals))
@@ -189,8 +197,7 @@ def sgd_step(weights, xi, y_index, eta):
         raise TypeError("weights must be a floating-point array, got %s" % weights.dtype)
     k, m = weights.shape
     y = int(indices(y_index, "label index", stop=k))
-    cols = np.asarray(xi.indices, dtype=np.int64)
-    vals = np.asarray(xi.values, dtype=np.float64)
+    cols, vals = _sample(xi, m)
     work = np.ascontiguousarray(weights)
     _kernel(work.reshape(-1), cols[:, None] + np.arange(k) * m, vals, vals.repeat(k).tolist(), y, eta)
     if work is not weights:

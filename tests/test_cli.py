@@ -367,13 +367,15 @@ class TestTrainEvalPredictExplain:
 
 
 def _assert_condition_and_reach(tri, health):
-    """The reported worst condition number is that of the usable cells'
-    vertex matrices, and the reach lies just past the largest support
-    norm, by the coordinate slack of those cells."""
+    """The reported worst condition number bounds the largest condition
+    number of the usable cells' vertex matrices from above, and by at most
+    the factor n+1 of |T|_F |T^-1|_F over cond_2(T); the reach lies just
+    past the largest support norm, by the coordinate slack of those cells."""
     pts = tri.cloud.points
     usable = ~np.isnan(tri.inverses[:, 0, 0])
     tmat = np.concatenate([np.transpose(pts[tri.simplices[usable]], (0, 2, 1)), np.ones((usable.sum(), 1, pts.shape[1] + 1))], axis=1)
-    assert health["worst_condition"] == pytest.approx(np.linalg.cond(tmat).max(), rel=1e-9)
+    worst = np.linalg.cond(tmat).max()
+    assert worst <= health["worst_condition"] <= (pts.shape[1] + 1) * worst
     rho = np.linalg.norm(pts, axis=1).max()
     assert rho < health["reach"] < rho * (1 + 1e-4)
     json.dumps(health, allow_nan=False)

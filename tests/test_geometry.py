@@ -1,6 +1,7 @@
 """Triangulation, barycentric and circumsphere behavior."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from smnn.geometry import (
     _cell_systems,
     _condition,
     _coordinate_slack,
-    _invert,
     _lift_screen,
     _reach,
     build_triangulation,
@@ -978,28 +978,43 @@ def conditioning_complex(n, cells, seed=0):
 
 
 def svd_reference(pts, simp):
-    """The usable cells, inverses and worst condition number of the rule
-    that takes every cell's singular values, and each cell's ratio
-    sv[0] / sv[-1]."""
+    """The inverses of the rule that takes every cell's singular values
+    (usable when sv[-1] * COND_LIMIT > sv[0], NaN blocks for the others),
+    and each cell's ratio sv[0] / sv[-1]."""
     tmat = np.concatenate([np.transpose(pts[simp], (0, 2, 1)), np.ones((len(simp), 1, simp.shape[1]))], axis=1)
     sv = np.linalg.svd(tmat, compute_uv=False)
     usable = sv[:, -1] * COND_LIMIT > sv[:, 0]
     inverses = np.full_like(tmat, np.nan)
     inverses[usable] = np.linalg.inv(tmat[usable])
     with np.errstate(divide="ignore"):
-        ratio = sv[:, 0] / sv[:, -1]
-    return usable, inverses, ratio[usable].max() if usable.any() else np.nan, ratio
+        return inverses, sv[:, 0] / sv[:, -1]
+
+
+def exact_bound_holds(tmat, inverses, kappa):
+    """Whether each finite kappa is at least F / (1 - cF) in exact rational
+    arithmetic, F = |T|_F |X|_F of the stored floats of the system T and
+    its inverse X and c = 64 (n+1)^2 u: the bound _condition proves on
+    cond_2(T).  kappa >= F / (1 - cF) holds exactly when
+    kappa^2 >= F^2 (1 + c kappa)^2."""
+    c = Fraction(64 * tmat.shape[1] ** 2) * Fraction(np.finfo(np.float64).eps) / 2
+    out = []
+    for t, x, k in zip(tmat.tolist(), inverses.tolist(), kappa.tolist()):
+        if np.isfinite(k):
+            f2 = sum(Fraction(v) ** 2 for row in t for v in row) * sum(Fraction(v) ** 2 for row in x for v in row)
+            k = Fraction(k)
+            out.append(k * k >= f2 * (1 + c * k) ** 2)
+    return np.array(out, dtype=bool)
 
 
 class TestConditioning:
     """build_triangulation bounds each cell's condition number from its
-    inverse and takes singular values only where the bound cannot decide;
-    the usable cells, inverses and worst condition number stay those of
-    the all-cells SVD rule, bit for bit, at any scale."""
+    inverse (_condition) and calls a cell usable when that bound is below
+    COND_LIMIT.  The bound is at least the cell's singular-value ratio, so
+    every usable cell passes the SVD rule, at any scale; the worst
+    condition number reported is the largest bound of a usable cell."""
 
-    # Condition numbers in units of COND_LIMIT, around the usability band
-    # (|T|_F |T^-1|_F from about COND_LIMIT to (n+1) COND_LIMIT): below
-    # it, inside it on both sides of the limit, and past it.
+    # Condition numbers in units of COND_LIMIT, around the limit: below
+    # it, within a factor n+1 of it on both sides, and past that.
     BAND = [0.3, 0.4, 0.5, 0.7, 0.95, 0.99, 1.01, 1.05, 1.5, 2.5, 4.0, 8.0, 40.0, 1e4]
 
     @staticmethod
@@ -1009,81 +1024,94 @@ class TestConditioning:
 
     @staticmethod
     def worst_cells(n):
-        # The worst usable cell is a long one, while an even cell of a
-        # smaller condition number has the larger |T|_F |T^-1|_F; long
-        # cells from 1e9 to 1e11 have that product within rounding of
-        # their condition number.
+        # The worst usable cell by its singular values is a long one, while
+        # an even cell of a smaller condition number has the larger
+        # |T|_F |T^-1|_F; long cells from 1e9 to 1e11 have that product
+        # within rounding of their condition number.
         return [("long", 3e11), ("even", 2.5e11)] + [("long", k) for k in np.geomspace(1e9, 1e11, 8)]
 
     @staticmethod
-    def assert_matches_svd_reference(pts, simp):
+    def assert_bound_rule(pts, simp):
+        """The one rule on a complex, against every cell's singular values;
+        the complex, each cell's bound and singular-value ratio."""
         tri = build_triangulation(pts, simp)
-        usable, inverses, cond, ratio = svd_reference(pts, simp)
-        assert np.array_equal(np.isnan(tri.inverses).any(axis=(1, 2)), ~usable)
-        assert tri.inverses.tobytes() == inverses.tobytes()
-        assert np.float64(tri.cond).tobytes() == np.float64(cond).tobytes()
-        # The bound is at least every usable cell's singular-value ratio,
-        # and so are the reach and the locator's pads that read it.
-        n = pts.shape[1]
         tmat = _cell_systems(pts, simp)
-        got_usable, kappa, _, band = _condition(tmat, *_invert(tmat))
-        assert np.array_equal(got_usable, usable)
-        assert (kappa[usable] >= ratio[usable]).all()
-        assert tri.reach >= _reach(pts, _coordinate_slack(ratio, n)[usable])
-        return tri, ratio, band
+        inverses, kappa = _condition(tmat)
+        ratio = svd_reference(pts, simp)[1]
+        usable = kappa < COND_LIMIT
+        assert np.array_equal(np.isnan(tri.inverses).any(axis=(1, 2)), ~usable)
+        solved = np.linalg.slogdet(tmat)[0] != 0
+        assert np.isinf(kappa[~solved]).all()
+        assert (kappa[solved] >= ratio[solved]).all()
+        assert exact_bound_holds(tmat, inverses, kappa).all()
+        assert (ratio[usable] < COND_LIMIT).all()
+        assert tri.cond == kappa[usable].max()
+        want = np.full_like(tmat, np.nan)
+        want[usable] = np.linalg.inv(tmat[usable])
+        assert tri.inverses.tobytes() == want.tobytes()
+        # The reach and the locator's pads read the bound, so they hold at
+        # least what the singular-value ratios would give.
+        assert tri.reach >= _reach(pts, _coordinate_slack(ratio, pts.shape[1])[usable])
+        return tri, kappa, ratio
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_usability_band_matches_the_svd(self, n, scale):
         pts, simp = conditioning_complex(n, self.usability_cells(n))
-        tri, ratio, band = self.assert_matches_svd_reference(pts * scale, simp)
+        tri, kappa, ratio = self.assert_bound_rule(pts * scale, simp)
         if scale != 1.0:
             return
-        # The extra cells reach every side of the band: kappa_F below the
-        # limit, between it and (n+1) times it on either side of the
-        # limit, and past that; and one cell is exactly singular.
-        tmat = _cell_systems(pts, simp)
-        inverses, solved = _invert(tmat)
-        assert (~solved).sum() == 1 and ~solved[-1]
-        kappa_f = np.linalg.norm(tmat, axis=(1, 2)) * np.linalg.norm(inverses, axis=(1, 2))
+        # The extra cells reach every side of the limit: usable cells with
+        # a bound near it, cells the SVD rule would keep whose bound is
+        # past it (within a factor n+1), cells past it either way, and one
+        # exactly singular cell.
         usable = np.isfinite(tri.inverses).all(axis=(1, 2))
-        inside = (kappa_f > COND_LIMIT) & (kappa_f < (n + 1) * COND_LIMIT)
-        assert ((kappa_f > 0.5 * COND_LIMIT) & (kappa_f < COND_LIMIT) & usable).sum() >= 2
-        assert (inside & usable).sum() >= 2 and (inside & ~usable & solved).sum() >= 2
-        assert (solved & (kappa_f > 2 * (n + 1) * COND_LIMIT)).sum() >= 2
-        assert ((ratio < COND_LIMIT) == usable).all()
-        # The band SVD took the cells inside, the worst cell among them,
-        # and above 3-D the cells past the band too; few others.
-        assert set(np.flatnonzero(inside & solved)) <= set(band.tolist())
-        assert band.size <= len(self.usability_cells(n)) + 2
+        assert ((kappa > 0.5 * COND_LIMIT) & usable).sum() >= 2
+        assert ((ratio < COND_LIMIT) & ~usable).sum() >= 2
+        assert ((ratio > COND_LIMIT) & np.isfinite(ratio)).sum() >= 2
+        unsolved = np.isnan(_condition(_cell_systems(pts, simp))[0]).all(axis=(1, 2))
+        assert np.flatnonzero(unsolved).tolist() == [len(simp) - 1]
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("n", [2, 3])
     def test_worst_condition_band_holds_the_worst_cell(self, n, scale):
         pts, simp = conditioning_complex(n, self.worst_cells(n), seed=1)
-        tri, ratio, band = self.assert_matches_svd_reference(pts * scale, simp)
+        tri, kappa, ratio = self.assert_bound_rule(pts * scale, simp)
+        usable = np.isfinite(tri.inverses).all(axis=(1, 2))
+        assert ratio[usable].max() <= tri.cond <= (n + 1) * ratio[usable].max()
         if scale != 1.0:
             return
-        # The worst cell is not the one of the largest kappa_F, and every
-        # cell is surely usable by its bound, so only the worst band can
-        # have given the SVD the worst cell.
-        tmat = _cell_systems(pts, simp)
-        kappa_f = np.linalg.norm(tmat, axis=(1, 2)) * np.linalg.norm(_invert(tmat)[0], axis=(1, 2))
+        # Every cell is usable, and the worst by its singular values is not
+        # the one of the largest bound, which is the one reported.
         first = len(indexed_complex(n, 1).simplices)
-        assert np.argmax(ratio) == first and np.argmax(kappa_f) == first + 1
-        assert tri.cond == ratio[first] and first in band.tolist()
-        assert kappa_f.max() < 0.5 * COND_LIMIT
+        assert usable.all()
+        assert np.argmax(ratio) == first and np.argmax(kappa) == first + 1
+        assert tri.cond == kappa[first + 1] > ratio[first]
 
-    @pytest.mark.parametrize("name", ["spiral 95", "clusters 1,000", "Iris full"])
-    def test_benchmark_complexes_take_few_singular_values(self, name):
+    @pytest.mark.parametrize("name", ["spiral 5", "spiral 9", "spiral 95", "clusters 1,000", "Iris full"])
+    def test_benchmark_complexes_keep_the_svd_cells(self, name):
+        # On the benchmark supports the bound rule keeps the cells and
+        # inverses of the rule that takes every cell's singular values.
+        spiral = smnn.gen_spiral(400, seed=0)
         data, size = {
-            "spiral 95": (smnn.gen_spiral(400, seed=0), 95),
+            "spiral 5": (spiral, 5),
+            "spiral 9": (spiral, 9),
+            "spiral 95": (spiral, 95),
             "clusters 1,000": (smnn.gen_clusters(4000, n_features=3, class_sep=1.5, seed=0), 1000),
             "Iris full": (smnn.load_iris(), None),
         }[name]
         tri = TestLocatorChoice.support_space(data, size).tri
-        _, _, band = self.assert_matches_svd_reference(tri.cloud.points, tri.simplices)
-        assert 1 <= band.size <= 10
+        pts, simp = tri.cloud.points, tri.simplices
+        self.assert_bound_rule(pts, simp)
+        assert tri.inverses.tobytes() == svd_reference(pts, simp)[0].tobytes()
+
+    def test_a_bound_at_the_limit_is_not_usable(self, monkeypatch):
+        pts, simp = SQUARE_POINTS, square_tri().simplices
+        kappa = _condition(_cell_systems(pts, simp))[1]
+        monkeypatch.setattr(smnn.geometry, "COND_LIMIT", kappa[0])
+        assert np.isnan(build_triangulation(pts, simp).inverses[0]).all()
+        monkeypatch.setattr(smnn.geometry, "COND_LIMIT", np.nextafter(kappa[0], np.inf))
+        assert np.isfinite(build_triangulation(pts, simp).inverses[0]).all()
 
 
 class TestVisibleFacets:

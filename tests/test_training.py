@@ -191,6 +191,23 @@ class TestSgdStep:
             smnn.sgd_step(square_model.weights, xi, y_index, 0.1)
         assert np.array_equal(square_model.weights, before)
 
+    @pytest.mark.parametrize("cols, vals", [
+        ([-1, 1], [0.5, 0.5]),
+        ([4, 1], [0.5, 0.5]),
+        ([1.0, 2.0], [0.5, 0.5]),
+        ([True, False], [0.5, 0.5]),
+        ([1, 2, 3], [0.5, 0.5]),
+    ])
+    def test_bad_support_indices_rejected(self, square_model, cols, vals):
+        # -1 would update column 3 and 4 lies past the 4 columns.
+        xi = smnn.SparseXi(np.array(cols), np.array(vals))
+        before = square_model.weights.copy()
+        with pytest.raises(ValueError, match="support ind"):
+            smnn.gradient(square_model.weights, xi, 0)
+        with pytest.raises(ValueError, match="support ind"):
+            smnn.sgd_step(square_model.weights, xi, 0, 0.1)
+        assert np.array_equal(square_model.weights, before)
+
     def test_integer_weights_rejected(self, square_model):
         # Writing float updates back into an integer matrix would truncate.
         xi = smnn.xi(square_model.space, [0.75, 0.6])
