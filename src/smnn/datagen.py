@@ -236,7 +236,8 @@ def split(dataset, train_fraction, seed=0):
     their counts allow it (10 A and 10 B rows at 0.95 give 18 train rows,
     not 19).  Row order within each side follows the original dataset.
     """
-    if not 0.0 < train_fraction < 1.0:
+    train_fraction = positive(train_fraction, "train_fraction")
+    if train_fraction >= 1.0:
         raise ValueError("train_fraction must be in (0, 1), got %g" % train_fraction)
     labels = np.array(dataset.labels)
     members = [np.nonzero(labels == c)[0] for c in sorted(set(dataset.labels))]

@@ -41,6 +41,7 @@ from .errors import (
     ZeroNorm,
     indices,
     positive,
+    sparse_row,
 )
 from .geometry import (
     TAU,
@@ -117,8 +118,9 @@ class SparseXi:
     facet_used: tuple = None
 
     def to_dense(self, m):
+        cols, vals = sparse_row(self.indices, self.values, m)
         dense = np.zeros(m)
-        dense[self.indices] = self.values
+        dense[cols] = vals
         return dense
 
 
@@ -178,8 +180,13 @@ def fit_space(train_points, support_indices, radius_margin=1.0):
 
 
 def project_to_sphere(space, x):
-    """Radial projection of a translated point onto the bounding sphere."""
+    """Radial projection of a translated point onto the bounding sphere.
+    Raises DimensionMismatch and NonFiniteQuery as translate_queries does."""
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != (space.dim,):
+        raise DimensionMismatch("expected a point of dimension %d, got shape %s" % (space.dim, x.shape))
+    if not np.isfinite(x).all():
+        raise NonFiniteQuery("the point has a non-finite coordinate")
     norm = float(np.linalg.norm(x))
     if norm < 1e-12:
         raise ZeroNorm("cannot project a point with norm %g onto the sphere" % norm)

@@ -1,10 +1,10 @@
 """Exception hierarchy and input rules shared by all smnn modules.
 
 Each rule on a user input has one definition here: positive (for real
-numbers, with a lower bound), integer and indices.  Booleans are never
-numbers or indices, though Python makes bool a subclass of int.  A rule
-raises ValueError unless its caller names the error class it raises for
-that input.
+numbers, with a lower bound), integer, indices and sparse_row.  Booleans
+are never numbers or indices, though Python makes bool a subclass of
+int.  A rule raises ValueError unless its caller names the error class
+it raises for that input.
 """
 
 import math
@@ -130,3 +130,18 @@ def indices(values, what, stop=None, error=ValueError):
         if bad.size:
             raise error("%s %d out of range for k=%d" % (what, bad[0], stop))
     return arr
+
+
+def sparse_row(cols, values, stop):
+    """One sparse row as (int64 indices, float64 values): each index in
+    [0, stop) by the indices rule, one value per index along the last axis
+    of values, and every value finite."""
+    cols = indices(cols, "support index", stop=stop)
+    vals = np.asarray(values, dtype=np.float64)
+    if cols.ndim != 1 or vals.shape[-1:] != cols.shape:
+        raise ValueError(
+            "a sparse row has %d support indices but values of shape %s" % (cols.size, vals.shape)
+        )
+    if not np.isfinite(vals).all():
+        raise ValueError("a sparse row holds a non-finite value")
+    return cols, vals

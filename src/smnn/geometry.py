@@ -59,25 +59,31 @@ COINCIDENCE_TOL = 1e-9
 # 2- and 3-D clouds a single query through the index breaks even with
 # the all-cells test at about 850-1,050 cells and is 13-28% cheaper at
 # about 1,250; in 4-D the screen breaks even at about 540.  In batches
-# (scripts/locator_sweep.py, spiral supports, three runs) the index
-# breaks even at about 8 rows a call on 169 cells, where a 512-row call
-# costs 0.9-1.4 us a row through it against 3.8-6.4 us.
+# (scripts/sweep.py locate, three runs with one BLAS thread) the index
+# breaks even between 8 and 32 rows a call on the 169 cells of spiral
+# support 95: 8 rows cost 1.05-1.09 times as much through it as through
+# every cell, 32 rows about half, and a 512-row call 0.79-0.88 us a row
+# against 3.6-3.9 us.
 INDEX_MIN_CELLS = 1024
 
 # Complexes of at least this many cells carry a locator; smaller ones
 # test every cell in every call.  In the same sweep, on 18 cells a 512-row
-# call costs 0.96-1.04 times as much through the index as through every
-# cell, and a 100-row call 0.85-1.25 times; on 35 cells a 512-row call
-# costs 0.67-0.70 times as much, and a 32-row call, just past the cut,
-# 1.24-1.34 times.
+# call costs 1.03-1.04 times as much through the index as through every
+# cell, and a 100-row call 1.36-1.38 times; on 35 cells a 512-row call
+# costs 0.70-0.73 times as much, and a 32-row call, just past the cut,
+# 1.34-1.35 times.
 LOCATOR_MIN_CELLS = 32
 
 # A locator in this many dimensions or more is a LiftScreen, in fewer a
-# CellIndex.  On random complexes of 900 to 3,000 cells a 512-row batch
-# costs 0.9 us a row through the index in 2-D and 2.1-2.4 us in 3-D,
-# against 7-14 us through the screen, but 8-14 us against 6-13 us in 4-D
-# and 63-96 us against 10-14 us in 5-D; one row costs 33-60 us through
-# either, the screen the cheaper from 5-D.
+# CellIndex.  In the same sweep a 512-row call costs 3.2-3.7 us a row
+# through the index against 12-17 us through the screen on the 6,239
+# cells of clusters support 1,000 (3-D), but 23-27 us against 5.4-6.1 us
+# on the 1,795 of Iris (4-D); on the small 2-D spiral complexes the screen
+# costs 17-49% less from 8 rows a call (README).  Earlier, unpinned runs
+# on random complexes of 900 to 3,000 cells read 0.9 us a row through
+# the index in 2-D and 2.1-2.4 us in 3-D against 7-14 us through the
+# screen, 8-14 against 6-13 us in 4-D and 63-96 against 10-14 us in 5-D;
+# one row cost 33-60 us through either, the screen the cheaper from 5-D.
 SCREEN_MIN_DIM = 4
 
 
@@ -370,10 +376,11 @@ def _padded_boxes(lo, hi, delta):
     and an LU-based inverse has |X T - I| <= c_n u |X| |L| |U| (Higham,
     Accuracy and Stability of Numerical Algorithms, section 14.3).  So
     max|lam' - lam| <= eps L with L = max|lam| and
-    eps = 64 (n+1)^2 u kappa, kappa any upper bound on cond_2(T) (the
-    kappa of _condition); the factor 64 covers c_n and the pivot growth
-    with room to spare, and also the few ulps by which the pad below is
-    rounded.
+    eps = 128 (n+1)^2 u kappa, kappa any upper bound on cond_2(T) (the
+    kappa of _condition); _coordinate_slack writes it as 64 (n+1)^2
+    times the machine epsilon, which is 2u.  The factor 128 covers c_n
+    and the pivot growth with room to spare, and also the few ulps by
+    which the pad below is rounded.
 
     A feasible query has lam'_i >= -TAU, so lam_i >= -(TAU + eps L).  The
     lam_i sum to 1, so L <= 1 + n (TAU + eps L), i.e.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import xi as _xi
-from .errors import NonFiniteWeights, UnknownLabel, indices, integer
+from .errors import NonFiniteWeights, UnknownLabel, indices, integer, sparse_row
 
 # Probabilities are floored at this value inside log-loss.
 LOSS_FLOOR = 1e-12
@@ -120,6 +120,7 @@ def init_weights(mode, seed, k, m, support_labels=None):
     indicator of the label of support point t, which makes the classifier
     reproduce the support labelling exactly before any training.
     """
+    k, m = integer(k, "k", low=1), integer(m, "m", low=1)
     if mode == "uniform01":
         if not isinstance(seed, np.random.Generator):
             seed = np.random.default_rng(integer(seed, "seed"))
@@ -135,13 +136,21 @@ def init_weights(mode, seed, k, m, support_labels=None):
 
 
 def logits(model, xi):
-    """Class scores for one sparse embedding; sphere mass contributes nothing."""
+    """Class scores for one sparse embedding; sphere mass contributes nothing.
+    The row must pass errors.sparse_row for the model's support."""
+    cols, vals = sparse_row(xi.indices, xi.values, model.weights.shape[1])
+    return model.weights[:, cols] @ vals
+
+
+def _logits(model, xi):
+    """logits of a row that embedding.xi built, unchecked: its indices and
+    values are the complex's own."""
     return model.weights[:, xi.indices] @ xi.values
 
 
 def forward(model, x_raw):
     """Class probability vector for one raw query inside the bounding ball."""
-    return softmax(logits(model, _xi(model.space, x_raw)))
+    return softmax(_logits(model, _xi(model.space, x_raw)))
 
 
 def predict(model, x_raw):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .embedding import embed_batch, embed_translated, fit_space, translate_queries
-from .errors import InvalidCount, indices, integer, positive
+from .errors import InvalidCount, indices, integer, positive, sparse_row
 from .geometry import as_cloud
 from .model import LabelEncoding, SmnnModel, _support_labels, cross_entropy, init_weights, softmax
 
@@ -107,9 +107,9 @@ class SparseGradient:
     block: np.ndarray
 
     def to_dense(self, m):
-        k = self.block.shape[0]
-        dense = np.zeros((k, m))
-        dense[:, self.indices] = self.block
+        cols, block = sparse_row(self.indices, self.block, m)
+        dense = np.zeros((block.shape[0], m))
+        dense[:, cols] = block
         return dense
 
 
@@ -172,19 +172,10 @@ def _kernel(flat, fidx, vals, vrep, y_index, eta):
     return s
 
 
-def _sample(xi, m):
-    """The support indices of one embedding, each in [0, m), and its values."""
-    cols = indices(xi.indices, "support index", stop=m)
-    vals = np.asarray(xi.values, dtype=np.float64)
-    if cols.shape != vals.shape:
-        raise ValueError("xi has %d support indices but %d values" % (cols.size, vals.size))
-    return cols, vals
-
-
 def gradient(weights, xi, y_index):
     """Cross-entropy gradient for one sample, restricted to touched columns."""
     y = int(indices(y_index, "label index", stop=weights.shape[0]))
-    cols, vals = _sample(xi, weights.shape[1])
+    cols, vals = sparse_row(xi.indices, xi.values, weights.shape[1])
     g = softmax(weights[:, cols] @ vals)
     g[y] -= 1.0
     return SparseGradient(indices=cols, block=np.outer(g, vals))
@@ -197,7 +188,7 @@ def sgd_step(weights, xi, y_index, eta):
         raise TypeError("weights must be a floating-point array, got %s" % weights.dtype)
     k, m = weights.shape
     y = int(indices(y_index, "label index", stop=k))
-    cols, vals = _sample(xi, m)
+    cols, vals = sparse_row(xi.indices, xi.values, m)
     work = np.ascontiguousarray(weights)
     _kernel(work.reshape(-1), cols[:, None] + np.arange(k) * m, vals, vals.repeat(k).tolist(), y, eta)
     if work is not weights:

@@ -864,7 +864,7 @@ class TestLiftScreen:
 
 class TestLocatorChoice:
     """Each benchmark complex takes the search it was measured with, for one
-    row and for a batch (scripts/locator_sweep.py)."""
+    row and for a batch (scripts/sweep.py locate)."""
 
     @staticmethod
     def support_space(data, size):

@@ -255,6 +255,12 @@ ENTRY_POINTS = [
     ("fit_space non-finite point",
      lambda c: smnn.fit_space([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]], [0, 1, 2]),
      ValueError, "non-finite"),
+    ("project_to_sphere 3-coordinate point",
+     lambda c: smnn.project_to_sphere(c.space, [0.5, 0.5, 0.5]), smnn.DimensionMismatch, r"shape \(3,\)"),
+    ("project_to_sphere NaN point",
+     lambda c: smnn.project_to_sphere(c.space, [math.nan, 0.5]), smnn.NonFiniteQuery, "non-finite"),
+    ("project_to_sphere infinite point",
+     lambda c: smnn.project_to_sphere(c.space, [0.5, math.inf]), smnn.NonFiniteQuery, "non-finite"),
     # model
     ("SmnnModel support label 2",
      lambda c: smnn.SmnnModel(c.space, c.encoding, c.model.weights, [0, 2, 1, 1]), ValueError,
@@ -275,6 +281,16 @@ ENTRY_POINTS = [
      lambda c: smnn.init_weights("uniform01", 1.5, 2, 4), ValueError, "seed"),
     ("init_weights support label 1.0",
      lambda c: smnn.init_weights("one_hot", 0, 2, 4, [0, 1, 1.0, 1]), ValueError, "integers"),
+    ("init_weights k=2.5",
+     lambda c: smnn.init_weights("uniform01", 0, 2.5, 3), ValueError, "k must be an integer"),
+    ("init_weights k=True",
+     lambda c: smnn.init_weights("one_hot", 0, True, 2, [0, 0]), ValueError, "k must be an integer"),
+    ("init_weights k=-1",
+     lambda c: smnn.init_weights("uniform01", 0, -1, 3), ValueError, "k must be an integer of at least 1"),
+    ("init_weights m=0",
+     lambda c: smnn.init_weights("uniform01", 0, 2, 0), ValueError, "m must be an integer of at least 1"),
+    ("init_weights m=2.0",
+     lambda c: smnn.init_weights("one_hot", 0, 2, 2.0, [0, 1]), ValueError, "m must be an integer"),
     # persist
     ("model_from_dict dim=True",
      lambda c: smnn.model_from_dict(_doc(c, dim=True)), smnn.ModelFileError, "dim"),
@@ -345,6 +361,18 @@ ENTRY_POINTS = [
     ("gen_clusters seed=True", lambda c: smnn.gen_clusters(40, seed=True), ValueError, "seed"),
     ("gen_clusters seed=1.5", lambda c: smnn.gen_clusters(40, seed=1.5), ValueError, "seed"),
     ("gen_clusters seed=None", lambda c: smnn.gen_clusters(40, seed=None), ValueError, "seed"),
+    ("split train_fraction='0.5'",
+     lambda c: smnn.split(smnn.gen_spiral(40), "0.5"), ValueError, "train_fraction must be a finite number"),
+    ("split train_fraction=None",
+     lambda c: smnn.split(smnn.gen_spiral(40), None), ValueError, "train_fraction must be a finite number"),
+    ("split train_fraction=True",
+     lambda c: smnn.split(smnn.gen_spiral(40), True), ValueError, "train_fraction must be a finite number"),
+    ("split train_fraction=nan",
+     lambda c: smnn.split(smnn.gen_spiral(40), math.nan), ValueError, "train_fraction must be a finite number"),
+    ("split train_fraction=0",
+     lambda c: smnn.split(smnn.gen_spiral(40), 0), ValueError, "train_fraction"),
+    ("split train_fraction=1",
+     lambda c: smnn.split(smnn.gen_spiral(40), 1), ValueError, r"train_fraction must be in \(0, 1\)"),
     ("split seed=True",
      lambda c: smnn.split(smnn.gen_spiral(40), 0.5, seed=True), ValueError, "seed"),
     ("split seed=1.5",
@@ -371,6 +399,38 @@ ENTRY_POINTS = [
 def test_entry_point_rejects(ctx, call, error, match):
     with pytest.raises(error, match=match):
         call(ctx)
+
+
+class TestSparseRow:
+    """logits, both to_dense views, sgd_step and gradient read one sparse-row
+    rule: an index outside [0, m), unequal lengths or a non-finite value
+    raises, and no weight moves."""
+
+    ROWS = [
+        ("index -1", [-1], [1.0], "support index -1 out of range for k=4"),
+        ("index m", [4], [1.0], "support index 4 out of range for k=4"),
+        ("float index", [0.0], [1.0], "integers"),
+        ("NaN value", [0], [math.nan], "non-finite"),
+        ("infinite value", [0, 1], [0.5, math.inf], "non-finite"),
+        ("unequal lengths", [0, 1], [1.0], "2 support indices"),
+    ]
+
+    @pytest.mark.parametrize("cols, vals, match", [r[1:] for r in ROWS], ids=[r[0] for r in ROWS])
+    def test_rejects_and_leaves_the_weights(self, ctx, cols, vals, match):
+        row = smnn.SparseXi(np.array(cols), np.array(vals))
+        kept = ctx.model.weights.copy()
+        work = kept.copy()
+        calls = [
+            lambda: smnn.logits(ctx.model, row),
+            lambda: row.to_dense(4),
+            lambda: smnn.SparseGradient(np.array(cols), np.outer([1.0, -1.0], vals)).to_dense(4),
+            lambda: smnn.sgd_step(work, row, 0, 0.1),
+            lambda: smnn.gradient(work, row, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
+        assert ctx.model.weights.tobytes() == kept.tobytes() and work.tobytes() == kept.tobytes()
 
 
 class TestValidInputs:
