@@ -134,11 +134,11 @@ def indices(values, what, stop=None, error=ValueError):
 
 def sparse_row(cols, values, stop):
     """One sparse row as (int64 indices, float64 values): each index in
-    [0, stop) by the indices rule, one value per index along the last axis
-    of values, and every value finite."""
+    [0, stop) by the indices rule, one value per index, and every value
+    finite."""
     cols = indices(cols, "support index", stop=stop)
     vals = np.asarray(values, dtype=np.float64)
-    if cols.ndim != 1 or vals.shape[-1:] != cols.shape:
+    if cols.ndim != 1 or vals.shape != cols.shape:
         raise ValueError(
             "a sparse row has %d support indices but values of shape %s" % (cols.size, vals.shape)
         )

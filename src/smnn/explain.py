@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import xi as _xi
-from .model import _logits, softmax
+from .model import logits, softmax
 
 
 @dataclass
@@ -68,7 +68,7 @@ def explain(model, x_raw):
     """Explanation of the model's prediction at one query point."""
     x = np.asarray(x_raw, dtype=np.float64)
     sparse = _xi(model.space, x)
-    z = _logits(model, sparse)
+    z = logits(model, sparse)
     probs = softmax(z)
     predicted = model.encoding.labels[int(np.argmax(probs))]
 

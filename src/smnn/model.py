@@ -142,15 +142,9 @@ def logits(model, xi):
     return model.weights[:, cols] @ vals
 
 
-def _logits(model, xi):
-    """logits of a row that embedding.xi built, unchecked: its indices and
-    values are the complex's own."""
-    return model.weights[:, xi.indices] @ xi.values
-
-
 def forward(model, x_raw):
     """Class probability vector for one raw query inside the bounding ball."""
-    return softmax(_logits(model, _xi(model.space, x_raw)))
+    return softmax(logits(model, _xi(model.space, x_raw)))
 
 
 def predict(model, x_raw):

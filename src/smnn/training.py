@@ -107,7 +107,16 @@ class SparseGradient:
     block: np.ndarray
 
     def to_dense(self, m):
-        cols, block = sparse_row(self.indices, self.block, m)
+        """The (k, m) gradient: the indices follow the support-index rule of
+        errors.sparse_row, the block holds one finite column per index."""
+        cols = indices(self.indices, "support index", stop=m)
+        block = np.asarray(self.block, dtype=np.float64)
+        if cols.ndim != 1 or block.ndim != 2 or block.shape[1:] != cols.shape:
+            raise ValueError(
+                "a gradient block of shape %s does not fit %d support indices" % (block.shape, cols.size)
+            )
+        if not np.isfinite(block).all():
+            raise ValueError("a gradient block holds a non-finite value")
         dense = np.zeros((block.shape[0], m))
         dense[:, cols] = block
         return dense

@@ -413,6 +413,7 @@ class TestSparseRow:
         ("NaN value", [0], [math.nan], "non-finite"),
         ("infinite value", [0, 1], [0.5, math.inf], "non-finite"),
         ("unequal lengths", [0, 1], [1.0], "2 support indices"),
+        ("2-D values", [0, 1], [[0.5, 0.0], [0.0, 0.5]], "2 support indices"),
     ]
 
     @pytest.mark.parametrize("cols, vals, match", [r[1:] for r in ROWS], ids=[r[0] for r in ROWS])
@@ -431,6 +432,11 @@ class TestSparseRow:
             with pytest.raises(ValueError, match=match):
                 call()
         assert ctx.model.weights.tobytes() == kept.tobytes() and work.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("block", [[1.0, -1.0], [[[1.0, -1.0]]]], ids=["1-D", "3-D"])
+    def test_gradient_block_must_be_2d(self, block):
+        with pytest.raises(ValueError, match="does not fit 2 support indices"):
+            smnn.SparseGradient(np.array([0, 1]), np.array(block)).to_dense(4)
 
 
 class TestValidInputs:
