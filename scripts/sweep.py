@@ -11,10 +11,11 @@ A timing is a first call, then the fastest of --repeats warm calls.
 Re-run the sweep behind a cut before moving it.
 
 build   geometry.build_triangulation stage by stage (hull faces, facet
-        planes, cell systems, conditioning, the locator) and whole, first
-        and warm, in ms, on spiral 95, clusters 1,000, Iris full and the
-        200-point 4- and 6-D probes (about 55k cells; --repeats 1 peaks
-        near 290 MB).
+        planes, cell systems, conditioning, the locator), each timed inside
+        the build's own calls, so only the stages it ran appear, and whole,
+        first and warm, in ms, on spiral 15 (no locator) and 95, clusters
+        1,000, Iris full and the 200-point 4- and 6-D probes (about 55k
+        cells; --repeats 1 peaks near 290 MB).
 locate  INDEX_MIN_CELLS, LOCATOR_MIN_CELLS and SCREEN_MIN_DIM: per call
         size, the us per row of locate_batch through every cell, a forced
         CellIndex and a forced LiftScreen (per batch of queries, the
@@ -26,7 +27,7 @@ epochs  training.BATCH_MIN_WIDTH: the cache's rows per row on its busiest
         weight column, which picks the path; the mean level width of the
         first epoch's order at seeds 0-4; the level path's warm fit time
         over the kernel path's (4-100 epochs, both forced, which must train
-        the same weights bit for bit); and the path the cut picks.
+        the same weights bit for bit); and the path an unforced fit ran.
 """
 
 import os
@@ -62,9 +63,9 @@ def clusters(n, rows=2000):
     return lambda: smnn.gen_clusters(rows, n_features=n, class_sep=1.5, seed=0)
 
 
-BUILD = (("spiral 95", spiral, 95), ("clusters 1,000", clusters(3, 4000), 1000),
+BUILD = (("spiral 15", spiral, 15), ("spiral 95", spiral, 95), ("clusters 1,000", clusters(3, 4000), 1000),
          ("Iris full", smnn.load_iris, None), ("4-D probe", clusters(4), 200), ("6-D probe", clusters(6), 200))
-LOCATE = tuple(("spiral %d" % size, spiral, size) for size in (5, 9, 15, 25, 95)) + BUILD[1:3]
+LOCATE = tuple(("spiral %d" % size, spiral, size) for size in (5, 9, 15, 25, 95)) + BUILD[2:4]
 EPOCHS = (("spiral", spiral, (5, 40, 60, 95, 150)), ("2-D clusters", clusters(2), (50, 75, 100)),
           ("3-D clusters", clusters(3, 4000), (100, 200, 300, 1000)),
           ("4-D clusters", clusters(4), (100, 200)), ("Iris", smnn.load_iris, (60, 80, 112)))
@@ -106,30 +107,27 @@ def patched(module, **values):
             setattr(module, name, value)
 
 
+STAGES = {"_hull_facets": "faces", "_facet_planes": "facet planes", "_cell_systems": "cell systems",
+          "_condition": "conditioning", "_cell_index": "locator (index)", "_lift_screen": "locator (screen)"}
+
+
 def stages(tri, repeats):
-    """(stage, first s, warm s) rows of build_triangulation on tri's complex."""
-    points, simp = tri.cloud.points, tri.simplices
-    n = points.shape[1]
-    rows = []
+    """(stage, first s, warm s) rows of the stages that build_triangulation
+    ran on tri's complex, in the order it ran them, then the whole build."""
+    spent = {}
 
-    def run(name, call):
-        out, first, warm = timed(call, repeats)
-        rows.append((name, first, warm))
-        return out
+    def clocked(name, stage):
+        def call(*args):
+            started = time.perf_counter()
+            out = stage(*args)
+            spent.setdefault(name, []).append(time.perf_counter() - started)
+            return out
+        return call
 
-    facets, opposite = run("faces", lambda: geometry._hull_facets(simp, n))
-    run("facet planes", lambda: geometry._facet_planes(points, facets, opposite))
-    tmat = run("cell systems", lambda: geometry._cell_systems(points, simp))
-    inverses, kappa = run("conditioning", lambda: geometry._condition(tmat))
-    usable = kappa < geometry.COND_LIMIT
-    inverses[~usable] = np.nan
-    delta = geometry._coordinate_slack(kappa, n)
-    if n < geometry.SCREEN_MIN_DIM:
-        run("locator (index)", lambda: geometry._cell_index(points, simp, delta, usable))
-    else:
-        run("locator (screen)", lambda: geometry._lift_screen(points, simp, delta, inverses, usable))
-    run("build_triangulation", lambda: geometry.build_triangulation(tri.cloud, simp))
-    return rows
+    with patched(geometry, **{f: clocked(name, getattr(geometry, f)) for f, name in STAGES.items()}):
+        _, first, warm = timed(lambda: geometry.build_triangulation(tri.cloud, tri.simplices), repeats)
+    return [(name, t[0], min(t[1:], default=np.inf)) for name, t in spent.items()] + [
+        ("build_triangulation", first, warm)]
 
 
 def located(tri, queries):
@@ -198,9 +196,9 @@ def epoch_row(make, size, repeats):
     (level, _, level_s), (kernel, _, kernel_s) = fits
     if level[0].weights.tobytes() != kernel[0].weights.tobytes():
         sys.exit("sweep: the level and kernel paths train different weights")
-    ratio = n_rows / uses.max()
-    return (len(support), n_rows, ratio, min(widths), max(widths), level_s / kernel_s,
-            "level" if ratio >= training.BATCH_MIN_WIDTH else "kernel")
+    ran = smnn.train_cached(*inputs, dataclasses.replace(config, epochs=1))[1]
+    return (len(support), n_rows, n_rows / uses.max(), min(widths), max(widths), level_s / kernel_s,
+            "level" if ran.n_batches < ran.n_steps else "kernel")
 
 
 def build(repeats):

@@ -6,6 +6,7 @@ draws all randomness from --seed.  Exit codes: 0 success, 1 usage error,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from .errors import ParseError, SmnnError, indices
 from .explain import explain as _explain
 from .explain import render_explanation_svg
 from .model import forward as _forward
-from .training import TrainConfig, evaluate, train as _train
+from .training import INIT_MODES, TrainConfig, evaluate, train as _train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,20 +55,22 @@ def _build_parser():
 
     p = sub.add_parser("subsample", help="select an epsilon-representative support set")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--kappa", type=float)
+    rule = p.add_mutually_exclusive_group(required=True)
+    rule.add_argument("--epsilon", type=float)
+    rule.add_argument("--kappa", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--data", required=True)
-    p.add_argument("--support", help="JSON file with support indices")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--kappa", type=float)
+    rule = p.add_mutually_exclusive_group()
+    rule.add_argument("--support", help="JSON file with support indices")
+    rule.add_argument("--epsilon", type=float)
+    rule.add_argument("--kappa", type=float)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", choices=("uniform01", "one_hot"), default="uniform01")
+    p.add_argument("--init", choices=INIT_MODES, default="uniform01")
     p.add_argument("--radius-margin", type=float, default=1.0)
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--out", required=True)
@@ -147,8 +150,6 @@ def _select_support(points, epsilon, kappa, seed):
 
 
 def _cmd_subsample(args):
-    if (args.epsilon is None) == (args.kappa is None):
-        return _usage("subsample needs exactly one of --epsilon / --kappa")
     data = datagen.load_csv(args.in_path)
     indices, record = _select_support(data.points.points, args.epsilon, args.kappa, args.seed)
     with open(args.out, "w") as fh:
@@ -158,11 +159,6 @@ def _cmd_subsample(args):
     return 0
 
 
-def _usage(message):
-    print("smnn: error: %s" % message, file=sys.stderr)
-    return 1
-
-
 def _dedup_rows(points):
     """Indices of the first occurrence of each distinct row, ascending."""
     _, first = np.unique(points, axis=0, return_index=True)
@@ -170,8 +166,6 @@ def _dedup_rows(points):
 
 
 def _cmd_train(args):
-    if sum(x is not None for x in (args.support, args.epsilon, args.kappa)) > 1:
-        return _usage("train accepts at most one of --support / --epsilon / --kappa")
     data = datagen.load_csv(args.data)
     pts = data.points.points
 
@@ -200,17 +194,13 @@ def _cmd_train(args):
         shuffle=not args.no_shuffle,
     )
     model, report = _train(pts, data.labels, support, config, radius_margin=args.radius_margin)
-    provenance = {
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "learning_rate": args.lr,
-        "init_mode": args.init,
-        "shuffle": not args.no_shuffle,
-        "radius_margin": args.radius_margin,
-        "sampler": sampler_record,
-        "support_size": len(support),
-        "n_train": int(pts.shape[0]),
-    }
+    provenance = dict(
+        dataclasses.asdict(config),
+        radius_margin=args.radius_margin,
+        sampler=sampler_record,
+        support_size=len(support),
+        n_train=int(pts.shape[0]),
+    )
     persist.save_model(model, args.out, provenance=provenance)
     print(
         json.dumps(

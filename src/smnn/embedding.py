@@ -40,7 +40,9 @@ from .errors import (
     OutsideBall,
     ZeroNorm,
     indices,
+    integer,
     positive,
+    real,
     sparse_row,
 )
 from .geometry import (
@@ -48,6 +50,7 @@ from .geometry import (
     PointCloud,
     _dots,
     as_cloud,
+    as_point,
     build_delaunay,
     clamp_coords,
     locate,
@@ -118,6 +121,7 @@ class SparseXi:
     facet_used: tuple = None
 
     def to_dense(self, m):
+        m = integer(m, "m", low=1)
         cols, vals = sparse_row(self.indices, self.values, m)
         dense = np.zeros(m)
         dense[cols] = vals
@@ -181,10 +185,8 @@ def fit_space(train_points, support_indices, radius_margin=1.0):
 
 def project_to_sphere(space, x):
     """Radial projection of a translated point onto the bounding sphere.
-    Raises DimensionMismatch and NonFiniteQuery as translate_queries does."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (space.dim,):
-        raise DimensionMismatch("expected a point of dimension %d, got shape %s" % (space.dim, x.shape))
+    x follows as_point, and a non-finite one raises NonFiniteQuery."""
+    x = as_point(x, space.dim)
     if not np.isfinite(x).all():
         raise NonFiniteQuery("the point has a non-finite coordinate")
     norm = float(np.linalg.norm(x))
@@ -296,13 +298,9 @@ def _virtual_simplices(space, xs):
 
 def xi(space, x_raw):
     """Sparse embedding of one raw-coordinate query, bit for bit row 0 of
-    xi_batch; built directly, as a batch record costs one query 31-35 µs."""
-    x = np.asarray(x_raw, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch(
-            "expected one query of dimension %d, got shape %s" % (space.dim, x.shape)
-        )
-    t = _in_ball(space, x[None])
+    xi_batch; built directly, as a batch record costs one query 31-35 µs.
+    x_raw follows as_point."""
+    t = _in_ball(space, as_point(x_raw, space.dim)[None])
     if np.vdot(t, t) <= space.tri.reach * space.tri.reach:
         (cell,), coords = locate_batch(space.tri, t)
         if cell >= 0:
@@ -320,12 +318,12 @@ def xi(space, x_raw):
 def translate_queries(space, xs_raw):
     """Validated (Q, n) queries, an array or a PointCloud, moved to
     centroid-at-origin, and the mask of the rows inside the closed bounding
-    ball; the one rule on queries.  Raises DimensionMismatch and
-    NonFiniteQuery; a non-finite coordinate leaves its row outside the
-    ball, so only those rows are checked."""
+    ball; the one rule on queries.  Raises DimensionMismatch, NonFiniteQuery
+    and, for complex queries, ValueError; a non-finite coordinate leaves its
+    row outside the ball, so only those rows are checked."""
     if isinstance(xs_raw, PointCloud):
         xs_raw = xs_raw.points
-    xs = np.asarray(xs_raw, dtype=np.float64)
+    xs = np.asarray(real(xs_raw, "queries"), dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != space.dim:
         raise DimensionMismatch(
             "expected queries of dimension %d, got shape %s" % (space.dim, xs.shape)

@@ -1,7 +1,8 @@
 """Exception hierarchy and input rules shared by all smnn modules.
 
 Each rule on a user input has one definition here: positive (for real
-numbers, with a lower bound), integer, indices and sparse_row.  Booleans
+numbers, with a lower bound), integer, indices, real (no complex array)
+and sparse_row.  Booleans
 are never numbers or indices, though Python makes bool a subclass of
 int.  A rule raises ValueError unless its caller names the error class
 it raises for that input.
@@ -132,12 +133,21 @@ def indices(values, what, stop=None, error=ValueError):
     return arr
 
 
+def real(values, what):
+    """values as an array, unless it holds complex numbers: a float cast
+    would keep only their real parts, with no more than a ComplexWarning."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise ValueError("%s must be real numbers, got complex ones" % what)
+    return arr
+
+
 def sparse_row(cols, values, stop):
     """One sparse row as (int64 indices, float64 values): each index in
-    [0, stop) by the indices rule, one value per index, and every value
-    finite."""
+    [0, stop) by the indices rule, one real value per index, and every
+    value finite."""
     cols = indices(cols, "support index", stop=stop)
-    vals = np.asarray(values, dtype=np.float64)
+    vals = np.asarray(real(values, "sparse row values"), dtype=np.float64)
     if cols.ndim != 1 or vals.shape != cols.shape:
         raise ValueError(
             "a sparse row has %d support indices but values of shape %s" % (cols.size, vals.shape)

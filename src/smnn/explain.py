@@ -65,9 +65,8 @@ class Explanation:
 
 
 def explain(model, x_raw):
-    """Explanation of the model's prediction at one query point."""
-    x = np.asarray(x_raw, dtype=np.float64)
-    sparse = _xi(model.space, x)
+    """Explanation of the model's prediction at one query point, read as xi reads it."""
+    sparse = _xi(model.space, x_raw)
     z = logits(model, sparse)
     probs = softmax(z)
     predicted = model.encoding.labels[int(np.argmax(probs))]
@@ -83,7 +82,7 @@ def explain(model, x_raw):
         for t, value in zip(sparse.indices.tolist(), sparse.values.tolist())
     ]
     return Explanation(
-        query=x,
+        query=np.asarray(x_raw, dtype=np.float64),
         predicted_label=predicted,
         probabilities=probs,
         contributors=contributors,
@@ -122,6 +121,9 @@ def render_explanation_svg(explanation):
     Bars carry class="bar"; negative contributions hang below the axis.
     Output bytes depend only on the explanation contents.
     """
+    # Imported here: import smnn does not load html.
+    from html import escape
+
     k = len(explanation.class_labels)
     groups = explanation.contributors
     n_groups = max(len(groups), 1)
@@ -150,7 +152,7 @@ def render_explanation_svg(explanation):
             % (x, _MARGIN - 10, color)
         )
         parts.append(
-            '<text x="%d" y="%d">%s</text>' % (x + 14, _MARGIN, _escape(name))
+            '<text x="%d" y="%d">%s</text>' % (x + 14, _MARGIN, escape(str(name), quote=False))
         )
     parts.append(
         '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" stroke-width="1"/>'
@@ -174,7 +176,7 @@ def render_explanation_svg(explanation):
                     _BAR_W,
                     _fmt(bar_h),
                     color,
-                    _escape(explanation.class_labels[j]),
+                    escape(str(explanation.class_labels[j]), quote=False),
                     "%.6g" % value,
                 )
             )
@@ -184,7 +186,7 @@ def render_explanation_svg(explanation):
                 _fmt(gx + group_w / 2.0),
                 _fmt(_MARGIN + _LEGEND_H + _PLOT_H + 16),
                 contrib.support_index,
-                _escape(contrib.label),
+                escape(str(contrib.label), quote=False),
             )
         )
     if explanation.out_of_hull:
@@ -194,12 +196,3 @@ def render_explanation_svg(explanation):
         )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def _escape(text):
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-    )

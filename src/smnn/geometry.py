@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSupport, DimensionMismatch, DimensionTooSmall, SingularSimplex, indices
+from .errors import DegenerateSupport, DimensionMismatch, DimensionTooSmall, SingularSimplex, indices, real
 
 # Tolerance for barycentric feasibility and clamping.
 TAU = 1e-9
@@ -97,7 +97,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64, copy=True)
+        pts = np.array(real(self.points, "point cloud"), dtype=np.float64, copy=True)
         if pts.ndim != 2:
             raise ValueError("point cloud must be a 2-d array, got shape %s" % (pts.shape,))
         if pts.shape[0] == 0 or pts.shape[1] == 0:
@@ -327,6 +327,16 @@ def as_cloud(obj):
     coercion of a point set, which raises ValueError unless the points form
     a non-empty 2-d array of finite values."""
     return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
+
+
+def as_point(x, dim):
+    """x as a float64 array of shape (dim,); the one rule on a single point,
+    which raises DimensionMismatch for another shape and ValueError for
+    complex input."""
+    x = np.asarray(real(x, "a point"), dtype=np.float64)
+    if x.shape != (dim,):
+        raise DimensionMismatch("expected one point of dimension %d, got shape %s" % (dim, x.shape))
+    return x
 
 
 def _cloud_diameter(points):
@@ -792,12 +802,8 @@ def locate_batch(tri, xs):
 def locate(tri, x):
     """The containing maximal simplex of x and its clamped, renormalized
     barycentric coordinates, or None when x lies in no cell (outside the
-    hull, or not finite: one row of locate_batch); a query of another
-    shape than (n,) raises DimensionMismatch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tri.cloud.dim,):
-        raise DimensionMismatch("expected one point of dimension %d, got shape %s" % (tri.cloud.dim, x.shape))
-    (index,), coords = locate_batch(tri, x[None])
+    hull, or not finite: one row of locate_batch); x follows as_point."""
+    (index,), coords = locate_batch(tri, as_point(x, tri.cloud.dim)[None])
     if index < 0:
         return None
     return Simplex(tuple(tri.simplices[index].tolist())), clamp_coords(coords[0])

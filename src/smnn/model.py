@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import xi as _xi
-from .errors import NonFiniteWeights, UnknownLabel, indices, integer, sparse_row
+from .errors import NonFiniteWeights, UnknownLabel, indices, integer, real, sparse_row
 
 # Probabilities are floored at this value inside log-loss.
 LOSS_FLOOR = 1e-12
@@ -77,7 +77,7 @@ class SmnnModel:
     support_labels: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = np.asarray(real(self.weights, "weights"), dtype=np.float64)
         k, m = self.weights.shape
         if k != self.encoding.k:
             raise ValueError("weight rows %d != number of classes %d" % (k, self.encoding.k))
@@ -102,7 +102,7 @@ def softmax(z):
     exponentiating, and its result equals the softmax of that row alone
     bit for bit.  The row max is read from a column-major copy, where it
     is a few vector passes rather than one short reduction per row."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(real(z, "logits"), dtype=np.float64)
     e = np.exp(z - np.asfortranarray(z).max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -108,7 +108,9 @@ class SparseGradient:
 
     def to_dense(self, m):
         """The (k, m) gradient: the indices follow the support-index rule of
-        errors.sparse_row, the block holds one finite column per index."""
+        errors.sparse_row, the block holds one finite column per index, and
+        m is an integer of at least 1."""
+        m = integer(m, "m", low=1)
         cols = indices(self.indices, "support index", stop=m)
         block = np.asarray(self.block, dtype=np.float64)
         if cols.ndim != 1 or block.ndim != 2 or block.shape[1:] != cols.shape:

@@ -1,19 +1,29 @@
 """Shared fixtures: the worked square example, random-cloud helpers and the
 geometric oracles (circumspheres, normalized volumes) that tests check the
-triangulation against."""
+triangulation against.  The suite runs with one BLAS thread, as
+bench/run.py and scripts/sweep.py do, so that its timed gates read the
+machine's load less; the variables act only when NumPy first loads."""
 
-import math
+import os
+import sys
 
-import numpy as np
-import pytest
-from hypothesis import settings
+if "numpy" in sys.modules:
+    raise RuntimeError("NumPy was imported before tests/conftest.py could pin one BLAS thread")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import smnn
-from smnn.embedding import EmbeddingBatch, translate_queries
-from smnn.errors import InvalidCount
-from smnn.geometry import COND_LIMIT, TAU
-from smnn.model import LOSS_FLOOR, init_weights, logits
-from smnn.training import EvalReport
+import math  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+import smnn  # noqa: E402
+from smnn.embedding import EmbeddingBatch, translate_queries  # noqa: E402
+from smnn.errors import InvalidCount  # noqa: E402
+from smnn.geometry import COND_LIMIT, TAU  # noqa: E402
+from smnn.model import LOSS_FLOOR, init_weights, logits  # noqa: E402
+from smnn.training import EvalReport  # noqa: E402
 
 # Property tests draw the same examples on every run; hypothesis's own
 # --hypothesis-profile option selects another registered profile.

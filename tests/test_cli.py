@@ -125,16 +125,17 @@ class TestSubsample:
         assert _last_json(stdout)["epsilon"] > 0.0
 
     def test_requires_exactly_one_rule(self, tmp_path, capsys):
+        # argparse's either-or group reports both errors, exiting 1.
         data = tmp_path / "d.csv"
         _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
              "--out", str(data), "--train-fraction", "1")
-        code, _, stderr = _run(capsys, "subsample", "--in", str(data), "--out",
-                               str(tmp_path / "s.json"))
-        assert code == 1
-        assert "error" in stderr
-        code, _, _ = _run(capsys, "subsample", "--in", str(data), "--epsilon", "0.2",
-                          "--kappa", "5", "--out", str(tmp_path / "s.json"))
-        assert code == 1
+        for rule, message in (([], "one of the arguments --epsilon --kappa is required"),
+                              (["--epsilon", "0.2", "--kappa", "5"], "not allowed with argument")):
+            with pytest.raises(SystemExit) as err:
+                main(["subsample", "--in", str(data), *rule, "--out", str(tmp_path / "s.json")])
+            assert err.value.code == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestTrainEvalPredictExplain:
@@ -311,11 +312,12 @@ class TestTrainEvalPredictExplain:
         data = tmp_path / "d.csv"
         _run(capsys, "gen", "--kind", "spiral", "--n", "40", "--seed", "0",
              "--out", str(data), "--train-fraction", "1")
-        code, _, _ = _run(
-            capsys, "train", "--data", str(data), "--support", "s.json",
-            "--epsilon", "0.5", "--out", str(tmp_path / "m.json"),
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(data), "--support", "s.json",
+                  "--epsilon", "0.5", "--out", str(tmp_path / "m.json")])
+        assert err.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_train_deterministic_bytes(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

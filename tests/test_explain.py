@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -193,6 +196,23 @@ class TestRenderSvg:
         root = ET.fromstring(svg)
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
         assert any(t == "a<b&c" for t in texts)
+        # &, < and > are escaped in that order; quotes are left as they are.
+        assert "a&lt;b&amp;c" in svg and "&amp;lt;" not in svg
+
+    def test_quotes_are_left_unescaped(self):
+        exp = Explanation(
+            query=np.array([0.0]), predicted_label='say "hi"', probabilities=np.array([0.5, 0.5]),
+            contributors=[], sphere_mass=0.0, out_of_hull=False, class_labels=('say "hi"', "it's"),
+        )
+        svg = smnn.render_explanation_svg(exp)
+        assert '>say "hi"</text>' in svg and ">it's</text>" in svg
+
+    def test_import_does_not_load_html(self):
+        # render_explanation_svg imports html.escape on its first call.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smnn.__file__)))
+        code = "import sys; sys.path.insert(0, %r); import smnn; print('html' in sys.modules)" % src
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_group_labels_name_vertices(self, square_model):
         svg = smnn.render_explanation_svg(smnn.explain(square_model, [0.75, 1.25]))

@@ -379,6 +379,52 @@ ENTRY_POINTS = [
      lambda c: smnn.split(smnn.gen_spiral(40), 0.5, seed=1.5), ValueError, "seed"),
     ("split seed=None",
      lambda c: smnn.split(smnn.gen_spiral(40), 0.5, seed=None), ValueError, "seed"),
+    # sparse rows: m follows the integer rule
+    ("SparseXi.to_dense m=2.5",
+     lambda c: c.xi.to_dense(2.5), ValueError, "m must be an integer of at least 1, got 2.5"),
+    ("SparseXi.to_dense m=True",
+     lambda c: c.xi.to_dense(True), ValueError, "m must be an integer of at least 1, got True"),
+    ("SparseGradient.to_dense m=2.5",
+     lambda c: smnn.gradient(c.model.weights, c.xi, 0).to_dense(2.5), ValueError,
+     "m must be an integer of at least 1, got 2.5"),
+    ("SparseGradient.to_dense m=True",
+     lambda c: smnn.gradient(c.model.weights, c.xi, 0).to_dense(True), ValueError,
+     "m must be an integer of at least 1, got True"),
+    # complex input is refused before any float cast could drop its
+    # imaginary part
+    ("PointCloud complex points",
+     lambda c: smnn.PointCloud(SQUARE_POINTS + 1j), ValueError, "point cloud must be real"),
+    ("fit_space complex points",
+     lambda c: smnn.fit_space(SQUARE_POINTS + 1j, [0, 1, 2, 3]), ValueError, "complex"),
+    ("train complex points",
+     lambda c: smnn.train(SQUARE_POINTS + 1j, SQUARE_LABELS, [0, 1, 2, 3], smnn.TrainConfig(epochs=1)),
+     ValueError, "complex"),
+    ("forward complex point",
+     lambda c: smnn.forward(c.model, np.array([0.75 + 3j, 0.6])), ValueError, "a point must be real"),
+    ("forward [1j, 0.6]",
+     lambda c: smnn.forward(c.model, [1j, 0.6]), ValueError, "a point must be real"),
+    ("xi complex point",
+     lambda c: smnn.xi(c.space, np.array([0.75, 0.6 + 0j])), ValueError, "a point must be real"),
+    ("explain complex point",
+     lambda c: smnn.explain(c.model, np.array([0.75 + 3j, 0.6])), ValueError, "a point must be real"),
+    ("locate complex point",
+     lambda c: smnn.locate(c.space.tri, np.array([0.1 + 1j, 0.0])), ValueError, "a point must be real"),
+    ("project_to_sphere complex point",
+     lambda c: smnn.project_to_sphere(c.space, np.array([0.1 + 1j, 0.2])), ValueError,
+     "a point must be real"),
+    ("xi_batch complex queries",
+     lambda c: smnn.xi_batch(c.space, np.array([[0.75 + 3j, 0.6]])), ValueError, "queries must be real"),
+    ("evaluate complex queries",
+     lambda c: smnn.evaluate(c.model, np.array([[0.75 + 3j, 0.6]]), ["0"]), ValueError,
+     "queries must be real"),
+    ("logits complex values",
+     lambda c: smnn.logits(c.model, smnn.SparseXi(c.xi.indices, c.xi.values + 1j)), ValueError,
+     "sparse row values must be real"),
+    ("SmnnModel complex weights",
+     lambda c: smnn.SmnnModel(c.space, c.encoding, c.model.weights + 1j, c.y), ValueError,
+     "weights must be real"),
+    ("softmax complex logits",
+     lambda c: smnn.softmax(np.array([1.0 + 2j, 0.0])), ValueError, "logits must be real"),
     # cli
     ("train --support [true, ...]",
      lambda c: _train_cli(c, [True, 1, 2, 3]), smnn.ParseError, "integers"),

@@ -1,7 +1,7 @@
 """Smoke test of scripts/sweep.py, the harness behind the library's cuts.
 
-One repeat on spiral supports 9 and 95 runs the body of each sweep: the
-stage timer, the per-row location timing of the three searches and the
+One repeat on spiral supports 9 and 95 (and 15 for the stage timer) runs
+the body of each sweep: the stage timer, the per-row location timing of the three searches and the
 epoch-path ratio.  The harness reads private names of smnn.geometry and
 smnn.training, so renaming one fails here rather than in the next re-run.
 """
@@ -77,13 +77,19 @@ def test_reads_only_names_that_exist(sweep):
         assert names and [name for name in sorted(names) if not hasattr(module, name)] == []
 
 
-@pytest.mark.parametrize("size", [9, 95])
+@pytest.mark.parametrize("size", [9, 15, 95])
 def test_stage_timer(sweep, size):
+    # The rows are the stages the build ran: the 8 and 18 cells of spiral
+    # supports 9 and 15 are below LOCATOR_MIN_CELLS and carry no locator.
+    stage_functions = {name: getattr(geometry, name) for name in sweep.STAGES}
     tri = sweep.pick(sweep.spiral, size)[3].tri
     rows = sweep.stages(tri, 1)
+    locator = {9: [], 15: [], 95: ["locator (index)"]}[size]
+    assert (tri.index is not None) == bool(locator)
     assert [name for name, _, _ in rows] == [
-        "faces", "facet planes", "cell systems", "conditioning", "locator (index)", "build_triangulation"]
+        "faces", "facet planes", "cell systems", "conditioning", *locator, "build_triangulation"]
     assert all(0 < first < np.inf and 0 < warm < np.inf for _, first, warm in rows)
+    assert {name: getattr(geometry, name) for name in sweep.STAGES} == stage_functions
 
 
 @pytest.mark.parametrize("size", [9, 95])
