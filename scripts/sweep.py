@@ -3,6 +3,7 @@
     PYTHONPATH=src python3 scripts/sweep.py build [--repeats 5]
     PYTHONPATH=src python3 scripts/sweep.py locate [--repeats 25]
     PYTHONPATH=src python3 scripts/sweep.py epochs [--repeats 2]
+    PYTHONPATH=src python3 scripts/sweep.py query [--repeats 7]
 
 Each sweep runs one BLAS thread, as bench/run.py does, and picks each
 support as the benchmark does: the seed-0 farthest-point support of that
@@ -28,6 +29,10 @@ epochs  training.BATCH_MIN_WIDTH: the cache's rows per row on its busiest
         first epoch's order at seeds 0-4; the level path's warm fit time
         over the kernel path's (4-100 epochs, both forced, which must train
         the same weights bit for bit); and the path an unforced fit ran.
+query   the entry checks of one-row queries: us per call of forward, xi and
+        explain on the first held-out row inside the hull of spiral 95,
+        clusters 1,000 and Iris full (one-epoch model), the fastest of
+        --repeats rounds of 2,000 calls.
 """
 
 import os
@@ -44,6 +49,7 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import timeit  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -201,6 +207,17 @@ def epoch_row(make, size, repeats):
             "level" if ran.n_batches < ran.n_steps else "kernel")
 
 
+def query_row(make, size, repeats):
+    """us per call of forward, xi and explain on the first held-out row
+    inside the hull, each the fastest of `repeats` rounds of 2,000 calls."""
+    train, test, support, _ = pick(make, size)
+    model = smnn.train(train.points.points, train.labels, support, smnn.TrainConfig(epochs=1))[0]
+    space = model.space
+    x = next(x for x in test.points.points if smnn.locate(space.tri, x - space.centroid) is not None)
+    runs = (lambda: smnn.forward(model, x), lambda: smnn.xi(space, x), lambda: smnn.explain(model, x))
+    return [1e6 * min(timeit.repeat(run, number=2000, repeat=repeats)) / 2000 for run in runs]
+
+
 def build(repeats):
     for name, make, size in BUILD:
         tri = pick(make, size)[3].tri
@@ -230,10 +247,16 @@ def epochs(repeats):
             print("%-13s %7d %5d %13.1f %5.1f-%-6.1f %13.2f %6s" % row, flush=True)
 
 
+def query(repeats):
+    print("%-15s %10s %10s %10s" % ("support", "forward us", "xi us", "explain us"))
+    for name, make, size in BUILD[1:4]:
+        print("%-15s %10.2f %10.2f %10.2f" % (name, *query_row(make, size, repeats)), flush=True)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sweeps = parser.add_subparsers(dest="sweep", required=True)
-    for sweep, repeats in ((build, 5), (locate, 25), (epochs, 2)):
+    for sweep, repeats in ((build, 5), (locate, 25), (epochs, 2), (query, 7)):
         sub = sweeps.add_parser(sweep.__name__)
         sub.add_argument("--repeats", type=int, default=repeats, help="default %d" % repeats)
         sub.set_defaults(run=sweep)

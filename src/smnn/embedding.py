@@ -39,6 +39,7 @@ from .errors import (
     NonFiniteQuery,
     OutsideBall,
     ZeroNorm,
+    finite,
     indices,
     integer,
     positive,
@@ -186,9 +187,7 @@ def fit_space(train_points, support_indices, radius_margin=1.0):
 def project_to_sphere(space, x):
     """Radial projection of a translated point onto the bounding sphere.
     x follows as_point, and a non-finite one raises NonFiniteQuery."""
-    x = as_point(x, space.dim)
-    if not np.isfinite(x).all():
-        raise NonFiniteQuery("the point has a non-finite coordinate")
+    x = finite(as_point(x, space.dim), "the point", NonFiniteQuery)
     norm = float(np.linalg.norm(x))
     if norm < 1e-12:
         raise ZeroNorm("cannot project a point with norm %g onto the sphere" % norm)
@@ -323,7 +322,7 @@ def translate_queries(space, xs_raw):
     row outside the ball, so only those rows are checked."""
     if isinstance(xs_raw, PointCloud):
         xs_raw = xs_raw.points
-    xs = np.asarray(real(xs_raw, "queries"), dtype=np.float64)
+    xs = real(xs_raw, "queries")
     if xs.ndim != 2 or xs.shape[1] != space.dim:
         raise DimensionMismatch(
             "expected queries of dimension %d, got shape %s" % (space.dim, xs.shape)
@@ -331,9 +330,9 @@ def translate_queries(space, xs_raw):
     translated = xs - space.centroid
     inside = np.einsum("ij,ij->i", translated, translated) <= (space.radius + TAU) ** 2
     if not inside.all():
-        finite = np.isfinite(xs).all(axis=1)
-        if not finite.all():
-            raise NonFiniteQuery("query %d has a non-finite coordinate" % np.argmin(finite))
+        ok = np.isfinite(xs).all(axis=1)
+        if not ok.all():
+            raise NonFiniteQuery("query %d has a non-finite coordinate" % np.argmin(ok))
     return translated, inside
 
 

@@ -1,11 +1,11 @@
 """Exception hierarchy and input rules shared by all smnn modules.
 
 Each rule on a user input has one definition here: positive (for real
-numbers, with a lower bound), integer, indices, real (no complex array)
-and sparse_row.  Booleans
-are never numbers or indices, though Python makes bool a subclass of
-int.  A rule raises ValueError unless its caller names the error class
-it raises for that input.
+numbers, with a lower bound), integer, indices, real (float64 arrays, no
+complex numbers), finite and sparse_row.  Booleans are never numbers or
+indices, though Python makes bool a subclass of int.  A rule raises
+ValueError unless its caller names the error class it raises for that
+input.
 """
 
 import math
@@ -134,24 +134,38 @@ def indices(values, what, stop=None, error=ValueError):
 
 
 def real(values, what):
-    """values as an array, unless it holds complex numbers: a float cast
-    would keep only their real parts, with no more than a ComplexWarning."""
+    """values as a float64 array.  Complex numbers raise, in a complex
+    array or among the objects of an object array, where the cast would
+    keep only their real parts or raise a bare TypeError; so does any
+    other object the cast refuses.  Every other cast is NumPy's, so None
+    becomes NaN."""
     arr = np.asarray(values)
-    if arr.dtype.kind == "c":
+    # One subclass test per element type of an object array, as in indices.
+    if arr.dtype.kind == "c" or arr.dtype.kind == "O" and any(
+        issubclass(t, (complex, np.complexfloating)) for t in set(map(type, arr.reshape(-1)))
+    ):
         raise ValueError("%s must be real numbers, got complex ones" % what)
+    try:
+        return np.asarray(arr, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError("%s must be real numbers: %s" % (what, exc)) from None
+
+
+def finite(values, what, error=ValueError):
+    """real(values, what), with every value finite or error raised."""
+    arr = real(values, what)
+    if not np.isfinite(arr).all():
+        raise error("%s must be finite numbers, got a non-finite one" % what)
     return arr
 
 
 def sparse_row(cols, values, stop):
     """One sparse row as (int64 indices, float64 values): each index in
-    [0, stop) by the indices rule, one real value per index, and every
-    value finite."""
+    [0, stop) by the indices rule, and one finite value per index."""
     cols = indices(cols, "support index", stop=stop)
-    vals = np.asarray(real(values, "sparse row values"), dtype=np.float64)
+    vals = finite(values, "sparse row values")
     if cols.ndim != 1 or vals.shape != cols.shape:
         raise ValueError(
             "a sparse row has %d support indices but values of shape %s" % (cols.size, vals.shape)
         )
-    if not np.isfinite(vals).all():
-        raise ValueError("a sparse row holds a non-finite value")
     return cols, vals

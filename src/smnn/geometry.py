@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSupport, DimensionMismatch, DimensionTooSmall, SingularSimplex, indices, real
+from .errors import DegenerateSupport, DimensionMismatch, DimensionTooSmall, SingularSimplex, finite, indices, real
 
 # Tolerance for barycentric feasibility and clamping.
 TAU = 1e-9
@@ -97,13 +97,11 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(real(self.points, "point cloud"), dtype=np.float64, copy=True)
+        pts = finite(self.points, "point cloud").copy(order="K")
         if pts.ndim != 2:
             raise ValueError("point cloud must be a 2-d array, got shape %s" % (pts.shape,))
         if pts.shape[0] == 0 or pts.shape[1] == 0:
             raise ValueError("point cloud must contain at least one point and one coordinate")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point cloud contains non-finite coordinates")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -333,7 +331,7 @@ def as_point(x, dim):
     """x as a float64 array of shape (dim,); the one rule on a single point,
     which raises DimensionMismatch for another shape and ValueError for
     complex input."""
-    x = np.asarray(real(x, "a point"), dtype=np.float64)
+    x = real(x, "a point")
     if x.shape != (dim,):
         raise DimensionMismatch("expected one point of dimension %d, got shape %s" % (dim, x.shape))
     return x

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import xi as _xi
-from .errors import NonFiniteWeights, UnknownLabel, indices, integer, real, sparse_row
+from .errors import NonFiniteWeights, UnknownLabel, finite, indices, integer, real, sparse_row
 
 # Probabilities are floored at this value inside log-loss.
 LOSS_FLOOR = 1e-12
@@ -77,14 +77,10 @@ class SmnnModel:
     support_labels: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(real(self.weights, "weights"), dtype=np.float64)
-        k, m = self.weights.shape
-        if k != self.encoding.k:
-            raise ValueError("weight rows %d != number of classes %d" % (k, self.encoding.k))
-        if m != self.space.support.size:
-            raise ValueError("weight columns %d != support size %d" % (m, self.space.support.size))
-        if not np.isfinite(self.weights).all():
-            raise NonFiniteWeights("weights hold a non-finite number")
+        self.weights = finite(self.weights, "weights", NonFiniteWeights)
+        k, m = self.encoding.k, self.space.support.size
+        if self.weights.shape != (k, m):
+            raise ValueError("weights of shape %s, expected (k, m) = (%d, %d)" % (self.weights.shape, k, m))
         self.support_labels = _support_labels(self.support_labels, k, m)
 
 
@@ -102,7 +98,7 @@ def softmax(z):
     exponentiating, and its result equals the softmax of that row alone
     bit for bit.  The row max is read from a column-major copy, where it
     is a few vector passes rather than one short reduction per row."""
-    z = np.asarray(real(z, "logits"), dtype=np.float64)
+    z = real(z, "logits")
     e = np.exp(z - np.asfortranarray(z).max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

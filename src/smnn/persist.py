@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from .embedding import EmbeddingSpace
-from .errors import ModelFileError, SingularSimplex, indices, integer
+from .errors import ModelFileError, SingularSimplex, finite, indices, integer
 from .geometry import PointCloud, build_triangulation
 from .model import LabelEncoding, SmnnModel
 
@@ -79,9 +79,7 @@ def _array(doc, key, shape, integer=False):
             "%s has shape %s, expected %s"
             % (key, arr.shape, tuple("*" if s is None else s for s in shape))
         )
-    if not np.isfinite(arr).all():
-        raise ModelFileError("%s holds a non-finite number" % key)
-    return arr.astype(np.int64 if integer else np.float64)
+    return arr.astype(np.int64) if integer else finite(arr, key, ModelFileError)
 
 
 def model_from_dict(doc):

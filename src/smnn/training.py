@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .embedding import embed_batch, embed_translated, fit_space, translate_queries
-from .errors import InvalidCount, indices, integer, positive, sparse_row
+from .errors import InvalidCount, finite, indices, integer, positive, sparse_row
 from .geometry import as_cloud
 from .model import LabelEncoding, SmnnModel, _support_labels, cross_entropy, init_weights, softmax
 
@@ -112,13 +112,11 @@ class SparseGradient:
         m is an integer of at least 1."""
         m = integer(m, "m", low=1)
         cols = indices(self.indices, "support index", stop=m)
-        block = np.asarray(self.block, dtype=np.float64)
+        block = finite(self.block, "a gradient block")
         if cols.ndim != 1 or block.ndim != 2 or block.shape[1:] != cols.shape:
             raise ValueError(
                 "a gradient block of shape %s does not fit %d support indices" % (block.shape, cols.size)
             )
-        if not np.isfinite(block).all():
-            raise ValueError("a gradient block holds a non-finite value")
         dense = np.zeros((block.shape[0], m))
         dense[:, cols] = block
         return dense

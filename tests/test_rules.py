@@ -152,6 +152,46 @@ class TestIndices:
             errors.indices(values, "idx", stop=3, error=Custom)
 
 
+class TestReal:
+    @pytest.mark.parametrize("values", [
+        [1, 2.5], np.array([1, 2], dtype=np.int32), np.array([0.5, None], dtype=object),
+    ])
+    def test_returns_the_float64_cast(self, values):
+        out = errors.real(values, "v")
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+
+    def test_a_float64_array_is_returned_as_is(self):
+        arr = np.ones(3)
+        assert errors.real(arr, "v") is arr
+
+    @pytest.mark.parametrize("values", [
+        [1j], np.array([1 + 0j, 2]), np.array([1, 1j], dtype=object), [1j, None], np.complex64(1),
+        np.array([np.complex128(0.75 + 3j), 0.6], dtype=object), np.array([np.complex64(1), 2], dtype=object),
+    ])
+    def test_rejects_complex_numbers(self, values):
+        with pytest.raises(ValueError, match="^v must be real numbers.*complex"):
+            errors.real(values, "v")
+
+
+class TestFinite:
+    def test_returns_the_float64_cast(self):
+        out = errors.finite([1, 2.5], "v")
+        assert out.dtype == np.float64 and out.tolist() == [1.0, 2.5]
+
+    @pytest.mark.parametrize("value", NON_FINITE + (None,))
+    def test_rejects_non_finite_numbers(self, value):
+        with pytest.raises(ValueError, match="^v must be finite numbers, got a non-finite one$"):
+            errors.finite(np.array([0.5, value], dtype=object), "v")
+
+    def test_raises_the_given_error(self):
+        with pytest.raises(Custom, match="non-finite"):
+            errors.finite([math.nan], "v", error=Custom)
+        # Complex input breaks the float rule, not the finiteness rule.
+        with pytest.raises(ValueError, match="must be real"):
+            errors.finite([1j], "v", error=Custom)
+
+
 @pytest.fixture(scope="module")
 def ctx(tmp_path_factory):
     space = smnn.fit_space(SQUARE_POINTS, [0, 1, 2, 3], radius_margin=SQUARE_MARGIN)
@@ -271,6 +311,12 @@ ENTRY_POINTS = [
     ("SmnnModel NaN weights",
      lambda c: smnn.SmnnModel(c.space, c.encoding, np.full((2, 4), np.nan), c.y), ValueError,
      "non-finite"),
+    ("SmnnModel weights of shape (4,)",
+     lambda c: smnn.SmnnModel(c.space, c.encoding, np.zeros(4), c.y), ValueError,
+     r"weights of shape \(4,\), expected \(k, m\) = \(2, 4\)"),
+    ("SmnnModel weights of shape (2, 4, 1)",
+     lambda c: smnn.SmnnModel(c.space, c.encoding, np.zeros((2, 4, 1)), c.y), ValueError,
+     r"weights of shape \(2, 4, 1\), expected \(k, m\) = \(2, 4\)"),
     ("SmnnModel infinite weight",
      lambda c: smnn.SmnnModel(c.space, c.encoding, np.where(c.y == 0, np.inf, 0.0)[None]
                               .repeat(2, axis=0), c.y), ValueError, "non-finite"),
@@ -425,6 +471,65 @@ ENTRY_POINTS = [
      "weights must be real"),
     ("softmax complex logits",
      lambda c: smnn.softmax(np.array([1.0 + 2j, 0.0])), ValueError, "logits must be real"),
+    # complex numbers among the objects of an object array: the cast would
+    # raise a bare TypeError for Python's complex, and keep only the real
+    # parts of NumPy's complex scalars or of a complex block
+    ("forward complex object",
+     lambda c: smnn.forward(c.model, np.array([0.75, 0.6 + 0j], dtype=object)), ValueError,
+     "a point must be real numbers, got complex ones"),
+    ("forward [1j, None]",
+     lambda c: smnn.forward(c.model, [1j, None]), ValueError, "a point must be real numbers, got complex ones"),
+    ("xi complex object",
+     lambda c: smnn.xi(c.space, np.array([0.75 + 3j, 0.6], dtype=object)), ValueError,
+     "a point must be real numbers, got complex ones"),
+    ("explain complex object",
+     lambda c: smnn.explain(c.model, np.array([1j, 0.6], dtype=object)), ValueError,
+     "a point must be real numbers, got complex ones"),
+    ("evaluate complex objects",
+     lambda c: smnn.evaluate(c.model, np.array([[0.75, 0.6 + 0j]], dtype=object), ["0"]), ValueError,
+     "queries must be real numbers, got complex ones"),
+    ("fit_space complex objects",
+     lambda c: smnn.fit_space(np.array([[0, 0], [1, 0], [0, 1 + 0j]], dtype=object), [0, 1, 2]),
+     ValueError, "point cloud must be real numbers, got complex ones"),
+    ("PointCloud complex objects",
+     lambda c: smnn.PointCloud(np.array([[0, 0], [1, 0], [0, 1 + 0j]], dtype=object)), ValueError,
+     "point cloud must be real numbers, got complex ones"),
+    ("softmax complex objects",
+     lambda c: smnn.softmax(np.array([1, 2 + 1j], dtype=object)), ValueError,
+     "logits must be real numbers, got complex ones"),
+    ("logits complex object values",
+     lambda c: smnn.logits(c.model, smnn.SparseXi(c.xi.indices, c.xi.values.astype(object) + 0j)),
+     ValueError, "sparse row values must be real numbers, got complex ones"),
+    ("SparseXi.to_dense complex object values",
+     lambda c: smnn.SparseXi(c.xi.indices, c.xi.values.astype(object) + 0j).to_dense(4), ValueError,
+     "sparse row values must be real numbers, got complex ones"),
+    ("SparseGradient.to_dense complex block",
+     lambda c: smnn.SparseGradient(np.array([0]), np.array([[1 + 2j], [0.5]])).to_dense(4), ValueError,
+     "a gradient block must be real numbers, got complex"),
+    ("SparseGradient.to_dense complex object block",
+     lambda c: smnn.SparseGradient(np.array([0]), np.array([[1 + 2j], [0.5]], dtype=object)).to_dense(4),
+     ValueError, "a gradient block must be real numbers, got complex ones"),
+    ("forward NumPy complex128 object",
+     lambda c: smnn.forward(c.model, np.array([np.complex128(0.75 + 3j), 0.6], dtype=object)), ValueError,
+     "a point must be real numbers, got complex ones"),
+    ("explain NumPy complex64 object",
+     lambda c: smnn.explain(c.model, np.array([np.complex64(0.75), 0.6], dtype=object)), ValueError,
+     "a point must be real numbers, got complex ones"),
+    ("evaluate NumPy complex128 objects",
+     lambda c: smnn.evaluate(c.model, np.array([[np.complex128(0.75 + 1j), 0.6]], dtype=object), ["0"]),
+     ValueError, "queries must be real numbers, got complex ones"),
+    ("PointCloud NumPy complex64 objects",
+     lambda c: smnn.PointCloud(np.array([[0, 0], [1, 0], [0, np.complex64(1)]], dtype=object)), ValueError,
+     "point cloud must be real numbers, got complex ones"),
+    ("softmax NumPy complex128 objects",
+     lambda c: smnn.softmax(np.array([1, np.complex128(2 + 1j)], dtype=object)), ValueError,
+     "logits must be real numbers, got complex ones"),
+    ("SparseGradient.to_dense NumPy complex128 object block",
+     lambda c: smnn.SparseGradient(np.array([0]), np.array([[np.complex128(1 + 2j)], [0.5]], dtype=object))
+     .to_dense(4), ValueError, "a gradient block must be real numbers, got complex ones"),
+    # any other object the float cast refuses breaks the same rule
+    ("forward [object(), 0.6]",
+     lambda c: smnn.forward(c.model, [object(), 0.6]), ValueError, "a point must be real numbers: "),
     # cli
     ("train --support [true, ...]",
      lambda c: _train_cli(c, [True, 1, 2, 3]), smnn.ParseError, "integers"),

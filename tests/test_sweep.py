@@ -1,9 +1,10 @@
 """Smoke test of scripts/sweep.py, the harness behind the library's cuts.
 
 One repeat on spiral supports 9 and 95 (and 15 for the stage timer) runs
-the body of each sweep: the stage timer, the per-row location timing of the three searches and the
-epoch-path ratio.  The harness reads private names of smnn.geometry and
-smnn.training, so renaming one fails here rather than in the next re-run.
+the body of each sweep: the stage timer, the per-row location timing of
+the three searches, the epoch-path ratio and the one-row query timing.
+The harness reads private names of smnn.geometry and smnn.training, so
+renaming one fails here rather than in the next re-run.
 """
 
 import importlib.util
@@ -110,6 +111,11 @@ def test_epoch_path_ratio(sweep, size):
     assert 0 < ratio < np.inf
     assert picks == ("level" if busiest >= training.BATCH_MIN_WIDTH else "kernel")
     assert_cuts_restored()
+
+
+def test_query_timing(sweep):
+    times = sweep.query_row(sweep.spiral, 95, 1)
+    assert len(times) == 3 and all(0 < t < np.inf for t in times)
 
 
 def test_a_locator_that_disagrees_stops_the_sweep(sweep, monkeypatch):
