@@ -11,12 +11,14 @@ many rows of the seed-0 0.75 training split (all distinct rows for None).
 A timing is a first call, then the fastest of --repeats warm calls.
 Re-run the sweep behind a cut before moving it.
 
-build   geometry.build_triangulation stage by stage (hull faces, facet
-        planes, cell systems, conditioning, the locator), each timed inside
-        the build's own calls, so only the stages it ran appear, and whole,
-        first and warm, in ms, on spiral 15 (no locator) and 95, clusters
-        1,000, Iris full and the 200-point 4- and 6-D probes (about 55k
-        cells; --repeats 1 peaks near 290 MB).
+build   set-up as the benchmark calls it (epsilon_for_size, then
+        epsilon_representative with its epsilon, fit_space and
+        precompute_embeddings), then geometry.build_triangulation stage by
+        stage (hull faces, facet planes, cell systems, conditioning, the
+        locator), each timed inside the build's own calls, so only the
+        stages it ran appear, and whole, first and warm, in ms, on spiral
+        15 (no locator) and 95, clusters 1,000, Iris full and the 200-point
+        4- and 6-D probes (about 55k cells; --repeats 1 peaks near 290 MB).
 locate  INDEX_MIN_CELLS, LOCATOR_MIN_CELLS and SCREEN_MIN_DIM: per call
         size, the us per row of locate_batch through every cell, a forced
         CellIndex and a forced LiftScreen (per batch of queries, the
@@ -85,6 +87,35 @@ def pick(make, size):
     size = size or len(np.unique(pts, axis=0))
     support = smnn.epsilon_representative(pts, smnn.epsilon_for_size(pts, size, 0), 0)
     return train, test, support, smnn.fit_space(pts, support)
+
+
+SETUP = ("epsilon_for_size", "epsilon_representative", "fit_space", "precompute_embeddings")
+
+
+def setup(make, size, repeats):
+    """The space of pick(make, size) and (call, first s, warm s) rows of
+    the set-up calls that built it, made in the benchmark's order once and
+    then `repeats` times more."""
+    train = smnn.split(make(), 0.75, seed=0)[0]
+    pts = train.points.points
+    size = size or len(np.unique(pts, axis=0))
+    y = smnn.LabelEncoding.from_labels(train.labels).encode(train.labels, len(pts))
+    runs = []
+    for _ in range(repeats + 1):
+        spent = []
+
+        def clocked(call, *args):
+            started = time.perf_counter()
+            out = call(*args)
+            spent.append(time.perf_counter() - started)
+            return out
+
+        eps = clocked(smnn.epsilon_for_size, pts, size, 0)
+        support = clocked(smnn.epsilon_representative, pts, eps, 0)
+        space = clocked(smnn.fit_space, pts, support)
+        clocked(smnn.precompute_embeddings, space, pts, y)
+        runs.append(spent)
+    return space, [(name, first, min(warm, default=np.inf)) for name, first, *warm in zip(SETUP, *runs)]
 
 
 def timed(call, repeats):
@@ -220,11 +251,12 @@ def query_row(make, size, repeats):
 
 def build(repeats):
     for name, make, size in BUILD:
-        tri = pick(make, size)[3].tri
+        space, calls = setup(make, size, repeats)
+        tri = space.tri
         print("%s: %d-D, %d cells" % (name, tri.cloud.dim, tri.simplices.shape[0]))
-        print("  %-20s %10s %10s" % ("stage", "first ms", "warm ms"))
-        for stage, first, warm in stages(tri, repeats):
-            print("  %-20s %10.2f %10.2f" % (stage, 1e3 * first, 1e3 * warm), flush=True)
+        print("  %-22s %10s %10s" % ("call or stage", "first ms", "warm ms"))
+        for stage, first, warm in calls + stages(tri, repeats):
+            print("  %-22s %10.2f %10.2f" % (stage, 1e3 * first, 1e3 * warm), flush=True)
 
 
 def locate(repeats):

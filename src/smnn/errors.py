@@ -2,10 +2,10 @@
 
 Each rule on a user input has one definition here: positive (for real
 numbers, with a lower bound), integer, indices, real (float64 arrays, no
-complex numbers), finite and sparse_row.  Booleans are never numbers or
-indices, though Python makes bool a subclass of int.  A rule raises
-ValueError unless its caller names the error class it raises for that
-input.
+complex numbers, booleans or strings), finite and sparse_row.  Booleans
+are never numbers or indices, though Python makes bool a subclass of
+int.  A rule raises ValueError unless its caller names the error class
+it raises for that input.
 """
 
 import math
@@ -133,18 +133,26 @@ def indices(values, what, stop=None, error=ValueError):
     return arr
 
 
+# What the float cast reads as a number but is not a real one, by the
+# dtype kind of an array of it: the cast would keep only the real part of
+# a complex number, read a boolean as 0 or 1 and parse a string.
+_NOT_REAL = {"c": ((complex, np.complexfloating), "complex ones"), "b": ((bool, np.bool_), "booleans"),
+             "U": ((str,), "strings"), "S": ((bytes,), "strings")}
+
+
 def real(values, what):
-    """values as a float64 array.  Complex numbers raise, in a complex
-    array or among the objects of an object array, where the cast would
-    keep only their real parts or raise a bare TypeError; so does any
-    other object the cast refuses.  Every other cast is NumPy's, so None
-    becomes NaN."""
+    """values as a float64 array.  Complex numbers, booleans and strings
+    raise, as an array of them or among the objects of an object array;
+    so does any other object the cast refuses.  Every other cast is
+    NumPy's, so None becomes NaN."""
     arr = np.asarray(values)
-    # One subclass test per element type of an object array, as in indices.
-    if arr.dtype.kind == "c" or arr.dtype.kind == "O" and any(
-        issubclass(t, (complex, np.complexfloating)) for t in set(map(type, arr.reshape(-1)))
-    ):
-        raise ValueError("%s must be real numbers, got complex ones" % what)
+    kind = arr.dtype.kind
+    if kind == "O":
+        # One subclass test per element type, as in indices.
+        kind = min((k for t in set(map(type, arr.reshape(-1))) for k, (types, _) in _NOT_REAL.items()
+                    if issubclass(t, types)), default=kind)
+    if kind in _NOT_REAL:
+        raise ValueError("%s must be real numbers, got %s" % (what, _NOT_REAL[kind][1]))
     try:
         return np.asarray(arr, dtype=np.float64)
     except TypeError as exc:

@@ -579,15 +579,20 @@ def _lift_screen(points, simp, delta, inverses, usable):
 def _hull_facets(simp, n):
     """The hull facets of the cells simp, in lexicographic order, and the
     vertex of each facet's cell off the facet; a face of three or more
-    cells raises SingularSimplex."""
+    cells raises SingularSimplex.  The faces sort by one lexsort over int64
+    keys that pack id columns in order, in base (largest id + 1), so they
+    sort and compare as the columns do: one key while base^n < 2^63."""
     # Face d of a cell drops its vertex d, which is then the opposite
     # vertex; sorting all faces puts equal ones next to each other.
     keep = np.array([np.delete(np.arange(n + 1), d) for d in range(n + 1)])
     faces = simp[:, keep].reshape(-1, n)
     opposite = simp.reshape(-1)
-    order = np.lexsort(faces.T[::-1])
+    base = int(simp.max()) + 1
+    width = max(w for w in range(1, n + 1) if base**w < 1 << 63)
+    keys = [np.ravel_multi_index(cols, (base,) * len(cols)) for cols in np.split(faces.T, range(width, n, width))]
+    order = np.lexsort(keys[::-1])
     faces, opposite = faces[order], opposite[order]
-    same = (faces[1:] == faces[:-1]).all(axis=1)
+    same = np.logical_and.reduce([np.diff(key[order]) == 0 for key in keys])
     triple = np.nonzero(same[1:] & same[:-1])[0]
     if triple.size:
         raise SingularSimplex(
@@ -636,14 +641,20 @@ def _cell_systems(points, simp):
     return tmat
 
 
+# Cells per inv call of _condition: one exactly singular cell sends its
+# block, not the stack, through the second factorization.
+_CONDITION_BLOCK = 256
+
+
 def _condition(tmat):
     """The inverses of the vertex systems T, NaN blocks for the exactly
     singular ones, and a proven upper bound kappa on each cell's
     condition number cond_2(T), inf for those.
 
-    slogdet runs the LU factorization that inv runs and gives sign 0
-    exactly where that meets a zero pivot, where inv would raise; det
-    could underflow or overflow.  For the others, let X be the stored
+    inv factors each cell alone, a block of cells a call; it raises for
+    the block where one cell meets a zero pivot.  Only such a block runs
+    slogdet, the same LU, which gives sign 0 exactly there (det could
+    underflow or overflow), and inverts the others.  Let X be the stored
     inverse, F = |T|_F |X|_F and c = 64 (n+1)^2 u, which as in
     _padded_boxes covers the backward error of the LU-based inverse,
     |T X - I|_F <= c F.  With R = T X - I, T^-1 = X (I + R)^-1, so for
@@ -655,9 +666,14 @@ def _condition(tmat):
     F (1 + c) / (1 - c F (1 + c)) >= cond_2(T), inf where c F (1 + c)
     reaches 1/2.
     """
-    solved = np.linalg.slogdet(tmat)[0] != 0
     inverses = np.full_like(tmat, np.nan)
-    inverses[solved] = np.linalg.inv(tmat[solved])
+    for a in range(0, len(tmat), _CONDITION_BLOCK):
+        block, out = tmat[a : a + _CONDITION_BLOCK], inverses[a : a + _CONDITION_BLOCK]
+        try:
+            out[:] = np.linalg.inv(block)
+        except np.linalg.LinAlgError:
+            solved = np.linalg.slogdet(block)[0] != 0
+            out[solved] = np.linalg.inv(block[solved])
     c = 64 * tmat.shape[1] ** 2 * (np.finfo(np.float64).eps / 2)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         up = np.sqrt(np.einsum("sij,sij->s", tmat, tmat) * np.einsum("sij,sij->s", inverses, inverses)) * (1.0 + c)

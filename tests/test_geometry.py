@@ -17,6 +17,7 @@ from smnn.geometry import (
     _cell_systems,
     _condition,
     _coordinate_slack,
+    _hull_facets,
     _lift_screen,
     _reach,
     build_triangulation,
@@ -312,6 +313,57 @@ class TestBuildTriangulation:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
         with pytest.raises(smnn.SingularSimplex, match=r"\(0, 1\)"):
             build_triangulation(pts, [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+
+
+def reference_hull_facets(simp, n):
+    """_hull_facets by one lexsort over the n id columns of the faces."""
+    keep = np.array([np.delete(np.arange(n + 1), d) for d in range(n + 1)])
+    faces, opposite = simp[:, keep].reshape(-1, n), simp.reshape(-1)
+    order = np.lexsort(faces.T[::-1])
+    faces, opposite = faces[order], opposite[order]
+    same = (faces[1:] == faces[:-1]).all(axis=1)
+    single = ~(np.append(same, False) | np.insert(same, 0, False))
+    return faces[single], opposite[single]
+
+
+class TestHullFacets:
+    """_hull_facets packs the id columns of each face into as few int64 keys
+    as hold them; the facets and opposite vertices are those of a lexsort
+    over the columns, however many keys the ids need."""
+
+    @staticmethod
+    def lifted(n, top, seed=0):
+        """The cells of a random n-D Delaunay complex, their ids mapped in
+        order onto distinct random ids below top, the largest top - 1."""
+        rng = np.random.default_rng(seed)
+        simp = smnn.build_delaunay(smnn.PointCloud(random_cloud(rng, 12 * n, n))).simplices
+        ids = np.unique(rng.integers(0, top - 1, size=4 * (int(simp.max()) + 1)))
+        return np.append(np.sort(rng.choice(ids, int(simp.max()), replace=False)), top - 1)[simp]
+
+    # (n, largest id + 1, keys): one key, then two of two columns and one,
+    # three of one column each, two of three and one.
+    @pytest.mark.parametrize("n, top, keys", [
+        (3, 1000, 1), (3, 2**21 + 1, 2), (3, 2**40, 3), (3, 2**62, 3), (2, 2**32, 2), (4, 2**16 + 1, 2),
+    ])
+    def test_matches_the_column_lexsort(self, n, top, keys, monkeypatch):
+        simp = self.lifted(n, top)
+        assert int(simp.max()) + 1 == top
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda k: sorts.append(len(k)) or lexsort(k))
+        got = _hull_facets(simp, n)
+        monkeypatch.undo()
+        want = reference_hull_facets(simp, n)
+        # Most faces are shared: the pairing is tested, not only the order.
+        assert sorts == [keys] and len(want[0]) < len(simp) * (n + 1) / 2
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("top", [5, 2**40])
+    def test_face_of_three_cells_raises(self, top):
+        cells = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]) * ((top - 1) // 4)
+        with pytest.raises(smnn.SingularSimplex, match=r"\(0, %d\)" % ((top - 1) // 4)):
+            _hull_facets(cells, 2)
 
 
 @pytest.fixture(scope="module")
@@ -1104,6 +1156,24 @@ class TestConditioning:
         pts, simp = tri.cloud.points, tri.simplices
         self.assert_bound_rule(pts, simp)
         assert tri.inverses.tobytes() == svd_reference(pts, simp)[0].tobytes()
+
+    def test_a_singular_cell_sends_only_its_block_to_slogdet(self, monkeypatch):
+        block = smnn.geometry._CONDITION_BLOCK
+        rng = np.random.default_rng(0)
+        cells = 3 * block + 7
+        tmat = np.concatenate([rng.standard_normal((cells, 3, 4)), np.ones((cells, 1, 4))], axis=1)
+        singular = [block + 5, block + 6]
+        tmat[singular, 0] = 0.0
+        others = np.setdiff1d(np.arange(cells), singular)
+        sizes = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: sizes.append(len(a)) or slogdet(a))
+        inverses, kappa = _condition(tmat)
+        clean = _condition(tmat[others])
+        assert sizes == [block]
+        assert np.isnan(inverses[singular]).all() and np.isinf(kappa[singular]).all()
+        assert inverses[others].tobytes() == clean[0].tobytes() == np.linalg.inv(tmat[others]).tobytes()
+        assert kappa[others].tobytes() == clean[1].tobytes() and np.isfinite(clean[1]).all()
 
     def test_a_bound_at_the_limit_is_not_usable(self, monkeypatch):
         pts, simp = SQUARE_POINTS, square_tri().simplices

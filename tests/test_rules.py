@@ -174,6 +174,17 @@ class TestReal:
             errors.real(values, "v")
 
 
+    @pytest.mark.parametrize("values, kind", [
+        ([True, False], "booleans"), (np.array([1, 0], dtype=bool), "booleans"), (np.True_, "booleans"),
+        (np.array([0.5, True], dtype=object), "booleans"), (np.array([np.False_, 1.0], dtype=object), "booleans"),
+        (["0.75", "0.6"], "strings"), (np.array([b"0.75", b"0.6"]), "strings"), ("1", "strings"),
+        (np.array([0.5, "0.6"], dtype=object), "strings"), (np.array([np.bytes_(b"1"), 2], dtype=object), "strings"),
+    ])
+    def test_rejects_booleans_and_strings(self, values, kind):
+        with pytest.raises(ValueError, match="^v must be real numbers, got %s$" % kind):
+            errors.real(values, "v")
+
+
 class TestFinite:
     def test_returns_the_float64_cast(self):
         out = errors.finite([1, 2.5], "v")
@@ -527,6 +538,43 @@ ENTRY_POINTS = [
     ("SparseGradient.to_dense NumPy complex128 object block",
      lambda c: smnn.SparseGradient(np.array([0]), np.array([[np.complex128(1 + 2j)], [0.5]], dtype=object))
      .to_dense(4), ValueError, "a gradient block must be real numbers, got complex ones"),
+    # booleans and strings are not numbers, though the float cast reads
+    # them as 0 or 1 and parses them
+    ("forward [True, True]",
+     lambda c: smnn.forward(c.model, [True, True]), ValueError, "a point must be real numbers, got booleans"),
+    ('forward ["0.75", "0.6"]',
+     lambda c: smnn.forward(c.model, ["0.75", "0.6"]), ValueError, "a point must be real numbers, got strings"),
+    ('forward [b"0.75", b"0.6"]',
+     lambda c: smnn.forward(c.model, np.array([b"0.75", b"0.6"])), ValueError,
+     "a point must be real numbers, got strings"),
+    ("forward boolean object",
+     lambda c: smnn.forward(c.model, np.array([0.75, np.True_], dtype=object)), ValueError,
+     "a point must be real numbers, got booleans"),
+    ("xi boolean point",
+     lambda c: smnn.xi(c.space, np.array([True, False])), ValueError, "a point must be real numbers, got booleans"),
+    ('explain ["0.75", 0.6] objects',
+     lambda c: smnn.explain(c.model, np.array(["0.75", 0.6], dtype=object)), ValueError,
+     "a point must be real numbers, got strings"),
+    ("evaluate boolean queries",
+     lambda c: smnn.evaluate(c.model, [[True, False]], ["0"]), ValueError,
+     "queries must be real numbers, got booleans"),
+    ("PointCloud 0/1 booleans",
+     lambda c: smnn.PointCloud([[True, False], [False, True], [True, True]]), ValueError,
+     "point cloud must be real numbers, got booleans"),
+    ("fit_space string points",
+     lambda c: smnn.fit_space(SQUARE_POINTS.astype(str), [0, 1, 2, 3]), ValueError,
+     "point cloud must be real numbers, got strings"),
+    ("softmax boolean logits",
+     lambda c: smnn.softmax(np.array([True, False])), ValueError, "logits must be real numbers, got booleans"),
+    ("logits boolean values",
+     lambda c: smnn.logits(c.model, smnn.SparseXi(c.xi.indices, c.xi.values > 0)), ValueError,
+     "sparse row values must be real numbers, got booleans"),
+    ("SparseGradient.to_dense string block",
+     lambda c: smnn.SparseGradient(np.array([0]), np.array([["1"], ["0.5"]])).to_dense(4), ValueError,
+     "a gradient block must be real numbers, got strings"),
+    ("SmnnModel boolean weights",
+     lambda c: smnn.SmnnModel(c.space, c.encoding, np.ones((2, 4), dtype=bool), c.y), ValueError,
+     "weights must be real numbers, got booleans"),
     # any other object the float cast refuses breaks the same rule
     ("forward [object(), 0.6]",
      lambda c: smnn.forward(c.model, [object(), 0.6]), ValueError, "a point must be real numbers: "),

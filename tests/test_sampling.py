@@ -268,3 +268,106 @@ class TestEarlyStop:
         calls.clear()
         smnn.epsilon_for_size(pts, 7)
         assert len(calls) == 7
+
+
+@pytest.fixture(autouse=True)
+def no_walk_record():
+    """Each test starts and ends without the walk epsilon_for_size leaves
+    for the next epsilon_representative call, which is module state."""
+    smnn.sampling._last_walk = None
+    yield
+    smnn.sampling._last_walk = None
+
+
+def fresh_cover(pts, epsilon, seed):
+    """The epsilon-cover of a full traversal: its order up to the first
+    cover radius below epsilon."""
+    order, radii = smnn.farthest_point_order(pts, seed=seed)
+    return order[: int(np.argmax(radii < epsilon)) + 1].tolist()
+
+
+class TestWalkRecord:
+    """epsilon_for_size keeps its walk for the next epsilon_representative
+    call, which answers from it only when the seed and the points' bits
+    match and the walk reaches a radius below epsilon; every answer is a
+    fresh walk's."""
+
+    RANDOM, GRID = TestEarlyStop.CLOUDS["random"], TestEarlyStop.CLOUDS["grid"]
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """One entry per traversal step, as in test_traverses_only_the_prefix."""
+        calls = []
+        real = smnn.sampling._break_tie
+        monkeypatch.setattr(
+            smnn.sampling, "_break_tie", lambda v, best, rng: calls.append(1) or real(v, best, rng)
+        )
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("size", [1, 7, 40])
+    def test_the_pair_walks_once(self, steps, size, seed):
+        eps = smnn.epsilon_for_size(self.RANDOM, size, seed=seed)
+        chosen = smnn.epsilon_representative(self.RANDOM, eps, seed=seed)
+        assert len(steps) == size == len(chosen)
+        assert chosen == fresh_cover(self.RANDOM, eps, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_full_walk_answers_any_epsilon(self, steps, seed):
+        # The grid's ties make the order depend on the seed.
+        radii = smnn.farthest_point_order(self.GRID, seed=seed)[1]
+        for eps in (radii[0] * 2.0, radii[10], radii[34], 1e-12):
+            want = fresh_cover(self.GRID, eps, seed)
+            smnn.epsilon_for_size(self.GRID, 36, seed=seed)
+            steps.clear()
+            assert smnn.epsilon_representative(self.GRID, eps, seed=seed) == want
+            assert steps == []
+
+    def test_an_epsilon_the_walk_does_not_reach_walks(self, steps):
+        radii = smnn.farthest_point_order(self.RANDOM)[1]
+        near, far = fresh_cover(self.RANDOM, radii[2], 0), fresh_cover(self.RANDOM, radii[9], 0)
+        smnn.epsilon_for_size(self.RANDOM, 7)
+        steps.clear()
+        assert smnn.epsilon_representative(self.RANDOM, radii[2]) == near and steps == []
+        smnn.epsilon_for_size(self.RANDOM, 7)
+        steps.clear()
+        assert smnn.epsilon_representative(self.RANDOM, radii[9]) == far and len(steps) == len(far) == 11
+
+    @staticmethod
+    def nudged(pts):
+        out = pts.copy()
+        out[4, 1] = np.nextafter(out[4, 1], np.inf)
+        return out
+
+    @staticmethod
+    def signed_zero(pts):
+        out = pts.copy()
+        out[tuple(np.argwhere(out == 0.0)[0])] = -0.0
+        return out
+
+    @pytest.mark.parametrize("change", ["lone", "second", "another seed", "one ulp", "-0.0", "cloud changed"])
+    def test_other_calls_walk(self, steps, change):
+        # Each case makes the pair's first call, or none, and then an
+        # epsilon_representative call that the record must not answer.
+        pts, seed = self.GRID, 0
+        if change != "lone":
+            first = smnn.PointCloud(pts) if change == "cloud changed" else pts
+            eps = smnn.epsilon_for_size(first, 36)
+        else:
+            eps = smnn.farthest_point_order(pts)[1][20]
+        if change == "second":
+            smnn.epsilon_representative(pts, eps)
+        elif change == "another seed":
+            seed = 1
+        elif change == "one ulp":
+            pts = self.nudged(pts)
+        elif change == "-0.0":
+            pts = self.signed_zero(pts)
+        elif change == "cloud changed":
+            first.points.setflags(write=True)
+            first.points[[0, 7]] = first.points[[7, 0]]
+            pts = first
+        steps.clear()
+        chosen = smnn.epsilon_representative(pts, eps, seed=seed)
+        assert len(steps) == len(chosen)
+        assert chosen == fresh_cover(smnn.geometry.as_cloud(pts).points, eps, seed)

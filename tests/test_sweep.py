@@ -1,8 +1,9 @@
 """Smoke test of scripts/sweep.py, the harness behind the library's cuts.
 
-One repeat on spiral supports 9 and 95 (and 15 for the stage timer) runs
-the body of each sweep: the stage timer, the per-row location timing of
-the three searches, the epoch-path ratio and the one-row query timing.
+One repeat on spiral supports 9 and 95 (and 15 for the set-up and stage
+timers) runs the body of each sweep: the set-up timer, the stage timer,
+the per-row location timing of the three searches, the epoch-path ratio
+and the one-row query timing.
 The harness reads private names of smnn.geometry and smnn.training, so
 renaming one fails here rather than in the next re-run.
 """
@@ -91,6 +92,19 @@ def test_stage_timer(sweep, size):
         "faces", "facet planes", "cell systems", "conditioning", *locator, "build_triangulation"]
     assert all(0 < first < np.inf and 0 < warm < np.inf for _, first, warm in rows)
     assert {name: getattr(geometry, name) for name in sweep.STAGES} == stage_functions
+
+
+def test_setup_timer(sweep, monkeypatch):
+    # The set-up calls run in the benchmark's order, and the space they
+    # build is the one pick builds; the pair walks once a repeat.
+    walks = []
+    farthest = smnn.sampling._farthest_points
+    monkeypatch.setattr(smnn.sampling, "_farthest_points", lambda *args: walks.append(1) or farthest(*args))
+    space, rows = sweep.setup(sweep.spiral, 15, 1)
+    assert [name for name, _, _ in rows] == list(sweep.SETUP)
+    assert all(0 < first < np.inf and 0 < warm < np.inf for _, first, warm in rows)
+    assert walks == [1, 1]
+    assert space.tri.simplices.tobytes() == sweep.pick(sweep.spiral, 15)[3].tri.simplices.tobytes()
 
 
 @pytest.mark.parametrize("size", [9, 95])
