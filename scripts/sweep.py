@@ -34,7 +34,8 @@ epochs  training.BATCH_MIN_WIDTH: the cache's rows per row on its busiest
 query   the entry checks of one-row queries: us per call of forward, xi and
         explain on the first held-out row inside the hull of spiral 95,
         clusters 1,000 and Iris full (one-epoch model), the fastest of
-        --repeats rounds of 2,000 calls.
+        --repeats rounds of 2,000 calls; then load_model of that model's
+        saved file, first and warm, in ms.
 """
 
 import os
@@ -50,6 +51,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
 
@@ -240,13 +242,19 @@ def epoch_row(make, size, repeats):
 
 def query_row(make, size, repeats):
     """us per call of forward, xi and explain on the first held-out row
-    inside the hull, each the fastest of `repeats` rounds of 2,000 calls."""
+    inside the hull, each the fastest of `repeats` rounds of 2,000 calls,
+    then the first and fastest warm load_model of the saved model, in ms."""
     train, test, support, _ = pick(make, size)
     model = smnn.train(train.points.points, train.labels, support, smnn.TrainConfig(epochs=1))[0]
     space = model.space
     x = next(x for x in test.points.points if smnn.locate(space.tri, x - space.centroid) is not None)
     runs = (lambda: smnn.forward(model, x), lambda: smnn.xi(space, x), lambda: smnn.explain(model, x))
-    return [1e6 * min(timeit.repeat(run, number=2000, repeat=repeats)) / 2000 for run in runs]
+    calls = [1e6 * min(timeit.repeat(run, number=2000, repeat=repeats)) / 2000 for run in runs]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        smnn.save_model(model, path)
+        _, first, warm = timed(lambda: smnn.load_model(path), repeats)
+    return calls + [1e3 * first, 1e3 * warm]
 
 
 def build(repeats):
@@ -280,9 +288,10 @@ def epochs(repeats):
 
 
 def query(repeats):
-    print("%-15s %10s %10s %10s" % ("support", "forward us", "xi us", "explain us"))
+    print("%-15s %10s %10s %10s %13s %12s" % (
+        "support", "forward us", "xi us", "explain us", "load first ms", "load warm ms"))
     for name, make, size in BUILD[1:4]:
-        print("%-15s %10.2f %10.2f %10.2f" % (name, *query_row(make, size, repeats)), flush=True)
+        print("%-15s %10.2f %10.2f %10.2f %13.2f %12.2f" % (name, *query_row(make, size, repeats)), flush=True)
 
 
 def main(argv=None):

@@ -5,6 +5,7 @@ floats written with shortest round-trip precision, label as the final
 column.  All generators are bit-deterministic for a fixed seed.
 """
 
+import contextlib
 import csv
 import importlib.resources
 import math
@@ -173,7 +174,7 @@ def load_csv(path):
             "header must be f1,...,fn,label, got %s" % _excerpt(",".join(header)), row=1, column=1
         )
     n = len(header) - 1
-    points = np.empty((len(rows) - 1, n))
+    points = np.full((len(rows) - 1, n), np.nan)
     labels = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != n + 1:
@@ -181,14 +182,13 @@ def load_csv(path):
                 "row %d has %d cells, expected %d" % (r, len(row), n + 1)
             )
         for c in range(n):
-            try:
+            with contextlib.suppress(ValueError):
                 points[r - 2, c] = float(row[c])
-            except ValueError:
+            if not math.isfinite(points[r - 2, c]):
                 raise ParseError(
-                    "malformed numeric cell %s at row %d, column %d" % (_excerpt(row[c]), r, c + 1),
-                    row=r,
-                    column=c + 1,
-                ) from None
+                    "malformed or non-finite numeric cell %s at row %d, column %d" % (_excerpt(row[c]), r, c + 1),
+                    row=r, column=c + 1,
+                )
         labels.append(row[n])
     return LabeledDataset(points=PointCloud(points), labels=labels)
 

@@ -87,14 +87,20 @@ class UnknownLabel(SmnnError, KeyError):
     __str__ = SmnnError.__str__
 
 
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# The dtype kind each type of number reads as, one subclass test per type;
+# bool before Integral, as Python makes bool a subclass of int.
+_KINDS = (((bool, np.bool_), "b"), (numbers.Integral, "i"), (numbers.Real, "f"), (numbers.Complex, "c"),
+          (str, "U"), (bytes, "S"))
+
+
+def _kind(t):
+    return next((kind for types, kind in _KINDS if issubclass(t, types)), "O")
 
 
 def positive(value, what, error=ValueError, low=0.0, strict=True):
     """value as a float: a finite real number above low, or at least low
     when strict is False; low=-inf admits every finite number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+    if _kind(type(value)) not in ("i", "f") or not (
         math.isfinite(value) and (value > low if strict else value >= low)
     ):
         bound = "zero" if low == 0 else "%g" % low
@@ -105,9 +111,19 @@ def positive(value, what, error=ValueError, low=0.0, strict=True):
 
 def integer(value, what, low=0, error=ValueError):
     """value as an int: an integer of at least low, not a float."""
-    if not _is_integer(value) or value < low:
+    if _kind(type(value)) != "i" or value < low:
         raise error("%s must be an integer of at least %d, got %r" % (what, low, value))
     return int(value)
+
+
+def _scan(values):
+    """values as an array, and the dtype kinds of its elements.  A list is
+    read as an object array, so each element keeps its type: a float cast
+    would read [True, 0.5] as [1.0, 0.5]."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if arr.dtype.kind != "O":
+        return arr, {arr.dtype.kind}
+    return arr, set(map(_kind, set(map(type, arr.reshape(-1)))))
 
 
 def indices(values, what, stop=None, error=ValueError):
@@ -116,11 +132,8 @@ def indices(values, what, stop=None, error=ValueError):
     A float or a boolean among them raises, as casting would silently read
     it as an index (1.7 and True as 1); the range message calls stop k.
     """
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    # One subclass test per element type, not an ABC isinstance per element.
-    if arr.dtype.kind not in "iu" and not all(
-        issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, arr.reshape(-1)))
-    ):
+    arr, kinds = _scan(values)
+    if not kinds <= {"i", "u"}:
         raise error("%s: expected integers, not floats or booleans" % what)
     try:
         arr = arr.astype(np.int64, copy=False)
@@ -133,29 +146,23 @@ def indices(values, what, stop=None, error=ValueError):
     return arr
 
 
-# What the float cast reads as a number but is not a real one, by the
-# dtype kind of an array of it: the cast would keep only the real part of
-# a complex number, read a boolean as 0 or 1 and parse a string.
-_NOT_REAL = {"c": ((complex, np.complexfloating), "complex ones"), "b": ((bool, np.bool_), "booleans"),
-             "U": ((str,), "strings"), "S": ((bytes,), "strings")}
+# What the float cast reads as a number but is not a real one, by kind:
+# the cast would keep only the real part of a complex number, read a
+# boolean as 0 or 1 and parse a string.
+_NOT_REAL = {"c": "complex ones", "b": "booleans", "U": "strings", "S": "strings"}
 
 
 def real(values, what):
     """values as a float64 array.  Complex numbers, booleans and strings
-    raise, as an array of them or among the objects of an object array;
-    so does any other object the cast refuses.  Every other cast is
-    NumPy's, so None becomes NaN."""
-    arr = np.asarray(values)
-    kind = arr.dtype.kind
-    if kind == "O":
-        # One subclass test per element type, as in indices.
-        kind = min((k for t in set(map(type, arr.reshape(-1))) for k, (types, _) in _NOT_REAL.items()
-                    if issubclass(t, types)), default=kind)
-    if kind in _NOT_REAL:
-        raise ValueError("%s must be real numbers, got %s" % (what, _NOT_REAL[kind][1]))
+    raise, as an array of them or among the elements of a list or object
+    array; so does any other object the cast refuses, 10**400 included.
+    Every other cast is NumPy's, so None becomes NaN."""
+    arr, kinds = _scan(values)
+    if not kinds.isdisjoint(_NOT_REAL):
+        raise ValueError("%s must be real numbers, got %s" % (what, _NOT_REAL[min(kinds & _NOT_REAL.keys())]))
     try:
         return np.asarray(arr, dtype=np.float64)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("%s must be real numbers: %s" % (what, exc)) from None
 
 

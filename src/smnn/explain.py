@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import xi as _xi
+from .geometry import as_point
 from .model import logits, softmax
 
 
@@ -82,7 +83,7 @@ def explain(model, x_raw):
         for t, value in zip(sparse.indices.tolist(), sparse.values.tolist())
     ]
     return Explanation(
-        query=np.asarray(x_raw, dtype=np.float64),
+        query=as_point(x_raw, model.space.dim),
         predicted_label=predicted,
         probabilities=probs,
         contributors=contributors,

@@ -324,7 +324,7 @@ def as_cloud(obj):
     """obj itself when it is a PointCloud, else a PointCloud of it; the one
     coercion of a point set, which raises ValueError unless the points form
     a non-empty 2-d array of finite values."""
-    return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
+    return obj if isinstance(obj, PointCloud) else PointCloud(obj)
 
 
 def as_point(x, dim):
@@ -357,12 +357,11 @@ def _dots(a, b):
 
 def _check_simplices(simplices, m, n):
     """The simplex ids as int64, or ValueError when they are malformed."""
-    simp = np.asarray(simplices)
+    simp = indices(simplices, "simplex vertex id", stop=m)
     if simp.ndim != 2 or simp.shape[1] != n + 1 or not simp.size:
         raise ValueError(
             "simplices must be a nonempty array of shape (S, %d), got shape %s" % (n + 1, simp.shape)
         )
-    simp = indices(simp, "simplex vertex id", stop=m)
     if not (np.diff(simp, axis=1) > 0).all():
         raise ValueError("simplex vertex ids must be sorted and distinct within each cell")
     step = np.diff(simp, axis=0)

@@ -58,28 +58,26 @@ def model_to_dict(model, provenance=None):
 
 
 def save_model(model, path, provenance=None):
+    """Write the model document to path, its text built first, so a
+    provenance that is not JSON leaves the file as it was."""
+    text = json.dumps(model_to_dict(model, provenance), indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model, provenance), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
-def _array(doc, key, shape, integer=False):
-    """doc[key] as a finite numeric array of the given shape, where None
-    matches any length; integer arrays must hold JSON integers."""
+def _array(doc, key, shape, rule=finite):
+    """rule(doc[key], key) checked against shape, where None matches any
+    length; every refusal raises ModelFileError naming the key."""
     try:
-        arr = np.array(doc[key])
-    except ValueError:
-        raise ModelFileError("%s is not a rectangular array" % key) from None
-    if arr.dtype.kind not in ("iu" if integer else "iuf"):
-        raise ModelFileError(
-            "%s must hold %s, got %s" % (key, "integers" if integer else "numbers", arr.dtype)
-        )
+        arr = rule(doc[key], key)
+    except ValueError as exc:
+        raise ModelFileError(str(exc)) from None
     if arr.ndim != len(shape) or any(want not in (None, got) for got, want in zip(arr.shape, shape)):
         raise ModelFileError(
             "%s has shape %s, expected %s"
             % (key, arr.shape, tuple("*" if s is None else s for s in shape))
         )
-    return arr.astype(np.int64) if integer else finite(arr, key, ModelFileError)
+    return arr
 
 
 def model_from_dict(doc):
@@ -121,8 +119,7 @@ def model_from_dict(doc):
     if not radius > np.linalg.norm(points, axis=1).max():
         raise ModelFileError("radius %r does not exceed the largest support norm" % radius)
     weights = _array(doc, "weights", (k, m))
-    support_labels = _array(doc, "support_labels", (m,), integer=True)
-    support_labels = indices(support_labels, "support label", stop=k, error=ModelFileError)
+    support_labels = _array(doc, "support_labels", (m,), lambda v, key: indices(v, "support label", stop=k))
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ModelFileError("provenance must be a JSON object")

@@ -42,13 +42,14 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        positive(self.learning_rate, "learning rate")
+        self.learning_rate = positive(self.learning_rate, "learning rate")
         self.epochs = integer(self.epochs, "epochs", low=1)
-        integer(self.seed, "seed")
+        self.seed = integer(self.seed, "seed")
         if self.init_mode not in INIT_MODES:
             raise ValueError("init_mode must be one of %r" % (INIT_MODES,))
         if not isinstance(self.shuffle, (bool, np.bool_)):
             raise ValueError("shuffle must be a bool, got %r" % (self.shuffle,))
+        self.shuffle = bool(self.shuffle)
 
 
 @dataclass

@@ -219,6 +219,15 @@ class TestCsv:
         assert err.value.row == 3
         assert err.value.column == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_coordinates(self, tmp_path, cell):
+        # Refused with the cell's place, not later by the point cloud rule.
+        path = tmp_path / "inf.csv"
+        path.write_text("f1,f2,label\n1.0,2.0,a\n%s,1.0,b\n" % cell)
+        with pytest.raises(smnn.ParseError, match="non-finite numeric cell .* at row 3, column 1$") as err:
+            smnn.load_csv(path)
+        assert (err.value.row, err.value.column) == (3, 1)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -50,6 +50,19 @@ class TestModelDict:
             assert a.normal.tobytes() == b.normal.tobytes() and a.offset == b.offset
 
 
+class TestSave:
+    def test_a_provenance_that_is_not_json_leaves_the_file(self, tmp_path):
+        # The text is built before the file opens: a good model survives.
+        model, _ = _train_square()
+        path = tmp_path / "model.json"
+        smnn.save_model(model, path)
+        kept = path.read_bytes()
+        with pytest.raises(TypeError):
+            smnn.save_model(model, path, provenance={"seed": np.int64(1)})
+        assert path.read_bytes() == kept
+        assert smnn.load_model(path)[0].weights.tobytes() == model.weights.tobytes()
+
+
 class TestRoundTrip:
     def test_bit_identical_forward(self, tmp_path):
         model, _ = _train_square()

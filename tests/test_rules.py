@@ -4,6 +4,7 @@ public entry points that apply them.
 The rules are reached through the module at run time, so the table of
 entry points below also runs against a tree that lacks them."""
 
+import dataclasses
 import json
 import math
 import re
@@ -179,9 +180,16 @@ class TestReal:
         (np.array([0.5, True], dtype=object), "booleans"), (np.array([np.False_, 1.0], dtype=object), "booleans"),
         (["0.75", "0.6"], "strings"), (np.array([b"0.75", b"0.6"]), "strings"), ("1", "strings"),
         (np.array([0.5, "0.6"], dtype=object), "strings"), (np.array([np.bytes_(b"1"), 2], dtype=object), "strings"),
+        ([True, 0.5], "booleans"), ([[0.5, 1], [np.False_, 2]], "booleans"), ([0.5, "0.6"], "strings"),
     ])
     def test_rejects_booleans_and_strings(self, values, kind):
         with pytest.raises(ValueError, match="^v must be real numbers, got %s$" % kind):
+            errors.real(values, "v")
+
+
+    @pytest.mark.parametrize("values", [[10 ** 400], [[0.5], [-(10 ** 400)]], np.array([10 ** 400], dtype=object)])
+    def test_rejects_integers_past_the_float_range(self, values):
+        with pytest.raises(ValueError, match="^v must be real numbers: int too large to convert to float$"):
             errors.real(values, "v")
 
 
@@ -227,6 +235,17 @@ def ctx(tmp_path_factory):
 def _doc(c, **changes):
     doc = smnn.model_to_dict(c.model)
     doc.update(changes)
+    return doc
+
+
+def _with_true(c, key, *at):
+    """The model document as JSON reads it, with true at doc[key][at]."""
+    doc = json.loads(json.dumps(smnn.model_to_dict(c.model)))
+    *path, last = (key,) + at
+    target = doc
+    for step in path:
+        target = target[step]
+    target[last] = True
     return doc
 
 
@@ -372,6 +391,22 @@ ENTRY_POINTS = [
     ("model_from_dict NaN weight",
      lambda c: smnn.model_from_dict(_doc(c, weights=[[math.nan] * 4] * 2)), smnn.ModelFileError,
      "non-finite"),
+    # one JSON true in a numeric field, where a float cast read it as 1
+    ("model_from_dict true in weights",
+     lambda c: smnn.model_from_dict(_with_true(c, "weights", 0, 0)), smnn.ModelFileError,
+     "weights must be real numbers, got booleans"),
+    ("model_from_dict true in centroid",
+     lambda c: smnn.model_from_dict(_with_true(c, "centroid", 0)), smnn.ModelFileError,
+     "centroid must be real numbers, got booleans"),
+    ("model_from_dict true in support_points",
+     lambda c: smnn.model_from_dict(_with_true(c, "support_points", 0, 0)), smnn.ModelFileError,
+     "support_points must be real numbers, got booleans"),
+    ("model_from_dict true in support_labels",
+     lambda c: smnn.model_from_dict(_with_true(c, "support_labels", 2)), smnn.ModelFileError,
+     "support label: expected integers, not floats or booleans"),
+    ("model_from_dict true in simplices",
+     lambda c: smnn.model_from_dict(_with_true(c, "simplices", 0, 1)), smnn.ModelFileError,
+     "simplices: simplex vertex id: expected integers, not floats or booleans"),
     # datagen
     ("gen_clusters clusters_per_class=0",
      lambda c: smnn.gen_clusters(40, clusters_per_class=0), smnn.InvalidCount,
@@ -575,9 +610,45 @@ ENTRY_POINTS = [
     ("SmnnModel boolean weights",
      lambda c: smnn.SmnnModel(c.space, c.encoding, np.ones((2, 4), dtype=bool), c.y), ValueError,
      "weights must be real numbers, got booleans"),
-    # any other object the float cast refuses breaks the same rule
+    # a list that mixes a boolean with numbers is read element by element,
+    # where casting it first made a float array that read True as 1.0
+    ("forward [True, 0.05]",
+     lambda c: smnn.forward(c.model, [True, 0.05]), ValueError, "a point must be real numbers, got booleans"),
+    ("xi [True, 0.05]",
+     lambda c: smnn.xi(c.space, [True, 0.05]), ValueError, "a point must be real numbers, got booleans"),
+    ("explain [np.True_, 0.05]",
+     lambda c: smnn.explain(c.model, [np.True_, 0.05]), ValueError, "a point must be real numbers, got booleans"),
+    ("evaluate [[True, 0.1], [0.1, 0.1]]",
+     lambda c: smnn.evaluate(c.model, [[True, 0.1], [0.1, 0.1]], ["0", "1"]), ValueError,
+     "queries must be real numbers, got booleans"),
+    ("PointCloud [[True, 0.5], ...]",
+     lambda c: smnn.PointCloud([[True, 0.5], [0, 1], [1, 0]]), ValueError,
+     "point cloud must be real numbers, got booleans"),
+    ("fit_space [[True, 0.5], ...]",
+     lambda c: smnn.fit_space([[True, 0.5], [0, 1], [1, 0]], [0, 1, 2]), ValueError,
+     "point cloud must be real numbers, got booleans"),
+    ("softmax [True, 1.0]",
+     lambda c: smnn.softmax([True, 1.0]), ValueError, "logits must be real numbers, got booleans"),
+    ("logits values [True, ...]",
+     lambda c: smnn.logits(c.model, smnn.SparseXi(c.xi.indices, [True] + c.xi.values.tolist()[1:])), ValueError,
+     "sparse row values must be real numbers, got booleans"),
+    ("SparseXi.to_dense values [True, ...]",
+     lambda c: smnn.SparseXi(c.xi.indices, [True] + c.xi.values.tolist()[1:]).to_dense(4), ValueError,
+     "sparse row values must be real numbers, got booleans"),
+    ("SparseGradient.to_dense block [[True], [0.5]]",
+     lambda c: smnn.SparseGradient(np.array([0]), [[True], [0.5]]).to_dense(4), ValueError,
+     "a gradient block must be real numbers, got booleans"),
+    # any other object the float cast refuses breaks the same rule, an
+    # integer past the float range included
     ("forward [object(), 0.6]",
      lambda c: smnn.forward(c.model, [object(), 0.6]), ValueError, "a point must be real numbers: "),
+    ("forward [10**400, 0.0]",
+     lambda c: smnn.forward(c.model, [10 ** 400, 0.0]), ValueError, "a point must be real numbers: int too large"),
+    ("PointCloud [[10**400, 0.0], ...]",
+     lambda c: smnn.PointCloud([[10 ** 400, 0.0], [1.0, 2.0]]), ValueError,
+     "point cloud must be real numbers: int too large"),
+    ("softmax [10**400, 1]",
+     lambda c: smnn.softmax([10 ** 400, 1]), ValueError, "logits must be real numbers: int too large"),
     # cli
     ("train --support [true, ...]",
      lambda c: _train_cli(c, [True, 1, 2, 3]), smnn.ParseError, "integers"),
@@ -642,8 +713,15 @@ class TestValidInputs:
     """Accepted values of every type take the path of the plain int or float."""
 
     def test_train_config(self):
-        config = smnn.TrainConfig(learning_rate=np.float64(0.1), epochs=np.int64(3), seed=np.uint8(2))
+        config = smnn.TrainConfig(learning_rate=np.float64(0.1), epochs=np.int64(3), seed=np.uint8(2),
+                                  shuffle=np.False_)
         assert type(config.epochs) is int and config.epochs == 3
+        # The config keeps what its rules return, so it is JSON as provenance.
+        assert type(config.learning_rate) is float and config.learning_rate == 0.1
+        assert type(config.seed) is int and config.seed == 2
+        assert type(config.shuffle) is bool and config.shuffle is False
+        assert json.loads(json.dumps(dataclasses.asdict(config))) == {
+            "learning_rate": 0.1, "epochs": 3, "seed": 2, "init_mode": "uniform01", "shuffle": False}
 
     def test_sampling(self):
         pts = np.random.default_rng(0).random((30, 2))

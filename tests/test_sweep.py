@@ -1,9 +1,10 @@
 """Smoke test of scripts/sweep.py, the harness behind the library's cuts.
 
 One repeat on spiral supports 9 and 95 (and 15 for the set-up and stage
-timers) runs the body of each sweep: the set-up timer, the stage timer,
-the per-row location timing of the three searches, the epoch-path ratio
-and the one-row query timing.
+timers; two repeats for the query timer) runs the body of each sweep: the
+set-up timer, the stage timer, the per-row location timing of the three
+searches, the epoch-path ratio and the one-row query and load_model
+timing.
 The harness reads private names of smnn.geometry and smnn.training, so
 renaming one fails here rather than in the next re-run.
 """
@@ -127,9 +128,21 @@ def test_epoch_path_ratio(sweep, size):
     assert_cuts_restored()
 
 
-def test_query_timing(sweep):
-    times = sweep.query_row(sweep.spiral, 95, 1)
-    assert len(times) == 3 and all(0 < t < np.inf for t in times)
+def test_query_timing(sweep, monkeypatch):
+    # The last two figures time load_model on the file of the model the
+    # row queried: one first call, then the warm repeats.
+    loaded = []
+    load = smnn.load_model
+
+    def spy(path):
+        out = load(path)
+        loaded.append(out[0])
+        return out
+
+    monkeypatch.setattr(smnn, "load_model", spy)
+    times = sweep.query_row(sweep.spiral, 95, 2)
+    assert len(times) == 5 and all(0 < t < np.inf for t in times)
+    assert len(loaded) == 3 and loaded[0].space.support.size == 95 and loaded[0].weights.shape == (2, 95)
 
 
 def test_a_locator_that_disagrees_stops_the_sweep(sweep, monkeypatch):
