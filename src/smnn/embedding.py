@@ -27,7 +27,7 @@ one CSR record, an EmbeddingBatch; xi builds its single row directly.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -73,17 +73,27 @@ _U = np.finfo(np.float64).eps / 2
 class EmbeddingSpace:
     """Frozen geometric context shared by training and inference.
 
-    centroid : mean of the full training set, in raw coordinates.
-    radius   : bounding sphere radius (max translated norm plus margin).
-    support  : translated support points; rows are support indices.
-    tri      : Delaunay triangulation of the support points.
+    centroid : (dim,) mean of the full training set, in raw coordinates.
+    radius   : bounding sphere radius (max translated norm plus margin),
+               above every support norm; ValueError for either otherwise.
+    tri      : triangulation of the translated support points, whose cloud
+               is support (rows are support indices) of dimension dim.
     """
 
-    dim: int
     centroid: np.ndarray
     radius: float
-    support: PointCloud
     tri: object
+    support: PointCloud = field(init=False)
+    dim: int = field(init=False)
+
+    def __post_init__(self):
+        self.support, self.dim = self.tri.cloud, self.tri.cloud.dim
+        self.centroid = finite(self.centroid, "centroid")
+        if self.centroid.shape != (self.dim,):
+            raise ValueError("centroid has shape %s, expected (%d,)" % (self.centroid.shape, self.dim))
+        self.radius = positive(self.radius, "radius")
+        if not self.radius > np.linalg.norm(self.support.points, axis=1).max():
+            raise ValueError("radius %r does not exceed the largest support norm" % self.radius)
 
     @cached_property
     def polar(self):
@@ -181,7 +191,7 @@ def fit_space(train_points, support_indices, radius_margin=1.0):
             "queries behind the hull will raise NoContainingVirtualSimplex",
             stacklevel=2,
         )
-    return EmbeddingSpace(pts.shape[1], centroid, radius, support, tri)
+    return EmbeddingSpace(centroid, radius, tri)
 
 
 def project_to_sphere(space, x):

@@ -100,9 +100,11 @@ def _kind(t):
 def positive(value, what, error=ValueError, low=0.0, strict=True):
     """value as a float: a finite real number above low, or at least low
     when strict is False; low=-inf admits every finite number."""
-    if _kind(type(value)) not in ("i", "f") or not (
-        math.isfinite(value) and (value > low if strict else value >= low)
-    ):
+    try:
+        ok = _kind(type(value)) in ("i", "f") and math.isfinite(value) and (value > low if strict else value >= low)
+    except OverflowError:  # an int past the float range, as 10**400
+        ok = False
+    if not ok:
         bound = "zero" if low == 0 else "%g" % low
         rule = "" if low == -math.inf else (" above " if strict else " of at least ") + bound
         raise error("%s must be a finite number%s, got %r" % (what, rule, value))
@@ -134,7 +136,8 @@ def indices(values, what, stop=None, error=ValueError):
     """
     arr, kinds = _scan(values)
     if not kinds <= {"i", "u"}:
-        raise error("%s: expected integers, not floats or booleans" % what)
+        got = "got lists or other objects" if "O" in kinds else "not floats or booleans"
+        raise error("%s: expected integers, %s" % (what, got))
     try:
         arr = arr.astype(np.int64, copy=False)
     except OverflowError:

@@ -5,7 +5,8 @@ centroid, radius, the translated support points with labels, the maximal
 simplices of the triangulation and the weight matrix.  Loading rebuilds
 the hull facets and the inverted vertex systems from the support points
 and simplices through geometry.build_triangulation, the code that built
-them at training time, and checks every field first.  Floats go through
+them at training time; each record it builds checks its own fields, and
+the loader only maps the document onto them.  Floats go through
 json's repr-based encoder, which round-trips doubles exactly, so a
 reloaded model reproduces forward outputs bit for bit.
 
@@ -17,10 +18,8 @@ document, raises ModelFileError.
 
 import json
 
-import numpy as np
-
 from .embedding import EmbeddingSpace
-from .errors import ModelFileError, SingularSimplex, finite, indices, integer
+from .errors import ModelFileError, SingularSimplex, finite, integer
 from .geometry import PointCloud, build_triangulation
 from .model import LabelEncoding, SmnnModel
 
@@ -65,28 +64,14 @@ def save_model(model, path, provenance=None):
         fh.write(text)
 
 
-def _array(doc, key, shape, rule=finite):
-    """rule(doc[key], key) checked against shape, where None matches any
-    length; every refusal raises ModelFileError naming the key."""
-    try:
-        arr = rule(doc[key], key)
-    except ValueError as exc:
-        raise ModelFileError(str(exc)) from None
-    if arr.ndim != len(shape) or any(want not in (None, got) for got, want in zip(arr.shape, shape)):
-        raise ModelFileError(
-            "%s has shape %s, expected %s"
-            % (key, arr.shape, tuple("*" if s is None else s for s in shape))
-        )
-    return arr
-
-
 def model_from_dict(doc):
     """Model and provenance from a parsed model document.
 
-    Checks keys, types, shapes, finiteness, label and simplex ranges and
-    a radius above the largest support norm, and rebuilds the
-    triangulation from the stored simplices; raises ModelFileError on the
-    first problem.
+    Checks the header (keys, version, dim, labels, n_classes and
+    provenance), then builds the support PointCloud, its triangulation
+    from the stored simplices, the EmbeddingSpace and the SmnnModel, each
+    of which checks its own fields; raises ModelFileError on the first
+    problem.
     """
     if not isinstance(doc, dict):
         raise ModelFileError("a model document must be a JSON object")
@@ -112,27 +97,25 @@ def model_from_dict(doc):
     if integer(doc["n_classes"], "n_classes", error=ModelFileError) != k:
         raise ModelFileError("n_classes %r != %d labels" % (doc["n_classes"], k))
 
-    points = _array(doc, "support_points", (None, dim))
-    m = points.shape[0]
-    centroid = _array(doc, "centroid", (dim,))
-    radius = float(_array(doc, "radius", ()))
-    if not radius > np.linalg.norm(points, axis=1).max():
-        raise ModelFileError("radius %r does not exceed the largest support norm" % radius)
-    weights = _array(doc, "weights", (k, m))
-    support_labels = _array(doc, "support_labels", (m,), lambda v, key: indices(v, "support label", stop=k))
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ModelFileError("provenance must be a JSON object")
 
-    support = PointCloud(points)
+    try:
+        support = PointCloud(finite(doc["support_points"], "support_points"))
+    except ValueError as exc:
+        raise ModelFileError(str(exc)) from None
+    if support.dim != dim:
+        raise ModelFileError("support_points have dimension %d, expected %d" % (support.dim, dim))
     try:
         tri = build_triangulation(support, doc["simplices"])
     except (ValueError, SingularSimplex) as exc:
         raise ModelFileError("simplices: %s" % exc) from None
-    space = EmbeddingSpace(dim=dim, centroid=centroid, radius=radius, support=support, tri=tri)
-    model = SmnnModel(
-        space=space, encoding=encoding, weights=weights, support_labels=support_labels
-    )
+    try:
+        space = EmbeddingSpace(doc["centroid"], doc["radius"], tri)
+        model = SmnnModel(space, encoding, doc["weights"], doc["support_labels"])
+    except ValueError as exc:
+        raise ModelFileError(str(exc)) from None
     return model, provenance
 
 

@@ -96,24 +96,28 @@ def _farthest_points(pts, seed):
     near = -_distances(cols, pts.mean(axis=0), buf)
     start = _break_tie(near, int(near.argmax()), rng)
     dists = _distances(cols, pts[start], buf).copy()
-    # Each step takes the argmax of the distances once: the value there is
-    # the cover radius it yields (dists holds no NaN), and the index the
-    # next step's pick.
+    # A selected point's distance is marked -1, so that no tie at a cover
+    # radius of 0 (duplicate rows) picks it again.  Each step takes the
+    # argmax of the distances once: the value there is the cover radius it
+    # yields (dists holds no NaN), clamped at 0 once every point is
+    # selected, and the index the next step's pick.
+    dists[start] = -1.0
     best = int(dists.argmax())
-    yield start, float(dists[best])
+    yield start, max(float(dists[best]), 0.0)
     for _ in range(pts.shape[0] - 1):
         nxt = _break_tie(dists, best, rng)
         np.minimum(dists, _distances(cols, pts[nxt], buf), out=dists)
+        dists[nxt] = -1.0
         best = int(dists.argmax())
-        yield nxt, float(dists[best])
+        yield nxt, max(float(dists[best]), 0.0)
 
 
 def farthest_point_order(train_points, seed=0):
     """Full greedy traversal of the training set.
 
-    Returns (order, radii) where order[j] is the j-th selected index and
-    radii[j] is the cover radius once the first j+1 points are selected.
-    Any epsilon-representative prefix is a prefix of this order.
+    Returns (order, radii): order, a permutation of the rows, lists them in
+    the order selected, and radii[j] is the cover radius once the first j+1
+    are selected.  Any epsilon-representative prefix is a prefix of order.
     """
     order, radii = zip(*_farthest_points(as_cloud(train_points).points, seed))
     return np.array(order, dtype=np.int64), np.array(radii)

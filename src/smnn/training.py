@@ -86,10 +86,18 @@ class TrainReport:
 
 @dataclass
 class CachedEmbedding:
-    """The EmbeddingBatch and label indices of a training set."""
+    """The EmbeddingBatch of a training set and one label index per row;
+    labels that are not integers, or not one per row, raise ValueError."""
 
     batch: object
     y: np.ndarray
+
+    def __post_init__(self):
+        self.y = indices(self.y, "label index")
+        if self.y.shape != (len(self.batch),):
+            raise ValueError(
+                "labels and points disagree: label shape %s, point shape %s" % (self.y.shape, self.batch.facet.shape)
+            )
 
     def __len__(self):
         return len(self.batch)
@@ -125,14 +133,7 @@ class SparseGradient:
 
 def precompute_embeddings(space, train_points, y_encoded):
     """Embed every training point once; y_encoded are label indices."""
-    y = indices(y_encoded, "label index")
-    batch = embed_batch(space, train_points)
-    if y.shape != (len(batch),):
-        raise ValueError(
-            "labels and points disagree: label shape %s, point shape %s"
-            % (y.shape, (len(batch), space.dim))
-        )
-    return CachedEmbedding(batch=batch, y=y)
+    return CachedEmbedding(embed_batch(space, train_points), y_encoded)
 
 
 def _pack(batch, k, m):

@@ -137,8 +137,12 @@ def reference_order(points, seed=0):
     start = _reference_tie_argmax(-np.linalg.norm(pts - pts.mean(axis=0), axis=1), rng)
     dists = np.linalg.norm(pts - pts[start], axis=1)
     order, radii = [start], [float(dists.max())]
+    taken = np.zeros(len(pts), dtype=bool)
+    taken[start] = True
     for _ in range(pts.shape[0] - 1):
-        nxt = _reference_tie_argmax(dists, rng)
+        # The pick is drawn among the points not yet selected.
+        nxt = _reference_tie_argmax(np.where(taken, -np.inf, dists), rng)
+        taken[nxt] = True
         np.minimum(dists, np.linalg.norm(pts - pts[nxt], axis=1), out=dists)
         order.append(nxt)
         radii.append(float(dists.max()))

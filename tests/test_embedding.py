@@ -107,13 +107,7 @@ class TestProjectToSphere:
         assert np.array_equal(w, [0.0, 1.0])
 
     def test_scaled_example(self, square_space):
-        space = smnn.EmbeddingSpace(
-            dim=2,
-            centroid=np.zeros(2),
-            radius=10.0,
-            support=square_space.support,
-            tri=square_space.tri,
-        )
+        space = smnn.EmbeddingSpace(centroid=np.zeros(2), radius=10.0, tri=square_space.tri)
         w = smnn.project_to_sphere(space, np.array([3.0, 4.0]))
         assert np.abs(w - [6.0, 8.0]).max() < 1e-12
 

@@ -5,6 +5,7 @@ The rules are reached through the module at run time, so the table of
 entry points below also runs against a tree that lacks them."""
 
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -46,6 +47,12 @@ class TestPositive:
     def test_raises_the_given_error(self, value):
         with pytest.raises(Custom, match="margin"):
             errors.positive(value, "margin", error=Custom)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["10**400", "-10**400"])
+    @pytest.mark.parametrize("low, strict", [(0.0, True), (0.0, False), (-math.inf, True)])
+    def test_an_int_past_the_float_range_is_not_finite(self, sign, low, strict):
+        with pytest.raises(Custom, match="turns must be a finite number"):
+            errors.positive(sign * 10 ** 400, "turns", error=Custom, low=low, strict=strict)
 
 
 class TestInteger:
@@ -142,6 +149,16 @@ class TestIndices:
         values[-1] = last
         with pytest.raises(ValueError, match="idx: expected integers, not floats or booleans"):
             errors.indices(values, "idx", stop=1000)
+
+    @pytest.mark.parametrize("values", [
+        [[0, 1, 2], [1, 2]],
+        [0, [1]],
+        [0, None],
+        [0, {"1": 1}],
+    ], ids=["ragged", "nested", "None", "dict"])
+    def test_names_lists_and_other_objects(self, values):
+        with pytest.raises(ValueError, match="^idx: expected integers, got lists or other objects$"):
+            errors.indices(values, "idx", stop=3)
 
     def test_rejects_integers_past_int64(self):
         with pytest.raises(ValueError, match="idx: an integer exceeds the int64 range"):
@@ -263,6 +280,18 @@ def _cached(c, y):
     return smnn.CachedEmbedding(batch=c.cached.batch, y=np.array(y))
 
 
+def _space(c, centroid=None, radius=None):
+    """An EmbeddingSpace over the square's complex, with c.space's centroid
+    and radius unless given."""
+    return smnn.EmbeddingSpace(
+        c.space.centroid if centroid is None else centroid, c.space.radius if radius is None else radius, c.space.tri
+    )
+
+
+def _support_norm(c):
+    return float(np.linalg.norm(c.space.support.points, axis=1).max())
+
+
 # (entry point and argument, call on the ctx fixture, error, message match)
 ENTRY_POINTS = [
     # sampling
@@ -270,6 +299,9 @@ ENTRY_POINTS = [
      lambda c: smnn.epsilon_from_kappa(SQUARE_POINTS, True), ValueError, "kappa"),
     ("epsilon_representative epsilon=True",
      lambda c: smnn.epsilon_representative(SQUARE_POINTS, True), ValueError, "epsilon"),
+    ("epsilon_representative epsilon=10**400",
+     lambda c: smnn.epsilon_representative(SQUARE_POINTS, 10 ** 400), ValueError,
+     "epsilon must be a finite number above zero"),
     ("epsilon_representative seed=1.5",
      lambda c: smnn.epsilon_representative(SQUARE_POINTS, 0.1, seed=1.5), ValueError, "seed"),
     ("farthest_point_order seed=True",
@@ -307,6 +339,18 @@ ENTRY_POINTS = [
     ("precompute_embeddings labels=[0.0, ...]",
      lambda c: precompute_embeddings(c.space, SQUARE_POINTS, [0.0, 0, 1, 1]), ValueError,
      "integers"),
+    # a hand-built cache holds one integer label per embedded row
+    ("CachedEmbedding 5 labels for 4 rows",
+     lambda c: _cached(c, [0, 0, 1, 1, 0]), ValueError, r"label shape \(5,\), point shape \(4, 2\)"),
+    ("CachedEmbedding 3 labels for 4 rows",
+     lambda c: _cached(c, [0, 0, 1]), ValueError, r"label shape \(3,\), point shape \(4, 2\)"),
+    ("CachedEmbedding labels of shape (2, 2)",
+     lambda c: _cached(c, [[0, 0], [1, 1]]), ValueError, r"label shape \(2, 2\), point shape \(4, 2\)"),
+    ("CachedEmbedding labels [0.0, ...]",
+     lambda c: smnn.CachedEmbedding(c.cached.batch, [0.0, 0, 1, 1]), ValueError,
+     "label index: expected integers"),
+    ("TrainConfig learning_rate=10**400",
+     lambda c: smnn.TrainConfig(learning_rate=10 ** 400), ValueError, "learning rate must be a finite number"),
     ("train_cached label 2",
      lambda c: smnn.train_cached(c.space, _cached(c, [0, 2, 1, 1]), c.y, c.encoding,
                                  smnn.TrainConfig(epochs=1)),
@@ -325,6 +369,34 @@ ENTRY_POINTS = [
     ("fit_space non-finite point",
      lambda c: smnn.fit_space([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]], [0, 1, 2]),
      ValueError, "non-finite"),
+    ("fit_space radius_margin=10**400",
+     lambda c: smnn.fit_space(SQUARE_POINTS, [0, 1, 2, 3], radius_margin=10 ** 400),
+     smnn.InvalidMargin, "radius margin must be a finite number"),
+    # a margin the largest norm absorbs leaves a sphere through a support point
+    ("fit_space radius_margin=1e-10 at norm 3.5e9",
+     lambda c: smnn.fit_space(SQUARE_POINTS * 1e10, [0, 1, 2, 3], radius_margin=1e-10),
+     ValueError, "does not exceed the largest support norm"),
+    # the space checks its centroid and radius against its complex
+    ("EmbeddingSpace radius below the support norms",
+     lambda c: _space(c, radius=0.3), ValueError, r"^radius 0\.3 does not exceed the largest support norm$"),
+    ("EmbeddingSpace radius at the largest support norm",
+     lambda c: _space(c, radius=_support_norm(c)), ValueError, "does not exceed the largest support norm"),
+    ("EmbeddingSpace radius=0",
+     lambda c: _space(c, radius=0), ValueError, "radius must be a finite number above zero"),
+    ("EmbeddingSpace radius=True",
+     lambda c: _space(c, radius=True), ValueError, "radius must be a finite number above zero"),
+    ("EmbeddingSpace radius=10**400",
+     lambda c: _space(c, radius=10 ** 400), ValueError, "radius must be a finite number above zero"),
+    ("EmbeddingSpace radius=inf",
+     lambda c: _space(c, radius=math.inf), ValueError, "radius must be a finite number above zero"),
+    ("EmbeddingSpace centroid of shape (3,)",
+     lambda c: _space(c, centroid=np.zeros(3)), ValueError, r"^centroid has shape \(3,\), expected \(2,\)$"),
+    ("EmbeddingSpace centroid of shape (1, 2)",
+     lambda c: _space(c, centroid=[[0.5, 0.5]]), ValueError, r"centroid has shape \(1, 2\), expected \(2,\)"),
+    ("EmbeddingSpace NaN centroid",
+     lambda c: _space(c, centroid=[math.nan, 0.5]), ValueError, "centroid must be finite numbers"),
+    ("EmbeddingSpace [True, 0.5] centroid",
+     lambda c: _space(c, centroid=[True, 0.5]), ValueError, "centroid must be real numbers, got booleans"),
     ("project_to_sphere 3-coordinate point",
      lambda c: smnn.project_to_sphere(c.space, [0.5, 0.5, 0.5]), smnn.DimensionMismatch, r"shape \(3,\)"),
     ("project_to_sphere NaN point",
@@ -388,6 +460,27 @@ ENTRY_POINTS = [
     ("model_from_dict schema_version=2.0",
      lambda c: smnn.model_from_dict(_doc(c, schema_version=2.0)), smnn.ModelFileError,
      "schema_version"),
+    ("model_from_dict radius=10**400",
+     lambda c: smnn.model_from_dict(_doc(c, radius=10 ** 400)), smnn.ModelFileError,
+     "radius must be a finite number above zero"),
+    ("model_from_dict radius below the support norms",
+     lambda c: smnn.model_from_dict(_doc(c, radius=0.3)), smnn.ModelFileError,
+     r"^radius 0\.3 does not exceed the largest support norm$"),
+    ("model_from_dict centroid of shape (3,)",
+     lambda c: smnn.model_from_dict(_doc(c, centroid=[0.5, 0.5, 0.5])), smnn.ModelFileError,
+     r"^centroid has shape \(3,\), expected \(2,\)$"),
+    ("model_from_dict support points of dimension 3",
+     lambda c: smnn.model_from_dict(_doc(c, support_points=[p + [1.0] for p in c.space.support.points.tolist()])),
+     smnn.ModelFileError, "^support_points have dimension 3, expected 2$"),
+    ("model_from_dict ragged simplices",
+     lambda c: smnn.model_from_dict(_doc(c, simplices=[[0, 1, 2], [1, 2]])), smnn.ModelFileError,
+     "^simplices: simplex vertex id: expected integers, got lists or other objects$"),
+    ("model_from_dict weights of shape (2, 3)",
+     lambda c: smnn.model_from_dict(_doc(c, weights=[[0.5] * 3] * 2)), smnn.ModelFileError,
+     r"weights of shape \(2, 3\), expected \(k, m\) = \(2, 4\)"),
+    ("model_from_dict 3 support labels",
+     lambda c: smnn.model_from_dict(_doc(c, support_labels=[0, 1, 1])), smnn.ModelFileError,
+     r"support_labels must have shape \(4,\)"),
     ("model_from_dict NaN weight",
      lambda c: smnn.model_from_dict(_doc(c, weights=[[math.nan] * 4] * 2)), smnn.ModelFileError,
      "non-finite"),
@@ -453,6 +546,10 @@ ENTRY_POINTS = [
     ("gen_clusters seed=True", lambda c: smnn.gen_clusters(40, seed=True), ValueError, "seed"),
     ("gen_clusters seed=1.5", lambda c: smnn.gen_clusters(40, seed=1.5), ValueError, "seed"),
     ("gen_clusters seed=None", lambda c: smnn.gen_clusters(40, seed=None), ValueError, "seed"),
+    ("gen_spiral turns=10**400",
+     lambda c: smnn.gen_spiral(10, turns=10 ** 400), ValueError, "turns must be a finite number,"),
+    ("split train_fraction=10**400",
+     lambda c: smnn.split(smnn.gen_spiral(40), 10 ** 400), ValueError, "train_fraction must be a finite number"),
     ("split train_fraction='0.5'",
      lambda c: smnn.split(smnn.gen_spiral(40), "0.5"), ValueError, "train_fraction must be a finite number"),
     ("split train_fraction=None",
@@ -669,6 +766,33 @@ ENTRY_POINTS = [
 def test_entry_point_rejects(ctx, call, error, match):
     with pytest.raises(error, match=match):
         call(ctx)
+
+
+class TestRecords:
+    """EmbeddingSpace and CachedEmbedding check their own fields, so the
+    loader only maps a document onto the records."""
+
+    def test_the_space_derives_its_support_and_dimension(self, ctx):
+        assert list(inspect.signature(smnn.EmbeddingSpace).parameters) == ["centroid", "radius", "tri"]
+        space = smnn.EmbeddingSpace(ctx.space.centroid.tolist(), 2, ctx.space.tri)
+        assert space.support is ctx.space.tri.cloud and space.dim == 2
+        assert space.centroid.tolist() == ctx.space.centroid.tolist() and type(space.radius) is float
+
+    def test_the_loader_reads_the_weights_and_labels_once(self, ctx, monkeypatch):
+        # Every module's binding of the two rules is wrapped; each call
+        # records the name of the field it checks.
+        calls = []
+        for module in (smnn.persist, smnn.model, smnn.embedding, smnn.geometry, smnn.training):
+            for name in ("finite", "indices"):
+                rule = getattr(module, name, None)
+                if rule is not None:
+                    monkeypatch.setattr(module, name, lambda v, what, *a, _rule=rule, **k: (
+                        calls.append(what) or _rule(v, what, *a, **k)))
+        doc = json.loads(json.dumps(smnn.model_to_dict(ctx.model)))
+        model, _ = smnn.model_from_dict(doc)
+        assert calls.count("weights") == 1 and calls.count("support label") == 1
+        assert model.weights.tobytes() == ctx.model.weights.tobytes()
+        assert model.support_labels.tolist() == ctx.model.support_labels.tolist()
 
 
 class TestSparseRow:

@@ -54,6 +54,17 @@ class TestFarthestPointOrder:
         assert (np.diff(radii) <= 1e-15).all()
         assert radii[-1] == 0.0
 
+    @pytest.mark.parametrize("name", ["iris", "repeated"])
+    def test_duplicate_rows_are_each_listed_once(self, name):
+        # Iris holds one duplicated row; the repeated cloud is 20 rows three
+        # times over.  The radii are the traversal's, bit for bit.
+        pts = (smnn.load_iris().points.points if name == "iris"
+               else np.tile(random_cloud(np.random.default_rng(5), 20, 3), (3, 1)))
+        for seed in range(3):
+            order, radii = smnn.farthest_point_order(pts, seed=seed)
+            assert sorted(order.tolist()) == list(range(len(pts)))
+            assert radii.tobytes() == reference_order(pts, seed=seed)[1].tobytes()
+
     def test_greedy_farthest_choice(self):
         # At each step the selected point realizes the current cover radius.
         rng = np.random.default_rng(3)
